@@ -155,9 +155,12 @@ mod tests {
         (comp, dag)
     }
 
+    // The cache is process-global and other lib tests fill it concurrently,
+    // so these tests use keys no other test uses, never `clear()` it, and
+    // assert nothing about its total size.
+
     #[test]
     fn second_lookup_shares_the_first_build() {
-        clear();
         let calls = AtomicUsize::new(0);
         let key = ("bc-test-a".to_string(), 1, 1024, 2);
         let a = get_or_build(key.clone(), || {
@@ -170,20 +173,15 @@ mod tests {
         });
         assert_eq!(calls.load(Ordering::SeqCst), 1, "second lookup is a hit");
         assert!(Arc::ptr_eq(&a, &b));
-        assert!(cached_builds() >= 1);
-        clear();
-        assert_eq!(cached_builds(), 0);
     }
 
     #[test]
     fn distinct_keys_build_separately() {
-        clear();
         let a = get_or_build(("bc-test-b".into(), 1, 1024, 2), || tiny(5));
         let b = get_or_build(("bc-test-b".into(), 1, 2048, 2), || tiny(5));
         assert!(
             !Arc::ptr_eq(&a, &b),
             "different L2 capacity, different build"
         );
-        clear();
     }
 }

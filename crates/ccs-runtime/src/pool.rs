@@ -19,13 +19,14 @@
 //!
 //! # Runtime internals (DESIGN.md §14)
 //!
-//! This is the production work-stealing runtime, rebuilt from the seed
-//! design around three ideas:
+//! This is the production work-stealing runtime, built around four ideas:
 //!
-//! * **lock-free wake fast path** — publishing a job consults the packed
-//!   sleep-state word of [`crate::sleep`] with a single atomic load; the
-//!   futex (or condvar) is touched only when a worker is actually sleepy or
-//!   asleep.  The seed pool took a global mutex on *every* push.
+//! * **a fork writes no shared line** — `join` pushes onto the worker's own
+//!   lock-free Chase-Lev deque (the `crossbeam_deque` shim), then consults
+//!   the packed sleep-state word of [`crate::sleep`] with a fence and a
+//!   single atomic load.  No pool-wide counter is bumped, the registry is
+//!   reached by pointer (no refcount traffic), and the futex (or condvar)
+//!   is touched only when a worker is asleep and no idle peer is awake.
 //! * **batch stealing** — an out-of-work worker steals *batches* from the
 //!   injector and from victim deques (`steal_batch_and_pop`), amortising
 //!   the synchronisation cost of a steal over several jobs, and scans
@@ -85,16 +86,13 @@ struct Registry {
     stealers: Vec<Stealer<Job>>,
     /// Global priority pool (PDF): ordered by (label, submission sequence).
     pdf: Mutex<std::collections::BTreeMap<(PdfLabel, u64), JobFn>>,
-    /// Number of queued (not yet started) jobs.  SeqCst: this counter is
-    /// the "work is visible" side of the wake protocol (see `crate::sleep`).
-    pending: AtomicUsize,
     /// Monotonic tie-breaker for PDF jobs with equal labels.
     seq: AtomicUsize,
     shutdown: AtomicBool,
     /// Detached-job panics caught at the pool boundary (see [`run_job_caught`]).
     panics_caught: AtomicUsize,
     /// Sleep/wake machinery for idle workers: packed idle/sleepy/asleep
-    /// counters plus the futex event word.
+    /// counters, the event counter and one parking slot per worker.
     sleep: SleepState,
     /// Whether workers should bind themselves to CPUs (set by
     /// [`ThreadPool::pinned`]; applied lazily by each worker).
@@ -105,11 +103,6 @@ impl Registry {
     /// Queue a job.  Worker threads of a WS pool push to their own deque;
     /// everything else goes through the global injector / priority pool.
     fn push_job(&self, label: PdfLabel, func: JobFn) {
-        // `pending` is bumped *before* the job lands in a queue: a worker
-        // that observes `pending > 0` but cannot find the job yet simply
-        // retries, and the pre-park recheck can never see "no work" while
-        // a job is in flight.
-        self.pending.fetch_add(1, Ordering::SeqCst);
         match self.policy {
             Policy::WorkStealing => {
                 let job = Job { label, func };
@@ -133,8 +126,9 @@ impl Registry {
                 self.pdf.lock().insert((label, seq), func);
             }
         }
-        // Lock-free on the common path: a single atomic load when no
-        // worker is sleepy or asleep.
+        // The job is visible in its queue; the pre-park recheck
+        // (`has_work`) scans every queue, so this fence-and-load is the
+        // whole publish side of the wake protocol (see `crate::sleep`).
         self.sleep.notify_one();
     }
 
@@ -142,7 +136,7 @@ impl Registry {
     /// then a batch steal from the injector, then batch steals from the
     /// other workers in seeded-random order.
     fn pop_job(&self, index: usize) -> Option<(PdfLabel, JobFn)> {
-        let found = match self.policy {
+        match self.policy {
             Policy::WorkStealing => LOCAL
                 .with(|local| {
                     let slot = local.borrow();
@@ -169,11 +163,7 @@ impl Registry {
                 .lock()
                 .pop_first()
                 .map(|((label, _), func)| (label, func)),
-        };
-        if found.is_some() {
-            self.pending.fetch_sub(1, Ordering::SeqCst);
         }
-        found
     }
 
     /// The WS steal path: batch-steal from the injector, then from victims
@@ -220,8 +210,25 @@ impl Registry {
         None
     }
 
+    /// Leave the idle state, passing on a wake that a publisher may have
+    /// skipped on this worker's account (see `crate::sleep`).
+    fn end_idle(&self) {
+        if self.sleep.end_idle() && self.has_work() {
+            self.sleep.notify_one();
+        }
+    }
+
+    /// The recheck: whether any queue holds a job.  Called after
+    /// [`SleepState::announce_sleepy`] or a hand-off from
+    /// [`SleepState::end_idle`], whose fences order this scan against every
+    /// publisher's (see `crate::sleep`).
     fn has_work(&self) -> bool {
-        self.pending.load(Ordering::SeqCst) > 0
+        match self.policy {
+            Policy::WorkStealing => {
+                !self.injector.is_empty() || self.stealers.iter().any(|s| !s.is_empty())
+            }
+            Policy::Pdf => !self.pdf.lock().is_empty(),
+        }
     }
 }
 
@@ -264,7 +271,9 @@ fn seed_steal_rng(index: usize) {
 }
 
 struct WorkerContext {
-    registry: Arc<Registry>,
+    /// The worker's pool.  `worker_loop` holds an `Arc` on it for as long
+    /// as this context exists, so the pointer stays valid.
+    registry: *const Registry,
     index: usize,
     /// Label of the job currently executing on this worker.
     label: PdfLabel,
@@ -273,22 +282,28 @@ struct WorkerContext {
 }
 
 /// Register the fork of a child task on the current worker: bump the
-/// current job's child counter and return the pool handle, the worker
-/// index, and the child's priority label.  `None` outside a pool.
+/// current job's child counter and return the pool, the worker index, and
+/// the child's priority label.  `None` outside a pool.
+///
+/// The pool is handed out by pointer, not by `Arc`, so a fork moves no
+/// refcount.  The pointer is valid for the rest of the calling job: the
+/// registry outlives every worker (`worker_loop` holds an `Arc` until the
+/// thread ends), and `join`/`spawn` return before the job they run in.
 ///
 /// Child labels exist to order the PDF priority pool; under the WS policy
 /// they are never consulted, so the (allocating) label derivation is
 /// skipped and the root label stands in.
-fn next_child() -> Option<(Arc<Registry>, usize, PdfLabel)> {
+fn next_child() -> Option<(*const Registry, usize, PdfLabel)> {
     CURRENT.with(|c| {
         c.borrow_mut().as_mut().map(|ctx| {
             let index = ctx.children;
             ctx.children += 1;
-            let label = match ctx.registry.policy {
+            // SAFETY: the worker's own context points at its live registry.
+            let label = match unsafe { (*ctx.registry).policy } {
                 Policy::Pdf => ctx.label.child(index),
                 Policy::WorkStealing => PdfLabel::root(),
             };
-            (Arc::clone(&ctx.registry), ctx.index, label)
+            (ctx.registry, ctx.index, label)
         })
     })
 }
@@ -348,11 +363,10 @@ impl ThreadPool {
             injector: Injector::new(),
             stealers,
             pdf: Mutex::new(std::collections::BTreeMap::new()),
-            pending: AtomicUsize::new(0),
             seq: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
             panics_caught: AtomicUsize::new(0),
-            sleep: SleepState::new(),
+            sleep: SleepState::new(num_threads),
             pin: AtomicBool::new(false),
         });
         let workers = deques
@@ -421,10 +435,11 @@ impl ThreadPool {
     }
 
     /// Number of job publications that had to take the slow wake path (an
-    /// event bump plus a futex/condvar wake) because a worker was sleepy or
-    /// asleep.  Publications while every worker is busy cost a single
-    /// atomic load and do not move this counter — the pool stress suite
-    /// asserts exactly that.
+    /// event bump, plus a futex/condvar wake if a worker was asleep)
+    /// because a worker was sleepy or asleep and no idle worker was awake.
+    /// Publications while every worker is busy cost a fence and a single
+    /// load and do not move this counter — the pool stress suite asserts
+    /// exactly that.
     pub fn slow_wakes(&self) -> u64 {
         self.registry.sleep.slow_wakes()
     }
@@ -511,7 +526,7 @@ fn worker_loop(registry: Arc<Registry>, index: usize, deque: Deque<Job>) {
     });
     CURRENT.with(|c| {
         *c.borrow_mut() = Some(WorkerContext {
-            registry: Arc::clone(&registry),
+            registry: Arc::as_ptr(&registry),
             index,
             label: PdfLabel::root(),
             children: 0,
@@ -538,12 +553,12 @@ fn worker_loop(registry: Arc<Registry>, index: usize, deque: Deque<Job>) {
         loop {
             maybe_pin(&registry, index, &mut pinned);
             if let Some((label, func)) = registry.pop_job(index) {
-                registry.sleep.end_idle();
+                registry.end_idle();
                 run_job_caught(&registry, label, func);
                 continue 'main;
             }
             if registry.shutdown.load(Ordering::SeqCst) {
-                registry.sleep.end_idle();
+                registry.end_idle();
                 break 'main;
             }
             if round < SPIN_ROUNDS {
@@ -560,7 +575,7 @@ fn worker_loop(registry: Arc<Registry>, index: usize, deque: Deque<Job>) {
                     // The recheck saw something: retract and retry awake.
                     registry.sleep.cancel_sleepy();
                 } else {
-                    registry.sleep.sleep(ticket);
+                    registry.sleep.sleep(index, ticket);
                 }
                 // Woken (or recheck hit): skip the spin phase, re-probe
                 // with a few yields before considering sleep again.
@@ -568,6 +583,8 @@ fn worker_loop(registry: Arc<Registry>, index: usize, deque: Deque<Job>) {
             }
         }
     }
+    // The context's registry pointer must not outlive our `Arc`.
+    CURRENT.with(|c| c.borrow_mut().take());
 }
 
 /// Apply a pending CPU-pinning request to this worker (once).
@@ -696,6 +713,8 @@ where
     let Some((registry, index, b_label)) = next_child() else {
         return (a(), b());
     };
+    // SAFETY: valid until the calling job returns (see `next_child`).
+    let registry = unsafe { &*registry };
 
     // Both the completion flag and the result slot live on *this* stack
     // frame — `join` is on the hot fork path, and heap-allocating a latch
@@ -732,7 +751,7 @@ where
     // *latch*, not new work, so we spin/yield between probes instead.
     while !done.load(Ordering::Acquire) {
         if let Some((label, func)) = registry.pop_job(index) {
-            run_job_caught(&registry, label, func);
+            run_job_caught(registry, label, func);
         } else {
             std::hint::spin_loop();
             thread::yield_now();
@@ -753,7 +772,8 @@ where
 /// child of the current task.  Outside a pool the job runs inline.
 pub fn spawn(f: impl FnOnce() + Send + 'static) {
     match next_child() {
-        Some((registry, _, label)) => registry.push_job(label, Box::new(f)),
+        // SAFETY: valid until the calling job returns (see `next_child`).
+        Some((registry, _, label)) => unsafe { &*registry }.push_job(label, Box::new(f)),
         None => f(),
     }
 }
@@ -1022,8 +1042,8 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
         assert_eq!(counter.load(Ordering::SeqCst), 1);
-        // Both pools still work and drop cleanly (a pending-counter
-        // imbalance from misrouted jobs would spin their workers forever).
+        // Both pools still work and drop cleanly (a job misrouted onto the
+        // other pool's deque would run there, or never).
         assert_eq!(a.install(|| 1), 1);
         assert_eq!(b.install(|| 2), 2);
     }
@@ -1058,7 +1078,7 @@ mod tests {
         assert_eq!(
             pool.slow_wakes(),
             before,
-            "no-sleeper pushes must be a single atomic load"
+            "no-sleeper pushes must be a fence and a single load"
         );
         gate.store(true, Ordering::Release);
         for _ in 0..5000 {

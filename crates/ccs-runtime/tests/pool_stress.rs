@@ -11,7 +11,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use ccs_runtime::{join, CancelToken, Policy, ThreadPool};
+use ccs_runtime::{join, spawn, CancelToken, Policy, ThreadPool};
 
 /// Spin until `cond` holds or the deadline passes; panic with `what` on
 /// timeout so a lost wakeup fails loudly instead of hanging CI.
@@ -74,7 +74,7 @@ fn park_unpark_hammering_from_external_threads() {
 
 /// The no-sleeper publish path must never touch the slow wake machinery:
 /// while every worker is verifiably busy, `slow_wakes()` must not move.
-/// (The fast path is a single atomic load; the counter is bumped by the
+/// (The fast path is a fence and a single load; the counter is bumped by the
 /// slow path only.)
 #[test]
 fn busy_publish_never_takes_slow_wake_path() {
@@ -270,5 +270,142 @@ fn pool_churn_shutdown_wakes_everyone() {
         .collect();
     for c in churners {
         c.join().unwrap();
+    }
+}
+
+/// One job forks 10 000 detached children onto its own deque — far past
+/// the deque ring's initial capacity, so it grows while the other workers
+/// steal from it.  Every child must run exactly once.
+#[test]
+fn one_job_spawning_ten_thousand_grows_its_deque_under_stealing() {
+    const SPAWNS: u64 = 10_000;
+    for threads in [2, 4] {
+        let pool = ThreadPool::new(threads, Policy::WorkStealing);
+        let ran = Arc::new(AtomicU64::new(0));
+        {
+            let ran = Arc::clone(&ran);
+            pool.install(move || {
+                for _ in 0..SPAWNS {
+                    let ran = Arc::clone(&ran);
+                    spawn(move || {
+                        ran.fetch_add(1, Ordering::Relaxed);
+                    });
+                }
+            });
+        }
+        wait_until(
+            "every spawned child to run",
+            Duration::from_secs(60),
+            || ran.load(Ordering::Relaxed) == SPAWNS,
+        );
+        drop(pool);
+        assert_eq!(ran.load(Ordering::Relaxed), SPAWNS, "a child ran twice");
+    }
+}
+
+/// A pool dropped while jobs are still queued — on a worker's own deque
+/// and on the injector or priority pool — must release everything those
+/// jobs captured, run or not.
+#[test]
+fn dropping_a_pool_releases_the_captures_of_queued_jobs() {
+    const QUEUED: usize = 1_000;
+    for policy in [Policy::WorkStealing, Policy::Pdf] {
+        let pool = ThreadPool::new(1, policy);
+        let token = CancelToken::new();
+        let capture = Arc::new(());
+        let ran = Arc::new(AtomicU64::new(0));
+        let gate = Arc::new(AtomicBool::new(false));
+        {
+            let (token, capture, ran, gate) = (
+                token.clone(),
+                Arc::clone(&capture),
+                Arc::clone(&ran),
+                Arc::clone(&gate),
+            );
+            // The only worker queues children from inside, then blocks, so
+            // none of them can start before the drop.
+            pool.spawn_detached(move || {
+                for _ in 0..QUEUED {
+                    let (token, capture, ran) =
+                        (token.clone(), Arc::clone(&capture), Arc::clone(&ran));
+                    spawn(move || {
+                        if !token.is_cancelled() {
+                            ran.fetch_add(1, Ordering::Relaxed);
+                        }
+                        drop(capture);
+                    });
+                }
+                drop(capture);
+                while !gate.load(Ordering::Acquire) {
+                    thread::yield_now();
+                }
+            });
+        }
+        for _ in 0..QUEUED {
+            let (capture, ran) = (Arc::clone(&capture), Arc::clone(&ran));
+            pool.spawn_cancellable(&token, move || {
+                drop(capture);
+                ran.fetch_add(1, Ordering::Relaxed);
+            });
+        }
+        wait_until("the children to be queued", Duration::from_secs(30), || {
+            Arc::strong_count(&capture) == 1 + 2 * QUEUED
+        });
+        token.cancel();
+        let opener = thread::spawn(move || {
+            thread::sleep(Duration::from_millis(20));
+            gate.store(true, Ordering::Release);
+        });
+        drop(pool);
+        opener.join().unwrap();
+        assert_eq!(
+            Arc::strong_count(&capture),
+            1,
+            "{policy:?} leaked a capture"
+        );
+        assert_eq!(ran.load(Ordering::Relaxed), 0, "a cancelled job ran");
+    }
+}
+
+/// External bursts separated by gaps long enough for every worker to park.
+/// Under the wake filter every job must still run, and a burst must not
+/// cost more slow-path wakes than it has jobs: a woken worker is claimed,
+/// so later pushes see it awake instead of waking it again.
+#[test]
+fn external_bursts_with_idle_gaps_wake_at_most_once_per_push() {
+    for policy in [Policy::WorkStealing, Policy::Pdf] {
+        let pool = Arc::new(ThreadPool::new(3, policy));
+        let ran = Arc::new(AtomicU64::new(0));
+        const PUSHERS: u64 = 2;
+        const BURSTS: u64 = 25;
+        const BURST_LEN: u64 = 16;
+        let pushers: Vec<_> = (0..PUSHERS)
+            .map(|_| {
+                let (pool, ran) = (Arc::clone(&pool), Arc::clone(&ran));
+                thread::spawn(move || {
+                    for _ in 0..BURSTS {
+                        for _ in 0..BURST_LEN {
+                            let ran = Arc::clone(&ran);
+                            pool.spawn_detached(move || {
+                                ran.fetch_add(1, Ordering::Relaxed);
+                            });
+                        }
+                        thread::sleep(Duration::from_millis(3));
+                    }
+                })
+            })
+            .collect();
+        for p in pushers {
+            p.join().unwrap();
+        }
+        let pushes = PUSHERS * BURSTS * BURST_LEN;
+        wait_until("every burst job to run", Duration::from_secs(60), || {
+            ran.load(Ordering::Relaxed) == pushes
+        });
+        assert!(
+            pool.slow_wakes() <= pushes,
+            "{policy:?}: {} slow wakes for {pushes} pushes",
+            pool.slow_wakes()
+        );
     }
 }

@@ -1,15 +1,40 @@
 //! Offline stand-in for the subset of `crossbeam-deque` this workspace uses.
 //!
 //! Provides [`Worker`], [`Stealer`], [`Injector`] and [`Steal`] with the same
-//! ownership/stealing semantics as the real crate — per-owner LIFO pops,
-//! FIFO steals from the opposite end, a shared FIFO injector — implemented
-//! over a mutex-protected `VecDeque` rather than a lock-free Chase-Lev deque.
-//! Correctness and API shape are identical for this workspace's thread pool;
-//! only raw throughput under contention differs.  See `shims/README.md`.
+//! API and semantics as the real crate: per-owner LIFO (or FIFO) pops, FIFO
+//! steals from the opposite end, and a shared FIFO injector.
+//!
+//! [`Worker`]/[`Stealer`] are a lock-free Chase-Lev deque, with the C11
+//! orderings of Lê, Pop, Cohen and Zappa Nardelli ("Correct and Efficient
+//! Work-Stealing for Weak Memory Models", PPoPP 2013).  The owner pushes and
+//! pops at the *bottom* without a lock; a pop costs one `SeqCst` fence, and
+//! only the pop of the very last item races the thieves with a CAS.  Thieves
+//! claim the item at the *top* with a CAS on `top`: a thief reads the slot as
+//! `MaybeUninit` first and forgets the copy when its CAS loses, so an item
+//! is only ever taken out of the deque once.
+//!
+//! # Buffer retirement
+//!
+//! The ring starts at 64 slots and doubles when a push finds it full; it
+//! never shrinks.  A thief may still be reading a slot of the old
+//! ring when the owner replaces it, so the old ring is not freed: it is
+//! *retired* into a list the deque owns, and freed when the deque itself
+//! drops (the last [`Worker`]/[`Stealer`] handle).  There is no epoch-based
+//! reclamation.  Because the sizes double, the retired rings hold fewer slots
+//! than the live one, so a deque keeps at most twice its peak capacity.
+//!
+//! The [`Injector`] is a mutex-protected `VecDeque`: it is fed from outside
+//! the pool, not on the fork path.  See `shims/README.md`.
 
 #![warn(missing_docs)]
 
+use std::cell::{Cell, UnsafeCell};
 use std::collections::VecDeque;
+use std::marker::PhantomData;
+use std::mem::MaybeUninit;
+use std::ops::Deref;
+use std::ptr;
+use std::sync::atomic::{self, AtomicIsize, AtomicPtr, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// The result of a steal attempt.
@@ -42,88 +67,347 @@ fn locked<T, R>(q: &Mutex<T>, f: impl FnOnce(&mut T) -> R) -> R {
 /// crate's `MAX_BATCH`).
 const MAX_BATCH: usize = 32;
 
-/// Drain up to `ceil(len/2)` items (capped at `limit`) from the front of
-/// `src` — the steal end — preserving FIFO order.
+/// Slots in a new [`Worker`]'s ring (a power of two).
+const INITIAL_CAP: usize = 64;
+
+/// How many items a batch steal from a source of `len` items takes: half,
+/// rounded up, capped at `limit`.
+fn batch_len(len: usize, limit: usize) -> usize {
+    len.div_ceil(2).min(limit)
+}
+
+/// Drain a batch (see [`batch_len`]) from the front of `src` — the steal
+/// end — preserving FIFO order.
 fn take_batch<T>(src: &mut VecDeque<T>, limit: usize) -> Vec<T> {
-    let want = src.len().div_ceil(2).min(limit);
+    let want = batch_len(src.len(), limit);
     src.drain(..want).collect()
 }
 
-/// A worker-owned deque.  The owner pushes and pops at the "top"; stealers
-/// take from the "bottom".
+/// Aligns its contents to a cache-line pair, so that the owner's index and
+/// the thieves' index do not share a line.
+#[repr(align(128))]
+struct CachePadded<T>(T);
+
+impl<T> Deref for CachePadded<T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
+/// A power-of-two ring of slots, indexed by the deque's unbounded positions
+/// modulo its capacity.
+struct Buffer<T> {
+    slots: Box<[UnsafeCell<MaybeUninit<T>>]>,
+}
+
+impl<T> Buffer<T> {
+    fn alloc(cap: usize) -> *mut Buffer<T> {
+        debug_assert!(cap.is_power_of_two());
+        let slots = (0..cap)
+            .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
+            .collect();
+        Box::into_raw(Box::new(Buffer { slots }))
+    }
+
+    fn cap(&self) -> usize {
+        self.slots.len()
+    }
+
+    fn slot(&self, index: isize) -> *mut MaybeUninit<T> {
+        self.slots[index as usize & (self.slots.len() - 1)].get()
+    }
+
+    /// # Safety
+    /// Only the owner writes, and only to a slot no thief can claim.
+    unsafe fn write(&self, index: isize, item: T) {
+        self.slot(index).write(MaybeUninit::new(item));
+    }
+
+    /// A bitwise copy of the slot.  The caller owns the item only once it
+    /// has claimed `index` (by CAS, or as the owner popping above `top`);
+    /// otherwise it must forget the copy.  A thief holding a stale `top`
+    /// can copy a slot the owner is rewriting: that copy is garbage, but
+    /// its CAS then fails and it is never used (as in the real crate).
+    ///
+    /// # Safety
+    /// `self` must be a live or retired ring of this deque.
+    unsafe fn read(&self, index: isize) -> MaybeUninit<T> {
+        self.slot(index).read_volatile()
+    }
+}
+
+/// The state a [`Worker`] shares with its [`Stealer`]s.
+struct Inner<T> {
+    /// Position of the oldest item.  Thieves (and a FIFO owner) advance it
+    /// by CAS; it never moves backwards except when a FIFO owner undoes a
+    /// pop that overshot an empty deque.
+    top: CachePadded<AtomicIsize>,
+    /// One past the newest item.  Written only by the owner.
+    bottom: CachePadded<AtomicIsize>,
+    /// The live ring.  Replaced only by the owner, when a push finds it full.
+    buffer: CachePadded<AtomicPtr<Buffer<T>>>,
+    /// Rings replaced by growth, freed when the deque drops (see the module
+    /// docs on buffer retirement).
+    retired: Mutex<Vec<*mut Buffer<T>>>,
+}
+
+// SAFETY: `top` and `bottom` are atomics.  `buffer` and `retired` point
+// at rings owned by this `Inner` alone, freed only by its `Drop`; `retired`
+// is behind a mutex.  Shared access moves `T` values between threads (an
+// owner pushes, a thief takes, the last handle drops the rest) but never
+// shares a `&T`, and each value is claimed by exactly one thread through
+// the CAS protocol above — so `T: Send` suffices for both.
+unsafe impl<T: Send> Send for Inner<T> {}
+unsafe impl<T: Send> Sync for Inner<T> {}
+
+impl<T> Inner<T> {
+    fn new() -> Self {
+        Inner {
+            top: CachePadded(AtomicIsize::new(0)),
+            bottom: CachePadded(AtomicIsize::new(0)),
+            buffer: CachePadded(AtomicPtr::new(Buffer::alloc(INITIAL_CAP))),
+            retired: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// A snapshot of the number of queued items.
+    fn len(&self) -> usize {
+        let t = self.top.load(Ordering::Acquire);
+        let b = self.bottom.load(Ordering::Acquire);
+        b.wrapping_sub(t).max(0) as usize
+    }
+}
+
+impl<T> Drop for Inner<T> {
+    fn drop(&mut self) {
+        let bottom = *self.bottom.0.get_mut();
+        let buffer = *self.buffer.0.get_mut();
+        let mut i = *self.top.0.get_mut();
+        // SAFETY: no handle is left, so the items in [top, bottom) of the
+        // live ring are owned here; retired rings hold only stale copies.
+        unsafe {
+            while i != bottom {
+                ptr::drop_in_place((*buffer).slot(i).cast::<T>());
+                i = i.wrapping_add(1);
+            }
+            drop(Box::from_raw(buffer));
+            for old in self
+                .retired
+                .get_mut()
+                .unwrap_or_else(|e| e.into_inner())
+                .drain(..)
+            {
+                drop(Box::from_raw(old));
+            }
+        }
+    }
+}
+
+/// A worker-owned deque.  The owner pushes and pops at the bottom; stealers
+/// take from the top.
+///
+/// `Worker` is `Send` but not `Sync`: exactly one thread pushes and pops.
 pub struct Worker<T> {
-    queue: Arc<Mutex<VecDeque<T>>>,
+    inner: Arc<Inner<T>>,
     lifo: bool,
+    _not_sync: PhantomData<Cell<()>>,
 }
 
 impl<T> Worker<T> {
     /// A deque whose owner pops the most recently pushed item first.
     pub fn new_lifo() -> Self {
         Worker {
-            queue: Arc::new(Mutex::new(VecDeque::new())),
+            inner: Arc::new(Inner::new()),
             lifo: true,
+            _not_sync: PhantomData,
         }
     }
 
     /// A deque whose owner pops the oldest item first.
     pub fn new_fifo() -> Self {
         Worker {
-            queue: Arc::new(Mutex::new(VecDeque::new())),
+            inner: Arc::new(Inner::new()),
             lifo: false,
+            _not_sync: PhantomData,
         }
     }
 
     /// Push an item onto the owner's end.
     pub fn push(&self, item: T) {
-        locked(&self.queue, |q| q.push_back(item));
+        let inner = &*self.inner;
+        let b = inner.bottom.load(Ordering::Relaxed);
+        let t = inner.top.load(Ordering::Acquire);
+        let mut buffer = inner.buffer.load(Ordering::Relaxed);
+        // SAFETY: the owner is the only writer of `buffer`, so it is live.
+        if b.wrapping_sub(t) >= unsafe { (*buffer).cap() } as isize {
+            buffer = self.grow(t, b, buffer);
+        }
+        // SAFETY: slot `b` is outside [top, bottom), so no thief claims it,
+        // and the ring has room: `b - t < cap` for any `top >= t`.
+        unsafe { (*buffer).write(b, item) };
+        // Publishes the slot write to any thief that loads the new bottom.
+        inner.bottom.store(b.wrapping_add(1), Ordering::Release);
+    }
+
+    /// Replace the full ring `old` by one of twice its size holding the same
+    /// items at the same positions, and retire `old`.
+    #[cold]
+    fn grow(&self, t: isize, b: isize, old: *mut Buffer<T>) -> *mut Buffer<T> {
+        // SAFETY: only the owner calls this; `old` is the live ring, and the
+        // copies are bitwise: ownership stays with whoever claims a position.
+        unsafe {
+            let new = Buffer::alloc((*old).cap() * 2);
+            let mut i = t;
+            while i != b {
+                ptr::copy_nonoverlapping((*old).slot(i), (*new).slot(i), 1);
+                i = i.wrapping_add(1);
+            }
+            self.inner.buffer.store(new, Ordering::Release);
+            locked(&self.inner.retired, |r| r.push(old));
+            new
+        }
     }
 
     /// Pop an item from the owner's end.
     pub fn pop(&self) -> Option<T> {
-        locked(&self.queue, |q| {
-            if self.lifo {
-                q.pop_back()
-            } else {
-                q.pop_front()
+        let inner = &*self.inner;
+        let b = inner.bottom.load(Ordering::Relaxed);
+        let t = inner.top.load(Ordering::Relaxed);
+        // `top` never passes `bottom` for good, so a stale `top` that already
+        // meets it proves the deque empty without the fence below.
+        if b.wrapping_sub(t) <= 0 {
+            return None;
+        }
+        if !self.lifo {
+            return self.pop_fifo();
+        }
+
+        // Reserve slot b-1, then look at `top` again: the fence orders the
+        // reservation before the load, so a concurrent thief either sees the
+        // reservation or its CAS is visible here.
+        let b = b.wrapping_sub(1);
+        inner.bottom.store(b, Ordering::Relaxed);
+        atomic::fence(Ordering::SeqCst);
+        let t = inner.top.load(Ordering::Relaxed);
+        let len = b.wrapping_sub(t);
+        if len < 0 {
+            // Thieves emptied the deque first.
+            inner.bottom.store(b.wrapping_add(1), Ordering::Relaxed);
+            return None;
+        }
+        let buffer = inner.buffer.load(Ordering::Relaxed);
+        // SAFETY: the owner's view of the live ring; slot `b` is in range.
+        let item = unsafe { (*buffer).read(b) };
+        if len == 0 {
+            // The last item: thieves may be reading it too, and the CAS on
+            // `top` decides who owns it.
+            let won = inner
+                .top
+                .compare_exchange(t, t.wrapping_add(1), Ordering::SeqCst, Ordering::Relaxed)
+                .is_ok();
+            inner.bottom.store(b.wrapping_add(1), Ordering::Relaxed);
+            if !won {
+                // A thief owns it; our copy is forgotten (`MaybeUninit`).
+                return None;
             }
-        })
+        }
+        // SAFETY: position `b` is claimed by this pop.
+        Some(unsafe { item.assume_init() })
+    }
+
+    /// The FIFO owner pops from the top, like a thief, but by `fetch_add`:
+    /// no other owner operation runs concurrently, and only thieves race it.
+    fn pop_fifo(&self) -> Option<T> {
+        let inner = &*self.inner;
+        let t = inner.top.fetch_add(1, Ordering::SeqCst);
+        let b = inner.bottom.load(Ordering::Relaxed);
+        if b.wrapping_sub(t) <= 0 {
+            // Thieves emptied it; undo.  No thief can move `top` meanwhile:
+            // `bottom` only grows in FIFO mode, so they all see it empty.
+            inner.top.store(t, Ordering::Relaxed);
+            return None;
+        }
+        let buffer = inner.buffer.load(Ordering::Relaxed);
+        // SAFETY: position `t` is claimed by the `fetch_add`.
+        Some(unsafe { (*buffer).read(t).assume_init() })
     }
 
     /// Whether the deque is currently empty.
     pub fn is_empty(&self) -> bool {
-        locked(&self.queue, |q| q.is_empty())
+        self.len() == 0
     }
 
     /// Number of items currently queued.
     pub fn len(&self) -> usize {
-        locked(&self.queue, |q| q.len())
+        self.inner.len()
     }
 
     /// Create a stealer handle onto this deque.
     pub fn stealer(&self) -> Stealer<T> {
         Stealer {
-            queue: Arc::clone(&self.queue),
+            inner: Arc::clone(&self.inner),
         }
     }
 }
 
 /// A handle that can steal from a [`Worker`]'s opposite end.
 pub struct Stealer<T> {
-    queue: Arc<Mutex<VecDeque<T>>>,
+    inner: Arc<Inner<T>>,
 }
 
 impl<T> Stealer<T> {
     /// Steal the oldest item (the end opposite the owner's LIFO pops).
     pub fn steal(&self) -> Steal<T> {
-        match locked(&self.queue, |q| q.pop_front()) {
-            Some(v) => Steal::Success(v),
-            None => Steal::Empty,
+        let inner = &*self.inner;
+        let t = inner.top.load(Ordering::Acquire);
+        // Orders the `top` load before the `bottom` load; pairs with the
+        // owner's fence in `pop`.
+        atomic::fence(Ordering::SeqCst);
+        let b = inner.bottom.load(Ordering::Acquire);
+        if b.wrapping_sub(t) <= 0 {
+            return Steal::Empty;
         }
+        let buffer = inner.buffer.load(Ordering::Acquire);
+        // SAFETY: `buffer` is live or retired, and retired rings are kept
+        // until the deque drops, which this handle prevents.
+        let item = unsafe { (*buffer).read(t) };
+        if inner
+            .top
+            .compare_exchange(t, t.wrapping_add(1), Ordering::SeqCst, Ordering::Relaxed)
+            .is_err()
+        {
+            // Someone else claimed position `t`; forget the copy.
+            return Steal::Retry;
+        }
+        // SAFETY: position `t` is claimed by the CAS.
+        Steal::Success(unsafe { item.assume_init() })
     }
 
     /// Whether the deque is currently empty.
     pub fn is_empty(&self) -> bool {
-        locked(&self.queue, |q| q.is_empty())
+        self.inner.len() == 0
+    }
+
+    /// Steal up to `want` items one CAS at a time (the real crate does the
+    /// same for LIFO sources), handing each to `sink` in steal (FIFO) order.
+    /// Stops early when the source runs dry or a later CAS loses a race.
+    fn steal_each(&self, want: usize, mut sink: impl FnMut(T)) -> Steal<()> {
+        if want == 0 {
+            return Steal::Empty;
+        }
+        match self.steal() {
+            Steal::Success(item) => sink(item),
+            Steal::Empty => return Steal::Empty,
+            Steal::Retry => return Steal::Retry,
+        }
+        for _ in 1..want {
+            match self.steal() {
+                Steal::Success(item) => sink(item),
+                Steal::Empty | Steal::Retry => break,
+            }
+        }
+        Steal::Success(())
     }
 
     /// Steal a batch of items — up to half the source, capped at
@@ -131,35 +415,35 @@ impl<T> Stealer<T> {
     ///
     /// Like the real crate: returns `Steal::Empty` when the source had
     /// nothing, `Steal::Success(())` when at least one item moved.  `dest`
-    /// must not be the source deque (the real crate's contract; this shim
-    /// would deadlock on the shared mutex).
+    /// must not be the source deque (the real crate's contract).
     pub fn steal_batch(&self, dest: &Worker<T>) -> Steal<()> {
-        let batch = locked(&self.queue, |q| take_batch(q, MAX_BATCH));
-        if batch.is_empty() {
-            return Steal::Empty;
-        }
-        locked(&dest.queue, |q| q.extend(batch));
-        Steal::Success(())
+        self.steal_each(batch_len(self.inner.len(), MAX_BATCH), |item| {
+            dest.push(item)
+        })
     }
 
     /// Steal a batch of items and additionally pop one: the first stolen
     /// item is returned, the rest (up to `MAX_BATCH`) are pushed onto
     /// `dest` in steal order.  `dest` must not be the source deque.
     pub fn steal_batch_and_pop(&self, dest: &Worker<T>) -> Steal<T> {
-        let batch = locked(&self.queue, |q| take_batch(q, MAX_BATCH + 1));
-        let mut batch = batch.into_iter();
-        let Some(first) = batch.next() else {
-            return Steal::Empty;
-        };
-        locked(&dest.queue, |q| q.extend(batch));
-        Steal::Success(first)
+        let mut first = None;
+        let want = batch_len(self.inner.len(), MAX_BATCH + 1);
+        let stolen = self.steal_each(want, |item| match first {
+            None => first = Some(item),
+            Some(_) => dest.push(item),
+        });
+        match (stolen, first) {
+            (Steal::Success(()), Some(item)) => Steal::Success(item),
+            (Steal::Retry, _) => Steal::Retry,
+            _ => Steal::Empty,
+        }
     }
 }
 
 impl<T> Clone for Stealer<T> {
     fn clone(&self) -> Self {
         Stealer {
-            queue: Arc::clone(&self.queue),
+            inner: Arc::clone(&self.inner),
         }
     }
 }
@@ -197,7 +481,7 @@ impl<T> Injector<T> {
         if batch.is_empty() {
             return Steal::Empty;
         }
-        locked(&dest.queue, |q| q.extend(batch));
+        batch.into_iter().for_each(|item| dest.push(item));
         Steal::Success(())
     }
 
@@ -209,7 +493,7 @@ impl<T> Injector<T> {
         let Some(first) = batch.next() else {
             return Steal::Empty;
         };
-        locked(&dest.queue, |q| q.extend(batch));
+        batch.for_each(|item| dest.push(item));
         Steal::Success(first)
     }
 
@@ -229,7 +513,6 @@ impl<T> Default for Injector<T> {
         Injector::new()
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -400,5 +683,236 @@ mod tests {
             },
             1000
         );
+    }
+
+    use std::sync::atomic::{AtomicBool, AtomicUsize};
+
+    /// Claim counters, one per item id.
+    fn claims(n: usize) -> Vec<AtomicUsize> {
+        (0..n).map(|_| AtomicUsize::new(0)).collect()
+    }
+
+    fn assert_each_claimed_once(claims: &[AtomicUsize]) {
+        for (id, c) in claims.iter().enumerate() {
+            assert_eq!(c.load(Ordering::Relaxed), 1, "item {id} claimed wrongly");
+        }
+    }
+
+    /// Live ring capacity and number of retired rings (test-only peek).
+    fn ring_shape<T>(w: &Worker<T>) -> (usize, usize) {
+        let cap = unsafe { (*w.inner.buffer.load(Ordering::Relaxed)).cap() };
+        (cap, locked(&w.inner.retired, |r| r.len()))
+    }
+
+    #[test]
+    fn owner_pop_races_thieves_for_the_last_item() {
+        const ITEMS: usize = 200_000;
+        let claims = claims(ITEMS);
+        let worker: Worker<usize> = Worker::new_lifo();
+        let stealer = worker.stealer();
+        let done = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    while !done.load(Ordering::Acquire) {
+                        if let Steal::Success(id) = stealer.steal() {
+                            claims[id].fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                });
+            }
+            // One item at a time, so every owner pop is the last-item race
+            // against the thieves' CAS.
+            for id in 0..ITEMS {
+                worker.push(id);
+                if let Some(id) = worker.pop() {
+                    claims[id].fetch_add(1, Ordering::Relaxed);
+                }
+            }
+            done.store(true, Ordering::Release);
+        });
+        assert_eq!(worker.pop(), None);
+        assert_each_claimed_once(&claims);
+    }
+
+    #[test]
+    fn ring_grows_past_initial_capacity_while_four_thieves_steal() {
+        const ITEMS: usize = 200 * INITIAL_CAP;
+        let claims = claims(ITEMS);
+        let worker: Worker<Box<usize>> = Worker::new_lifo();
+        let stealer = worker.stealer();
+        let done = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| loop {
+                    // Boxed ids: a stale or doubled read would be a
+                    // use-after-free or double free, not just a bad count.
+                    match stealer.steal() {
+                        Steal::Success(id) => {
+                            claims[*id].fetch_add(1, Ordering::Relaxed);
+                        }
+                        Steal::Empty if done.load(Ordering::Acquire) => break,
+                        Steal::Empty | Steal::Retry => {}
+                    }
+                });
+            }
+            for id in 0..ITEMS {
+                worker.push(Box::new(id));
+                if id % 3 == 0 {
+                    if let Some(id) = worker.pop() {
+                        claims[*id].fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+            }
+            done.store(true, Ordering::Release);
+        });
+        while let Some(id) = worker.pop() {
+            claims[*id].fetch_add(1, Ordering::Relaxed);
+        }
+        assert_each_claimed_once(&claims);
+        let (cap, retired) = ring_shape(&worker);
+        assert!(cap > INITIAL_CAP && retired > 0, "the ring never grew");
+    }
+
+    /// Counts its drops into a shared counter.
+    struct Counted(Arc<AtomicUsize>);
+
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    #[test]
+    fn dropping_a_non_empty_deque_drops_each_item_once() {
+        for worker in [Worker::new_lifo(), Worker::new_fifo()] {
+            let drops = Arc::new(AtomicUsize::new(0));
+            let stealer = worker.stealer();
+            // Move `top` well past zero first, so the live items wrap around
+            // the ring, then grow it twice (two retired rings).
+            let mut pushed = 0;
+            for _ in 0..INITIAL_CAP + 7 {
+                worker.push(Counted(Arc::clone(&drops)));
+                drop(stealer.steal());
+                pushed += 1;
+            }
+            for _ in 0..3 * INITIAL_CAP {
+                worker.push(Counted(Arc::clone(&drops)));
+                pushed += 1;
+            }
+            assert_eq!(ring_shape(&worker), (4 * INITIAL_CAP, 2));
+            drop(worker.pop());
+            drop(stealer.steal());
+            let taken = INITIAL_CAP + 7 + 2;
+            assert_eq!(drops.load(Ordering::Relaxed), taken);
+            drop(worker);
+            assert_eq!(
+                drops.load(Ordering::Relaxed),
+                taken,
+                "a live stealer keeps the queued items"
+            );
+            drop(stealer);
+            assert_eq!(drops.load(Ordering::Relaxed), pushed);
+        }
+    }
+
+    #[test]
+    fn fifo_worker_pops_the_oldest_item() {
+        let w = Worker::new_fifo();
+        let s = w.stealer();
+        for i in 0..5 {
+            w.push(i);
+        }
+        // Owner and thieves share the oldest end.
+        assert_eq!(w.pop(), Some(0));
+        assert_eq!(s.steal(), Steal::Success(1));
+        assert_eq!(w.pop(), Some(2));
+        assert_eq!(w.len(), 2);
+        // Order survives wrap-around and growth.
+        let mut next = 3;
+        for i in 5..1000 {
+            w.push(i);
+            if i % 3 == 0 {
+                assert_eq!(w.pop(), Some(next));
+                next += 1;
+            }
+        }
+        while let Some(i) = w.pop() {
+            assert_eq!(i, next);
+            next += 1;
+        }
+        assert_eq!(next, 1000);
+        assert_eq!(w.pop(), None);
+        assert_eq!(s.steal(), Steal::Empty);
+    }
+
+    #[test]
+    fn fifo_owner_pops_race_thieves() {
+        const ITEMS: usize = 20_000;
+        let claims = claims(ITEMS);
+        let worker: Worker<usize> = Worker::new_fifo();
+        let stealer = worker.stealer();
+        let done = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| loop {
+                    match stealer.steal() {
+                        Steal::Success(id) => {
+                            claims[id].fetch_add(1, Ordering::Relaxed);
+                        }
+                        Steal::Empty if done.load(Ordering::Acquire) => break,
+                        Steal::Empty | Steal::Retry => {}
+                    }
+                });
+            }
+            for id in 0..ITEMS {
+                worker.push(id);
+                if id % 2 == 0 {
+                    if let Some(id) = worker.pop() {
+                        claims[id].fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+            }
+            done.store(true, Ordering::Release);
+        });
+        while let Some(id) = worker.pop() {
+            claims[id].fetch_add(1, Ordering::Relaxed);
+        }
+        assert_each_claimed_once(&claims);
+    }
+
+    #[test]
+    fn steal_batch_takes_half_capped_in_fifo_order() {
+        // Small source: ceil(5/2) = 3 items leave, the oldest returned.
+        let victim = Worker::new_lifo();
+        let dest = Worker::new_fifo();
+        for i in 0..5 {
+            victim.push(i);
+        }
+        assert_eq!(
+            victim.stealer().steal_batch_and_pop(&dest),
+            Steal::Success(0)
+        );
+        assert_eq!(
+            std::iter::from_fn(|| dest.pop()).collect::<Vec<_>>(),
+            [1, 2]
+        );
+        assert_eq!(victim.len(), 2);
+
+        // Large source: the cap holds, and each batch is the next oldest run.
+        let victim = Worker::new_lifo();
+        for i in 0..100 {
+            victim.push(i);
+        }
+        let s = victim.stealer();
+        assert_eq!(s.steal_batch_and_pop(&dest), Steal::Success(0));
+        let moved: Vec<usize> = std::iter::from_fn(|| dest.pop()).collect();
+        assert_eq!(moved, (1..=MAX_BATCH).collect::<Vec<_>>());
+        assert_eq!(s.steal_batch(&dest), Steal::Success(()));
+        let moved: Vec<usize> = std::iter::from_fn(|| dest.pop()).collect();
+        assert_eq!(moved, (MAX_BATCH + 1..=2 * MAX_BATCH).collect::<Vec<_>>());
+        // The owner's end is untouched.
+        assert_eq!(victim.len(), 100 - 2 * MAX_BATCH - 1);
+        assert_eq!(victim.pop(), Some(99));
     }
 }
