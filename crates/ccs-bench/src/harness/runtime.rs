@@ -7,9 +7,8 @@
 //!   task per call node; the classic fork-join latency probe.  Exercises
 //!   the local LIFO pop fast path and the stack-latch join.
 //! * `runtime/spawn_fanout` — a burst of detached jobs pushed from outside
-//!   the pool; exercises the injector, batch stealing, and above all the
-//!   publish-side wake fast path (the seed pool took a mutex per push —
-//!   this record is the one that moved when that lock died).
+//!   the pool; exercises the lock-free injector, the inline (unboxed) job
+//!   storage, batch stealing, and the publish-side wake fast path.
 //! * `runtime/sweep_parallel` — a real quick figure sweep executed with
 //!   `Experiment::parallelism(8)` on the pool, after asserting the report
 //!   is byte-identical to the sequential run.  Its simulated metrics are

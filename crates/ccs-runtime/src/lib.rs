@@ -41,6 +41,7 @@
 
 pub mod cancel;
 pub mod fault;
+mod job;
 pub mod label;
 pub mod pool;
 pub mod sleep;

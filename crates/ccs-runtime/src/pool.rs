@@ -19,7 +19,7 @@
 //!
 //! # Runtime internals (DESIGN.md §14)
 //!
-//! This is the production work-stealing runtime, built around four ideas:
+//! This is the production work-stealing runtime, built around five ideas:
 //!
 //! * **a fork writes no shared line** — `join` pushes onto the worker's own
 //!   lock-free Chase-Lev deque (the `crossbeam_deque` shim), then consults
@@ -27,6 +27,12 @@
 //!   single atomic load.  No pool-wide counter is bumped, the registry is
 //!   reached by pointer (no refcount traffic), and the futex (or condvar)
 //!   is touched only when a worker is asleep and no idle peer is awake.
+//! * **a job takes no lock and no malloc** — a queued job is four words
+//!   (`crate::job`): a small detached closure is stored inline, and `join`
+//!   and `install` queue one pointer to a job on their own stack frame,
+//!   with its result slot and latch.  Jobs from outside the pool enter
+//!   through the shim's lock-free block-list injector, which allocates one
+//!   block per 63 jobs.
 //! * **batch stealing** — an out-of-work worker steals *batches* from the
 //!   injector and from victim deques (`steal_batch_and_pop`), amortising
 //!   the synchronisation cost of a steal over several jobs, and scans
@@ -49,8 +55,9 @@ use std::sync::Arc;
 use std::thread;
 
 use crossbeam_deque::{Injector, Steal, Stealer, Worker as Deque};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
+use crate::job::{Job, LockLatch, SpinLatch, StackJob};
 use crate::label::PdfLabel;
 use crate::sleep::SleepState;
 
@@ -61,14 +68,6 @@ pub enum Policy {
     WorkStealing,
     /// Global priority pool ordered by sequential (1DF) priority.
     Pdf,
-}
-
-type JobFn = Box<dyn FnOnce() + Send + 'static>;
-
-/// A unit of work: the closure plus its sequential-priority label.
-struct Job {
-    label: PdfLabel,
-    func: JobFn,
 }
 
 /// Rounds of the idle backoff ladder spent busy-spinning (with an
@@ -85,7 +84,7 @@ struct Registry {
     /// Steal handles onto every worker's local deque (WS).
     stealers: Vec<Stealer<Job>>,
     /// Global priority pool (PDF): ordered by (label, submission sequence).
-    pdf: Mutex<std::collections::BTreeMap<(PdfLabel, u64), JobFn>>,
+    pdf: Mutex<std::collections::BTreeMap<(PdfLabel, u64), Job>>,
     /// Monotonic tie-breaker for PDF jobs with equal labels.
     seq: AtomicUsize,
     shutdown: AtomicBool,
@@ -102,10 +101,10 @@ struct Registry {
 impl Registry {
     /// Queue a job.  Worker threads of a WS pool push to their own deque;
     /// everything else goes through the global injector / priority pool.
-    fn push_job(&self, label: PdfLabel, func: JobFn) {
+    /// The label orders the PDF pool only; WS ignores it.
+    fn push_job(&self, label: PdfLabel, job: Job) {
         match self.policy {
             Policy::WorkStealing => {
-                let job = Job { label, func };
                 // Worker threads push onto their own deque — but only onto
                 // a deque owned by *this* pool; a worker of pool A pushing
                 // into pool B must use B's injector or the job would be
@@ -123,7 +122,7 @@ impl Registry {
             }
             Policy::Pdf => {
                 let seq = self.seq.fetch_add(1, Ordering::Relaxed) as u64;
-                self.pdf.lock().insert((label, seq), func);
+                self.pdf.lock().insert((label, seq), job);
             }
         }
         // The job is visible in its queue; the pre-park recheck
@@ -135,7 +134,8 @@ impl Registry {
     /// Find a job for the worker with the given index: local LIFO pop,
     /// then a batch steal from the injector, then batch steals from the
     /// other workers in seeded-random order.
-    fn pop_job(&self, index: usize) -> Option<(PdfLabel, JobFn)> {
+    /// Under WS every job runs with the root label.
+    fn pop_job(&self, index: usize) -> Option<(PdfLabel, Job)> {
         match self.policy {
             Policy::WorkStealing => LOCAL
                 .with(|local| {
@@ -157,12 +157,12 @@ impl Registry {
                         },
                     }
                 })
-                .map(|j| (j.label, j.func)),
+                .map(|job| (PdfLabel::root(), job)),
             Policy::Pdf => self
                 .pdf
                 .lock()
                 .pop_first()
-                .map(|((label, _), func)| (label, func)),
+                .map(|((label, _), job)| (label, job)),
         }
     }
 
@@ -244,6 +244,8 @@ thread_local! {
     static LOCAL: RefCell<Option<LocalSlot>> = const { RefCell::new(None) };
     /// The execution context of the current worker thread.
     static CURRENT: RefCell<Option<WorkerContext>> = const { RefCell::new(None) };
+    /// The latch `install` blocks this (outside) thread on.
+    static LOCK_LATCH: LockLatch = LockLatch::new();
     /// Per-thread xorshift state for the random victim order.
     static STEAL_RNG: Cell<u64> = const { Cell::new(0x9e37_79b9_7f4a_7c15) };
 }
@@ -306,42 +308,6 @@ fn next_child() -> Option<(*const Registry, usize, PdfLabel)> {
             (ctx.registry, ctx.index, label)
         })
     })
-}
-
-/// A completion flag that lets non-worker threads block and worker threads
-/// help-while-waiting.
-struct Latch {
-    done: AtomicBool,
-    mutex: Mutex<()>,
-    cond: Condvar,
-}
-
-impl Latch {
-    fn new() -> Arc<Self> {
-        Arc::new(Latch {
-            done: AtomicBool::new(false),
-            mutex: Mutex::new(()),
-            cond: Condvar::new(),
-        })
-    }
-
-    fn set(&self) {
-        self.done.store(true, Ordering::Release);
-        let _guard = self.mutex.lock();
-        self.cond.notify_all();
-    }
-
-    fn probe(&self) -> bool {
-        self.done.load(Ordering::Acquire)
-    }
-
-    /// Block the calling (non-worker) thread until the latch is set.
-    fn wait(&self) {
-        let mut guard = self.mutex.lock();
-        while !self.probe() {
-            self.cond.wait(&mut guard);
-        }
-    }
 }
 
 /// A fork-join thread pool with a pluggable scheduling policy.
@@ -454,37 +420,22 @@ impl ThreadPool {
         F: FnOnce() -> R + Send,
         R: Send,
     {
-        let latch = Latch::new();
-        let result: Arc<Mutex<Option<thread::Result<R>>>> = Arc::new(Mutex::new(None));
-        {
-            let latch = Arc::clone(&latch);
-            let result = Arc::clone(&result);
-            // SAFETY (lifetime erasure): the job only borrows `f` and the two
-            // Arcs, which live until this function returns; and the function
-            // does not return until `latch.wait()` observes the latch set,
-            // which happens strictly after the job has finished running.
-            let func: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                let r = panic::catch_unwind(AssertUnwindSafe(f));
-                *result.lock() = Some(r);
-                latch.set();
-            });
-            let func: JobFn = unsafe { std::mem::transmute(func) };
-            self.registry.push_job(PdfLabel::root(), func);
-        }
-        latch.wait();
-        let r = result
-            .lock()
-            .take()
-            .expect("job completed without a result");
-        match r {
-            Ok(v) => v,
-            Err(payload) => panic::resume_unwind(payload),
-        }
+        LOCK_LATCH.with(|latch| {
+            let job = StackJob::new(latch, f);
+            // SAFETY: `job` stays on this frame until `wait_and_reset`
+            // returns, which is after the job has set the latch, its last
+            // touch of the frame; and it is queued once.
+            self.registry
+                .push_job(PdfLabel::root(), unsafe { job.as_job() });
+            latch.wait_and_reset();
+            job.into_result()
+                .unwrap_or_else(|payload| panic::resume_unwind(payload))
+        })
     }
 
     /// Spawn a detached, `'static` job onto the pool with root priority.
     pub fn spawn_detached(&self, f: impl FnOnce() + Send + 'static) {
-        self.registry.push_job(PdfLabel::root(), Box::new(f));
+        self.registry.push_job(PdfLabel::root(), Job::new(f));
     }
 
     /// Spawn a detached job that is skipped if `token` is cancelled by the
@@ -537,8 +488,8 @@ fn worker_loop(registry: Arc<Registry>, index: usize, deque: Deque<Job>) {
 
     'main: loop {
         maybe_pin(&registry, index, &mut pinned);
-        if let Some((label, func)) = registry.pop_job(index) {
-            run_job_caught(&registry, label, func);
+        if let Some((label, job)) = registry.pop_job(index) {
+            run_job_caught(&registry, label, job);
             continue;
         }
         if registry.shutdown.load(Ordering::SeqCst) {
@@ -552,9 +503,9 @@ fn worker_loop(registry: Arc<Registry>, index: usize, deque: Deque<Job>) {
         let mut round = 0u32;
         loop {
             maybe_pin(&registry, index, &mut pinned);
-            if let Some((label, func)) = registry.pop_job(index) {
+            if let Some((label, job)) = registry.pop_job(index) {
                 registry.end_idle();
-                run_job_caught(&registry, label, func);
+                run_job_caught(&registry, label, job);
                 continue 'main;
             }
             if registry.shutdown.load(Ordering::SeqCst) {
@@ -671,7 +622,7 @@ unsafe fn raw_sched_setaffinity(pid: i32, len: usize, mask: *const u8) -> i64 {
 /// worker (or unwinding into an innocent `join` caller helping while it
 /// waits).  `install` and `join` closures catch internally and re-raise at
 /// their call site, so their panic semantics are unchanged.
-fn run_job_caught(registry: &Registry, label: PdfLabel, func: JobFn) {
+fn run_job_caught(registry: &Registry, label: PdfLabel, job: Job) {
     let saved = CURRENT.with(|c| {
         c.borrow_mut().as_mut().map(|ctx| {
             let saved = (std::mem::replace(&mut ctx.label, label), ctx.children);
@@ -679,7 +630,7 @@ fn run_job_caught(registry: &Registry, label: PdfLabel, func: JobFn) {
             saved
         })
     });
-    let result = panic::catch_unwind(AssertUnwindSafe(func));
+    let result = panic::catch_unwind(AssertUnwindSafe(|| job.run()));
     if let Some((label, children)) = saved {
         CURRENT.with(|c| {
             if let Some(ctx) = c.borrow_mut().as_mut() {
@@ -716,31 +667,16 @@ where
     // SAFETY: valid until the calling job returns (see `next_child`).
     let registry = unsafe { &*registry };
 
-    // Both the completion flag and the result slot live on *this* stack
-    // frame — `join` is on the hot fork path, and heap-allocating a latch
-    // per fork costs more than the fork itself.  The latch is probed (never
-    // condvar-waited), so setting it is a single release store and the
-    // frame provably outlives the child: see the SAFETY comment.
-    let done = AtomicBool::new(false);
-    let b_result: Mutex<Option<thread::Result<RB>>> = Mutex::new(None);
-
-    {
-        let done = &done;
-        let b_result = &b_result;
-        // SAFETY (lifetime erasure): `b` may borrow from the caller's stack,
-        // and the job itself borrows `done` and `b_result` from this frame.
-        // This is sound because `join` does not return until it observes
-        // `done == true` (see the help-while-waiting loop below), and the
-        // store of `done` is the child's final touch of any borrow — so the
-        // frame, and everything `b` captured, outlives the child's use.
-        let func: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-            let r = panic::catch_unwind(AssertUnwindSafe(b));
-            *b_result.lock() = Some(r);
-            done.store(true, Ordering::Release);
-        });
-        let func: JobFn = unsafe { std::mem::transmute(func) };
-        registry.push_job(b_label, func);
-    }
+    // `b`, its result slot and its completion flag live on *this* stack
+    // frame, and the queued job is one pointer to them: a fork allocates
+    // nothing, whatever `b` captures.  The flag is probed (never
+    // condvar-waited), so setting it is a single release store.
+    let b_job = StackJob::new(SpinLatch::new(), b);
+    // SAFETY: `b` may borrow from the caller's stack, and the job borrows
+    // this frame.  `join` does not return (nor unwind: `a` is caught) until
+    // it sees the flag set, the job's last touch of the frame; and the job
+    // is queued once.
+    registry.push_job(b_label, unsafe { b_job.as_job() });
 
     // Run `a` inline.
     let a_result = panic::catch_unwind(AssertUnwindSafe(a));
@@ -749,20 +685,16 @@ where
     // worker, still queued, or popped right here by ourselves).  Helping must
     // never park on the pool's sleep state: the event that frees us is the
     // *latch*, not new work, so we spin/yield between probes instead.
-    while !done.load(Ordering::Acquire) {
-        if let Some((label, func)) = registry.pop_job(index) {
-            run_job_caught(registry, label, func);
+    while !b_job.latch.probe() {
+        if let Some((label, job)) = registry.pop_job(index) {
+            run_job_caught(registry, label, job);
         } else {
             std::hint::spin_loop();
             thread::yield_now();
         }
     }
 
-    let b_result = b_result
-        .lock()
-        .take()
-        .expect("join child finished without a result");
-    match (a_result, b_result) {
+    match (a_result, b_job.into_result()) {
         (Ok(ra), Ok(rb)) => (ra, rb),
         (Err(p), _) | (_, Err(p)) => panic::resume_unwind(p),
     }
@@ -773,7 +705,7 @@ where
 pub fn spawn(f: impl FnOnce() + Send + 'static) {
     match next_child() {
         // SAFETY: valid until the calling job returns (see `next_child`).
-        Some((registry, _, label)) => unsafe { &*registry }.push_job(label, Box::new(f)),
+        Some((registry, _, label)) => unsafe { &*registry }.push_job(label, Job::new(f)),
         None => f(),
     }
 }

@@ -46,8 +46,9 @@
 //!
 //! Publisher:
 //!
-//! 1. make the work visible: write the job into a queue (a plain release
-//!    store; no shared counter is touched);
+//! 1. make the work visible: write the job into a queue (a release store
+//!    of a worker's deque `bottom`, or the injector's SeqCst tail CAS; no
+//!    shared counter is touched);
 //! 2. `fence(SeqCst)`, then load `counts`;
 //! 3. if `sleepy + asleep == 0`, **done** — this is the fast path;
 //! 4. the **wake filter**: if `idle > sleepy + asleep`, some idle worker is
@@ -64,6 +65,13 @@
 //! fence), and it takes the slow path.  If the publisher's fence comes
 //! first, the worker's recheck (after its fence) sees the job (written
 //! before the publisher's fence), and it does not park.
+//!
+//! For the lock-free injector the job is visible through its tail index:
+//! the publisher's tail CAS comes before its fence, and the sleeper's
+//! recheck (`is_empty`) loads the head and the tail after its own.  A
+//! consumer that claims the slot before the job is written waits for the
+//! slot's `WRITE` bit, so a recheck that saw the claimed position never
+//! leads to a lost job.
 //!
 //! Why the slow path reaches it: the worker's step 4 and the publisher's
 //! step 5 are again ordered one way or the other.  Either the worker's

@@ -2,7 +2,8 @@
 //!
 //! Provides [`Worker`], [`Stealer`], [`Injector`] and [`Steal`] with the same
 //! API and semantics as the real crate: per-owner LIFO (or FIFO) pops, FIFO
-//! steals from the opposite end, and a shared FIFO injector.
+//! steals from the opposite end, and a shared FIFO injector.  Nothing here
+//! takes a lock on the push or steal paths.
 //!
 //! [`Worker`]/[`Stealer`] are a lock-free Chase-Lev deque, with the C11
 //! orderings of Lê, Pop, Cohen and Zappa Nardelli ("Correct and Efficient
@@ -23,18 +24,33 @@
 //! reclamation.  Because the sizes double, the retired rings hold fewer slots
 //! than the live one, so a deque keeps at most twice its peak capacity.
 //!
-//! The [`Injector`] is a mutex-protected `VecDeque`: it is fed from outside
-//! the pool, not on the fork path.  See `shims/README.md`.
+//! # The injector
+//!
+//! The [`Injector`] is a lock-free multi-producer multi-consumer FIFO, the
+//! real crate's design: a linked list of blocks of `BLOCK_CAP` (63) slots,
+//! with a head and a tail index on separate cache lines.  A producer
+//! claims a slot by CAS on the tail index, writes the item and sets the
+//! slot's `WRITE` bit; a consumer claims the oldest slot by CAS on the
+//! head index, waits for `WRITE` (spin, then yield: the producer that
+//! claimed it may be preempted), reads the item and sets `READ`.  The
+//! producer that takes a block's last slot links the next block, and the
+//! consumer that takes it moves the head there.
+//!
+//! Blocks are freed without epochs: the reader of a block's last slot
+//! walks the other slots down from the top, and stops at the first one
+//! still being read, marking it `DESTROY`; that slot's reader, seeing the
+//! bit when it sets `READ`, carries on the walk.  Whoever reaches the
+//! bottom frees the block.  Batch steals claim one slot per CAS and keep
+//! the deque's batch sizes.  `len` and `is_empty` are two loads.
 
 #![warn(missing_docs)]
 
 use std::cell::{Cell, UnsafeCell};
-use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::mem::MaybeUninit;
 use std::ops::Deref;
 use std::ptr;
-use std::sync::atomic::{self, AtomicIsize, AtomicPtr, Ordering};
+use std::sync::atomic::{self, AtomicIsize, AtomicPtr, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// The result of a steal attempt.
@@ -76,11 +92,57 @@ fn batch_len(len: usize, limit: usize) -> usize {
     len.div_ceil(2).min(limit)
 }
 
-/// Drain a batch (see [`batch_len`]) from the front of `src` — the steal
-/// end — preserving FIFO order.
-fn take_batch<T>(src: &mut VecDeque<T>, limit: usize) -> Vec<T> {
-    let want = batch_len(src.len(), limit);
-    src.drain(..want).collect()
+/// Steal up to `want` items one claim at a time, handing each to `sink` in
+/// steal (FIFO) order.  Stops early when the source runs dry or a later
+/// claim loses a race.  The real crate does the same for LIFO deques; its
+/// injector claims a range of slots with one CAS instead.
+fn steal_each<T>(
+    want: usize,
+    mut steal: impl FnMut() -> Steal<T>,
+    mut sink: impl FnMut(T),
+) -> Steal<()> {
+    if want == 0 {
+        return Steal::Empty;
+    }
+    match steal() {
+        Steal::Success(item) => sink(item),
+        Steal::Empty => return Steal::Empty,
+        Steal::Retry => return Steal::Retry,
+    }
+    for _ in 1..want {
+        match steal() {
+            Steal::Success(item) => sink(item),
+            Steal::Empty | Steal::Retry => break,
+        }
+    }
+    Steal::Success(())
+}
+
+/// A batch steal from a source holding `len` items: up to half of them,
+/// capped at `MAX_BATCH`, pushed onto `dest` in steal (FIFO) order.
+/// `Steal::Empty` when the source had nothing, `Steal::Success(())` when
+/// at least one item moved (the real crate's contract).
+fn steal_batch_into<T>(len: usize, steal: impl FnMut() -> Steal<T>, dest: &Worker<T>) -> Steal<()> {
+    steal_each(batch_len(len, MAX_BATCH), steal, |item| dest.push(item))
+}
+
+/// A batch steal that also pops one: the first stolen item is returned,
+/// the rest (up to `MAX_BATCH`) are pushed onto `dest` in steal order.
+fn steal_batch_and_pop_into<T>(
+    len: usize,
+    steal: impl FnMut() -> Steal<T>,
+    dest: &Worker<T>,
+) -> Steal<T> {
+    let mut first = None;
+    let stolen = steal_each(batch_len(len, MAX_BATCH + 1), steal, |item| match first {
+        None => first = Some(item),
+        Some(_) => dest.push(item),
+    });
+    match (stolen, first) {
+        (Steal::Success(()), Some(item)) => Steal::Success(item),
+        (Steal::Retry, _) => Steal::Retry,
+        _ => Steal::Empty,
+    }
 }
 
 /// Aligns its contents to a cache-line pair, so that the owner's index and
@@ -389,27 +451,6 @@ impl<T> Stealer<T> {
         self.inner.len() == 0
     }
 
-    /// Steal up to `want` items one CAS at a time (the real crate does the
-    /// same for LIFO sources), handing each to `sink` in steal (FIFO) order.
-    /// Stops early when the source runs dry or a later CAS loses a race.
-    fn steal_each(&self, want: usize, mut sink: impl FnMut(T)) -> Steal<()> {
-        if want == 0 {
-            return Steal::Empty;
-        }
-        match self.steal() {
-            Steal::Success(item) => sink(item),
-            Steal::Empty => return Steal::Empty,
-            Steal::Retry => return Steal::Retry,
-        }
-        for _ in 1..want {
-            match self.steal() {
-                Steal::Success(item) => sink(item),
-                Steal::Empty | Steal::Retry => break,
-            }
-        }
-        Steal::Success(())
-    }
-
     /// Steal a batch of items — up to half the source, capped at
     /// `MAX_BATCH` — and push them onto `dest` in steal (FIFO) order.
     ///
@@ -417,26 +458,14 @@ impl<T> Stealer<T> {
     /// nothing, `Steal::Success(())` when at least one item moved.  `dest`
     /// must not be the source deque (the real crate's contract).
     pub fn steal_batch(&self, dest: &Worker<T>) -> Steal<()> {
-        self.steal_each(batch_len(self.inner.len(), MAX_BATCH), |item| {
-            dest.push(item)
-        })
+        steal_batch_into(self.inner.len(), || self.steal(), dest)
     }
 
     /// Steal a batch of items and additionally pop one: the first stolen
     /// item is returned, the rest (up to `MAX_BATCH`) are pushed onto
     /// `dest` in steal order.  `dest` must not be the source deque.
     pub fn steal_batch_and_pop(&self, dest: &Worker<T>) -> Steal<T> {
-        let mut first = None;
-        let want = batch_len(self.inner.len(), MAX_BATCH + 1);
-        let stolen = self.steal_each(want, |item| match first {
-            None => first = Some(item),
-            Some(_) => dest.push(item),
-        });
-        match (stolen, first) {
-            (Steal::Success(()), Some(item)) => Steal::Success(item),
-            (Steal::Retry, _) => Steal::Retry,
-            _ => Steal::Empty,
-        }
+        steal_batch_and_pop_into(self.inner.len(), || self.steal(), dest)
     }
 }
 
@@ -448,63 +477,329 @@ impl<T> Clone for Stealer<T> {
     }
 }
 
-/// A shared FIFO queue for jobs injected from outside the pool.
-pub struct Injector<T> {
-    queue: Mutex<VecDeque<T>>,
+/// Injector slot `state` bit: the producer has written the item.
+const WRITE: usize = 1;
+/// Injector slot `state` bit: the consumer has read the item out.
+const READ: usize = 2;
+/// Injector slot `state` bit: the block is being freed, and the consumer
+/// still reading this slot must finish freeing it.
+const DESTROY: usize = 4;
+
+/// Positions per block lap: `BLOCK_CAP` slots, then one phantom position
+/// that stands for "the block is used up, move to the next one".
+const LAP: usize = 64;
+/// Item slots per block.
+const BLOCK_CAP: usize = LAP - 1;
+/// Indices hold a position shifted left by `SHIFT`; the freed low bit of
+/// the head index is the `HAS_NEXT` flag.
+const SHIFT: usize = 1;
+/// Set in the head index once the head block is known to have a
+/// successor, so consumers of that block skip the load of the tail.
+const HAS_NEXT: usize = 1;
+
+/// Spin bursts double up to `1 << SPIN_LIMIT` before a backoff yields.
+const SPIN_LIMIT: u32 = 6;
+
+/// Backoff while another thread makes progress: exponentially growing
+/// spin bursts, then `yield_now`.
+struct Backoff {
+    step: u32,
 }
+
+impl Backoff {
+    fn new() -> Self {
+        Backoff { step: 0 }
+    }
+
+    /// After a lost CAS race: the winner is already done, so only spin.
+    fn spin(&mut self) {
+        for _ in 0..1u32 << self.step.min(SPIN_LIMIT) {
+            std::hint::spin_loop();
+        }
+        self.step = (self.step + 1).min(SPIN_LIMIT + 1);
+    }
+
+    /// While waiting for a thread that is mid-operation: spin for a while,
+    /// then yield, because on a host with few cores that thread is often
+    /// preempted and needs this CPU to finish.
+    fn snooze(&mut self) {
+        if self.step <= SPIN_LIMIT {
+            self.spin();
+        } else {
+            std::thread::yield_now();
+        }
+    }
+}
+
+/// One item slot of an [`Injector`] block.
+struct Slot<T> {
+    item: UnsafeCell<MaybeUninit<T>>,
+    /// `WRITE | READ | DESTROY` bits.
+    state: AtomicUsize,
+}
+
+impl<T> Slot<T> {
+    /// Wait until the producer that claimed this slot has written it.
+    fn wait_write(&self) {
+        let mut backoff = Backoff::new();
+        while self.state.load(Ordering::Acquire) & WRITE == 0 {
+            backoff.snooze();
+        }
+    }
+}
+
+/// A block of the injector's linked list.
+struct Block<T> {
+    /// The next block, installed by the producer that takes this block's
+    /// last slot.
+    next: AtomicPtr<Block<T>>,
+    slots: [Slot<T>; BLOCK_CAP],
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Blocks allocated minus blocks freed on this thread (test-only).
+    static LIVE_BLOCKS: Cell<isize> = const { Cell::new(0) };
+}
+
+impl<T> Block<T> {
+    fn new() -> Box<Block<T>> {
+        #[cfg(test)]
+        LIVE_BLOCKS.with(|n| n.set(n.get() + 1));
+        Box::new(Block {
+            next: AtomicPtr::new(ptr::null_mut()),
+            slots: std::array::from_fn(|_| Slot {
+                item: UnsafeCell::new(MaybeUninit::uninit()),
+                state: AtomicUsize::new(0),
+            }),
+        })
+    }
+
+    /// Wait until the producer that took this block's last slot has
+    /// linked the next block.
+    fn wait_next(&self) -> *mut Block<T> {
+        let mut backoff = Backoff::new();
+        loop {
+            let next = self.next.load(Ordering::Acquire);
+            if !next.is_null() {
+                return next;
+            }
+            backoff.snooze();
+        }
+    }
+
+    /// Free the block once every slot below `start` has been read.  The
+    /// caller has read slot `start` and every slot above it is read; a
+    /// slot below still being read gets the `DESTROY` bit, and its reader
+    /// continues from there.
+    ///
+    /// # Safety
+    /// `this` is a block no producer writes to any more (its last slot is
+    /// taken), and the caller is the reader of slot `start` that the
+    /// protocol hands the destruction to.
+    unsafe fn destroy(this: *mut Block<T>, start: usize) {
+        for i in (0..start).rev() {
+            let slot = &(*this).slots[i];
+            if slot.state.load(Ordering::Acquire) & READ == 0
+                && slot.state.fetch_or(DESTROY, Ordering::AcqRel) & READ == 0
+            {
+                return;
+            }
+        }
+        drop(Box::from_raw(this));
+    }
+}
+
+#[cfg(test)]
+impl<T> Drop for Block<T> {
+    fn drop(&mut self) {
+        LIVE_BLOCKS.with(|n| n.set(n.get() - 1));
+    }
+}
+
+/// One end of the injector: an index and the block it falls in.
+struct Position<T> {
+    index: AtomicUsize,
+    block: AtomicPtr<Block<T>>,
+}
+
+/// Number of item slots before position `pos` (one phantom per lap).
+fn slots_before(pos: usize) -> usize {
+    pos - pos / LAP
+}
+
+/// A shared FIFO queue for jobs injected from outside the pool: a
+/// lock-free multi-producer multi-consumer queue over a linked list of
+/// `BLOCK_CAP`-slot blocks (see the module docs).
+pub struct Injector<T> {
+    head: CachePadded<Position<T>>,
+    tail: CachePadded<Position<T>>,
+    _owns: PhantomData<T>,
+}
+
+// SAFETY: the indices and block pointers are atomics, and every item is
+// written by the one producer that claimed its slot by CAS on the tail
+// index and read by the one consumer that claimed it by CAS on the head
+// index.  Items move between threads but are never shared, so `T: Send`
+// suffices for both.
+unsafe impl<T: Send> Send for Injector<T> {}
+unsafe impl<T: Send> Sync for Injector<T> {}
 
 impl<T> Injector<T> {
     /// Create an empty injector.
     pub fn new() -> Self {
+        let block = Box::into_raw(Block::new());
         Injector {
-            queue: Mutex::new(VecDeque::new()),
+            head: CachePadded(Position {
+                index: AtomicUsize::new(0),
+                block: AtomicPtr::new(block),
+            }),
+            tail: CachePadded(Position {
+                index: AtomicUsize::new(0),
+                block: AtomicPtr::new(block),
+            }),
+            _owns: PhantomData,
         }
     }
 
     /// Push an item onto the back of the queue.
     pub fn push(&self, item: T) {
-        locked(&self.queue, |q| q.push_back(item));
+        let mut backoff = Backoff::new();
+        let mut tail = self.tail.index.load(Ordering::Acquire);
+        let mut block = self.tail.block.load(Ordering::Acquire);
+        let mut next_block = None;
+        loop {
+            let offset = (tail >> SHIFT) % LAP;
+            if offset == BLOCK_CAP {
+                // Another producer took the last slot and is linking the
+                // next block.
+                backoff.snooze();
+                tail = self.tail.index.load(Ordering::Acquire);
+                block = self.tail.block.load(Ordering::Acquire);
+                continue;
+            }
+            // Allocate before taking the last slot, so that the link below
+            // cannot fail half-way.
+            if offset + 1 == BLOCK_CAP && next_block.is_none() {
+                next_block = Some(Block::new());
+            }
+            let new_tail = tail.wrapping_add(1 << SHIFT);
+            match self.tail.index.compare_exchange(
+                tail,
+                new_tail,
+                Ordering::SeqCst,
+                Ordering::Acquire,
+            ) {
+                // SAFETY: the CAS claimed slot `offset` of `block` for this
+                // push alone.  A block is freed only once each of its slots
+                // is read, and this slot cannot be read before it is
+                // written below, so `block` is live.
+                Ok(_) => unsafe {
+                    if offset + 1 == BLOCK_CAP {
+                        let next = Box::into_raw(next_block.take().expect("allocated above"));
+                        self.tail.block.store(next, Ordering::Release);
+                        self.tail
+                            .index
+                            .store(new_tail.wrapping_add(1 << SHIFT), Ordering::Release);
+                        (*block).next.store(next, Ordering::Release);
+                    }
+                    let slot = &(*block).slots[offset];
+                    slot.item.get().write(MaybeUninit::new(item));
+                    slot.state.fetch_or(WRITE, Ordering::Release);
+                    return;
+                },
+                Err(t) => {
+                    tail = t;
+                    block = self.tail.block.load(Ordering::Acquire);
+                    backoff.spin();
+                }
+            }
+        }
     }
 
     /// Steal the oldest item.
     pub fn steal(&self) -> Steal<T> {
-        match locked(&self.queue, |q| q.pop_front()) {
-            Some(v) => Steal::Success(v),
-            None => Steal::Empty,
+        let mut backoff = Backoff::new();
+        let (head, block, offset) = loop {
+            let head = self.head.index.load(Ordering::Acquire);
+            let block = self.head.block.load(Ordering::Acquire);
+            let offset = (head >> SHIFT) % LAP;
+            if offset != BLOCK_CAP {
+                break (head, block, offset);
+            }
+            // Another consumer took the last slot and is moving the head
+            // to the next block.
+            backoff.snooze();
+        };
+        let mut new_head = head.wrapping_add(1 << SHIFT);
+        if head & HAS_NEXT == 0 {
+            atomic::fence(Ordering::SeqCst);
+            let tail = self.tail.index.load(Ordering::Relaxed);
+            if head >> SHIFT == tail >> SHIFT {
+                return Steal::Empty;
+            }
+            if (head >> SHIFT) / LAP != (tail >> SHIFT) / LAP {
+                new_head |= HAS_NEXT;
+            }
+        }
+        if self
+            .head
+            .index
+            .compare_exchange(head, new_head, Ordering::SeqCst, Ordering::Acquire)
+            .is_err()
+        {
+            return Steal::Retry;
+        }
+        // SAFETY: the CAS claimed slot `offset` of `block` for this steal
+        // alone, and a block is freed only after each of its slots is read
+        // (`Block::destroy`), so `block` is live until this read is done.
+        unsafe {
+            if offset + 1 == BLOCK_CAP {
+                // The last slot: move the head on to the next block.
+                let next = (*block).wait_next();
+                let mut next_index = (new_head & !HAS_NEXT).wrapping_add(1 << SHIFT);
+                if !(*next).next.load(Ordering::Relaxed).is_null() {
+                    next_index |= HAS_NEXT;
+                }
+                self.head.block.store(next, Ordering::Release);
+                self.head.index.store(next_index, Ordering::Release);
+            }
+            let slot = &(*block).slots[offset];
+            slot.wait_write();
+            let item = slot.item.get().read().assume_init();
+            // The last slot's reader starts freeing the block; any other
+            // reader continues a destruction that reached its slot first.
+            if offset + 1 == BLOCK_CAP || slot.state.fetch_or(READ, Ordering::AcqRel) & DESTROY != 0
+            {
+                Block::destroy(block, offset);
+            }
+            Steal::Success(item)
         }
     }
 
     /// Steal a batch of items — up to half the queue, capped at
     /// `MAX_BATCH` — and push them onto `dest` in FIFO order.
     pub fn steal_batch(&self, dest: &Worker<T>) -> Steal<()> {
-        let batch = locked(&self.queue, |q| take_batch(q, MAX_BATCH));
-        if batch.is_empty() {
-            return Steal::Empty;
-        }
-        batch.into_iter().for_each(|item| dest.push(item));
-        Steal::Success(())
+        steal_batch_into(self.len(), || self.steal(), dest)
     }
 
     /// Steal a batch of items and pop one: the oldest queued item is
     /// returned, the rest of the batch lands on `dest` in FIFO order.
     pub fn steal_batch_and_pop(&self, dest: &Worker<T>) -> Steal<T> {
-        let batch = locked(&self.queue, |q| take_batch(q, MAX_BATCH + 1));
-        let mut batch = batch.into_iter();
-        let Some(first) = batch.next() else {
-            return Steal::Empty;
-        };
-        batch.for_each(|item| dest.push(item));
-        Steal::Success(first)
+        steal_batch_and_pop_into(self.len(), || self.steal(), dest)
     }
 
     /// Whether the queue is currently empty.
     pub fn is_empty(&self) -> bool {
-        locked(&self.queue, |q| q.is_empty())
+        self.len() == 0
     }
 
-    /// Number of items currently queued.
+    /// Number of items currently queued: two loads.  The head is loaded
+    /// first, so the snapshot never has it past the tail.
     pub fn len(&self) -> usize {
-        locked(&self.queue, |q| q.len())
+        let head = self.head.index.load(Ordering::SeqCst) >> SHIFT;
+        let tail = self.tail.index.load(Ordering::SeqCst) >> SHIFT;
+        slots_before(tail) - slots_before(head)
     }
 }
 
@@ -513,6 +808,33 @@ impl<T> Default for Injector<T> {
         Injector::new()
     }
 }
+
+impl<T> Drop for Injector<T> {
+    fn drop(&mut self) {
+        let mut head = *self.head.0.index.get_mut() >> SHIFT;
+        let tail = *self.tail.0.index.get_mut() >> SHIFT;
+        let mut block = *self.head.0.block.get_mut();
+        // SAFETY: `&mut self` means no push or steal is in flight, so the
+        // slots in [head, tail) hold written, unread items owned here, the
+        // blocks from the head block on are live and linked, and the
+        // blocks before it are already freed.
+        unsafe {
+            while head != tail {
+                let offset = head % LAP;
+                if offset < BLOCK_CAP {
+                    ptr::drop_in_place((*block).slots[offset].item.get().cast::<T>());
+                } else {
+                    let next = *(*block).next.get_mut();
+                    drop(Box::from_raw(block));
+                    block = next;
+                }
+                head += 1;
+            }
+            drop(Box::from_raw(block));
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -914,5 +1236,173 @@ mod tests {
         // The owner's end is untouched.
         assert_eq!(victim.len(), 100 - 2 * MAX_BATCH - 1);
         assert_eq!(victim.pop(), Some(99));
+    }
+
+    /// Live injector blocks allocated on this thread (test-only peek).
+    fn live_blocks() -> isize {
+        LIVE_BLOCKS.with(Cell::get)
+    }
+
+    #[test]
+    fn injector_four_producers_four_consumers_take_each_item_once_in_order() {
+        const PRODUCERS: usize = 4;
+        const PER_PRODUCER: usize = 50_000;
+        const ITEMS: usize = PRODUCERS * PER_PRODUCER;
+        let claims = claims(ITEMS);
+        let taken = AtomicUsize::new(0);
+        let inj: Injector<Box<usize>> = Injector::new();
+        std::thread::scope(|scope| {
+            for p in 0..PRODUCERS {
+                let inj = &inj;
+                scope.spawn(move || {
+                    for seq in 0..PER_PRODUCER {
+                        // Boxed tags: a slot read twice would be a double
+                        // free, not just a bad count.
+                        inj.push(Box::new(p * PER_PRODUCER + seq));
+                    }
+                });
+            }
+            for c in 0..4 {
+                let (inj, claims, taken) = (&inj, &claims, &taken);
+                scope.spawn(move || {
+                    let local = Worker::new_fifo();
+                    let mut last = [None::<usize>; PRODUCERS];
+                    let mut take = |tag: Box<usize>| {
+                        let (p, seq) = (*tag / PER_PRODUCER, *tag % PER_PRODUCER);
+                        assert!(last[p] < Some(seq), "producer {p} out of order");
+                        last[p] = Some(seq);
+                        claims[*tag].fetch_add(1, Ordering::Relaxed);
+                        taken.fetch_add(1, Ordering::Relaxed);
+                    };
+                    let mut round = c;
+                    while taken.load(Ordering::Relaxed) < ITEMS {
+                        round += 1;
+                        match round % 3 {
+                            0 => {
+                                if let Steal::Success(tag) = inj.steal() {
+                                    take(tag);
+                                }
+                            }
+                            1 => {
+                                let _ = inj.steal_batch(&local);
+                            }
+                            _ => {
+                                if let Steal::Success(tag) = inj.steal_batch_and_pop(&local) {
+                                    take(tag);
+                                }
+                            }
+                        }
+                        // The local FIFO deque hands a batch on in order.
+                        while let Some(tag) = local.pop() {
+                            take(tag);
+                        }
+                    }
+                });
+            }
+        });
+        assert_each_claimed_once(&claims);
+        assert!(inj.is_empty());
+        assert_eq!(inj.steal(), Steal::Empty);
+    }
+
+    #[test]
+    fn injector_push_steal_and_batches_cross_block_boundaries() {
+        let base = live_blocks();
+        {
+            let inj = Injector::new();
+            let dest = Worker::new_fifo();
+            let (mut pushed, mut next) = (0usize, 0usize);
+            let mut round = 0;
+            // Push in runs of 40 and take with every kind of steal, so the
+            // head and the tail both cross many block boundaries, at
+            // every offset.
+            while next < 6 * BLOCK_CAP + 5 {
+                for _ in 0..40 {
+                    inj.push(pushed);
+                    pushed += 1;
+                }
+                assert_eq!(inj.len(), pushed - next);
+                for _ in 0..3 {
+                    round += 1;
+                    let got: Vec<usize> = match round % 3 {
+                        0 => inj.steal().success().into_iter().collect(),
+                        1 => {
+                            let _ = inj.steal_batch(&dest);
+                            std::iter::from_fn(|| dest.pop()).collect()
+                        }
+                        _ => {
+                            let first = inj.steal_batch_and_pop(&dest).success();
+                            first
+                                .into_iter()
+                                .chain(std::iter::from_fn(|| dest.pop()))
+                                .collect()
+                        }
+                    };
+                    for item in got {
+                        assert_eq!(item, next, "FIFO order broken");
+                        next += 1;
+                    }
+                    assert_eq!(inj.len(), pushed - next);
+                }
+            }
+            assert!(pushed / LAP >= 5, "crossed too few block boundaries");
+            while let Steal::Success(item) = inj.steal() {
+                assert_eq!(item, next);
+                next += 1;
+            }
+            assert_eq!(next, pushed);
+            assert!(inj.is_empty());
+            assert_eq!(live_blocks() - base, 1, "read blocks are freed");
+        }
+        assert_eq!(live_blocks(), base, "the last block is freed on drop");
+    }
+
+    #[test]
+    fn injector_drop_drops_each_queued_item_once_and_frees_every_block() {
+        let base = live_blocks();
+        let drops = Arc::new(AtomicUsize::new(0));
+        let inj = Injector::new();
+        let pushed = 5 * BLOCK_CAP + 17;
+        for _ in 0..pushed {
+            inj.push(Counted(Arc::clone(&drops)));
+        }
+        // Move the head past two block boundaries first, so the drop
+        // starts mid-block.
+        let taken = 2 * BLOCK_CAP + 9;
+        for _ in 0..taken {
+            drop(inj.steal().success().expect("queued"));
+        }
+        assert_eq!(drops.load(Ordering::Relaxed), taken);
+        assert_eq!(live_blocks() - base, 4, "blocks of the queued items");
+        drop(inj);
+        assert_eq!(drops.load(Ordering::Relaxed), pushed);
+        assert_eq!(live_blocks(), base, "a block leaked");
+    }
+
+    #[test]
+    fn injector_len_and_is_empty_are_exact_at_rest() {
+        let inj = Injector::new();
+        assert!(inj.is_empty());
+        assert_eq!(inj.len(), 0);
+        // Fill past several block ends, checking at every position
+        // (including the ones right at and after a block end).
+        for n in 1..=3 * LAP {
+            inj.push(n);
+            assert_eq!(inj.len(), n);
+            assert!(!inj.is_empty());
+        }
+        for left in (0..3 * LAP).rev() {
+            assert!(inj.steal().success().is_some());
+            assert_eq!(inj.len(), left);
+            assert_eq!(inj.is_empty(), left == 0);
+        }
+        // Empty again with the head mid-block: refill and batch-drain.
+        for n in 0..100 {
+            inj.push(n);
+        }
+        let dest = Worker::new_lifo();
+        assert_eq!(inj.steal_batch(&dest), Steal::Success(()));
+        assert_eq!(inj.len(), 100 - MAX_BATCH);
+        assert_eq!(dest.len(), MAX_BATCH);
     }
 }
