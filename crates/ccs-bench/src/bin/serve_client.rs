@@ -16,8 +16,10 @@
 //! Flags (shared [`Options`] plus client extras in `rest`):
 //!
 //! * `--socket PATH` — the daemon's Unix socket;
-//! * `--batch` — skip the daemon: run the identical sweep in-process and
-//!   emit the same report (the CI smoke `cmp`s the two outputs);
+//! * `--batch` — skip the daemon: build the submit request it would send,
+//!   resolve it exactly as the daemon does ([`SubmitRequest::experiment`]),
+//!   run that experiment in process and emit the same report (the CI smoke
+//!   `cmp`s the two outputs);
 //! * `--id ID` / `--name NAME` — request id and report name (defaults:
 //!   `"r1"` / `"serve"`);
 //! * `--cores 2,4` — design points (shared [`Options`] flag, each count
@@ -44,10 +46,8 @@ use std::process::exit;
 use std::time::Duration;
 
 use ccs_bench::{print_report, Options};
-use ccs_sched::SchedulerSpec;
 use ccs_serve::protocol::SubmitRequest;
 use ccs_serve::{run_with_retry, Client, CollectedRun, RequestState, RetryPolicy};
-use ccs_sim::CmpConfig;
 
 /// A malformed invocation is a typed complaint and exit 2, not a panic.
 fn fail(message: impl std::fmt::Display) -> ! {
@@ -132,34 +132,6 @@ fn parse_flags(rest: &[String]) -> ClientFlags {
     flags
 }
 
-/// Run the identical sweep in-process: same resolution path as the daemon
-/// (`Service::prepare`), so reports compare byte-for-byte.
-fn run_batch(opts: &Options, flags: &ClientFlags) {
-    let mut exp = opts
-        .experiment(flags.name.clone())
-        .parallelism(opts.parallel);
-    if !flags.schedulers.is_empty() {
-        let schedulers: Vec<SchedulerSpec> = flags
-            .schedulers
-            .iter()
-            .map(|s| {
-                SchedulerSpec::resolve(s)
-                    .unwrap_or_else(|e| fail(format_args!("--schedulers: {e}")))
-            })
-            .collect();
-        exp = exp.schedulers(schedulers);
-    }
-    if !opts.cores.is_empty() {
-        exp = exp.configs(opts.cores.iter().map(|&c| {
-            CmpConfig::default_with_cores(c).unwrap_or_else(|| {
-                fail(format_args!("no default CMP configuration with {c} cores"))
-            })
-        }));
-    }
-    let report = exp.run();
-    print_report("serve_client --batch", &report, opts);
-}
-
 fn summarise(run: &CollectedRun) {
     let cached = run.records.iter().filter(|r| r.cached).count();
     eprintln!(
@@ -177,17 +149,6 @@ fn main() {
     let opts = Options::from_env();
     let flags = parse_flags(&opts.rest);
 
-    if flags.batch {
-        run_batch(&opts, &flags);
-        return;
-    }
-
-    let socket = flags
-        .socket
-        .as_deref()
-        .unwrap_or_else(|| fail("needs --socket PATH (or --batch)"));
-    let connect_timeout = Duration::from_secs(10);
-
     let request = SubmitRequest {
         id: flags.id.clone(),
         name: Some(flags.name.clone()),
@@ -200,6 +161,21 @@ fn main() {
         baseline: true,
         timeout_ms: flags.timeout_ms,
     };
+
+    // The identical sweep in process: the request the daemon would get,
+    // resolved as the daemon resolves it, so reports compare byte for byte.
+    if flags.batch {
+        let exp = request.experiment().unwrap_or_else(|e| fail(e));
+        let report = exp.parallelism(opts.parallel).run();
+        print_report("serve_client --batch", &report, &opts);
+        return;
+    }
+
+    let socket = flags
+        .socket
+        .as_deref()
+        .unwrap_or_else(|| fail("needs --socket PATH (or --batch)"));
+    let connect_timeout = Duration::from_secs(10);
 
     // With --retries the whole submit/collect is repeated over fresh
     // connections until `done` — idempotent thanks to the daemon's memo

@@ -5,6 +5,11 @@
 //! [`Experiment::run`] fans the cross-product into [`RunRecord`]s collected
 //! in a [`Report`].  This replaces the hand-rolled sweep loops the seed's
 //! figure binaries each carried.
+//!
+//! There is one executor: [`Experiment::plan`] splits the sweep into groups
+//! of points and [`Experiment::run_group`] runs one group.  A sequential
+//! run, a parallel run ([`Experiment::parallelism`]) and the `ccs-serve`
+//! daemon all execute the same plan through the same `run_group`.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -443,7 +448,7 @@ impl Experiment {
         self
     }
 
-    /// Fan the sweep's workload × design-point builds and simulations across
+    /// Fan the groups of [`Experiment::plan`] (builds and simulations) across
     /// `n` worker threads of a `ccs-runtime` fork-join pool (our own
     /// work-stealing runtime — the harness dogfoods the system it studies).
     /// The default (1) runs sequentially on the calling thread.
@@ -462,8 +467,8 @@ impl Experiment {
     /// Select the simulator engine (default: the event-driven production
     /// engine).  [`SimEngine::Reference`] runs the retained cycle-stepper —
     /// metrics-identical but much slower; the bench harness uses it to
-    /// measure the event-driven speedup.  [`SimEngine::Batch`] groups the
-    /// sweep with [`Experiment::batch_groups`] so points differing only in
+    /// measure the event-driven speedup.  [`SimEngine::Batch`] plans the
+    /// sweep as [`Experiment::batch_groups`] so points differing only in
     /// latencies share one recorded pass — the report stays byte-identical
     /// to the event engine's.
     pub fn engine(mut self, engine: SimEngine) -> Experiment {
@@ -501,11 +506,9 @@ impl Experiment {
 
     /// The resolved workload × design-point cross product, in report order
     /// (workload-major).  Each point yields one record per
-    /// [`Experiment::resolved_schedulers`] entry when run through
-    /// [`Experiment::run_sweep_point`]; [`Experiment::run`] is exactly the
-    /// concatenation of `run_sweep_point` over these points.  The `ccs-serve`
-    /// daemon uses this decomposition to batch points onto its pool and
-    /// stream per-point records as they complete.
+    /// [`Experiment::resolved_schedulers`] entry; [`Experiment::plan`]
+    /// groups these points into the units [`Experiment::run_group`]
+    /// executes.
     pub fn sweep_points(&self) -> Vec<SweepPoint> {
         let configs = self.resolved_configs();
         let mut points = Vec::with_capacity(self.workloads.len() * configs.len());
@@ -521,86 +524,6 @@ impl Experiment {
         points
     }
 
-    /// Run one sweep point, returning its records in resolved-scheduler
-    /// order — byte-identical to the corresponding slice of
-    /// [`Experiment::run`]'s report (every simulation is deterministic).
-    ///
-    /// Registry builders are deterministic functions of (spec, scale,
-    /// scaled L2 capacity, cores) — design points differing only in
-    /// latencies or bandwidth (e.g. the fig. 4/5 sweeps) simulate the
-    /// *same* computation.  Each distinct computation (and its DAG) is
-    /// fetched through the **process-global build cache**
-    /// ([`crate::build_cache`]), so the build is shared not only by the
-    /// points of one run but by every sweep, repeat trial and daemon
-    /// request of the process; the computation's internal stream/geometry
-    /// memoisation then also survives with it.  Caller-built `Fixed`
-    /// computations share their `Arc`'d trace arena but re-derive the DAG.
-    pub fn run_sweep_point(&self, point: &SweepPoint) -> Vec<RunRecord> {
-        let scale = self.effective_scale();
-        let schedulers = self.resolved_schedulers();
-        let scaled = point.config.scaled(scale);
-        let l2_bytes = scaled.l2.capacity;
-        let cores = point.config.num_cores;
-        let build = || {
-            // Fault-plan hook (no-op unless a plan is installed): user
-            // workload factories can panic, and this is where they run.
-            ccs_runtime::fault::inject_panic(ccs_runtime::fault::FaultKind::WorkloadBuild);
-            let comp = point.workload.build(scale, l2_bytes, cores);
-            let dag = Arc::new(Dag::from_computation(&comp));
-            (comp, dag)
-        };
-        let built = match &point.workload {
-            WorkloadSpec::Registry { .. } => crate::build_cache::get_or_build(
-                (point.workload.label(), scale, l2_bytes, cores),
-                build,
-            ),
-            WorkloadSpec::Fixed { .. } => Arc::new(build()),
-        };
-        let (comp, dag) = &*built;
-        let comp: &Computation = comp.as_ref();
-        let dag: &Dag = dag.as_ref();
-        // Geometry prebuild: resolve the line stream and the packed
-        // (L1, L2) set lanes before the simulations, so the engine
-        // finds everything compiled.  Both are memoised on the
-        // computation, so `compile_ms` is the *incremental* cost this
-        // record actually paid — the full compile on a cold build,
-        // ~zero when an earlier point, sweep or trial already did it.
-        let compile_start = std::time::Instant::now();
-        let stream = comp.line_stream(scaled.l2.line_size);
-        let lanes_bytes = prebuild_lanes(&stream, &scaled);
-        let compile_ms = compile_start.elapsed().as_secs_f64() * 1000.0;
-        // Memory-footprint metrics: deterministic functions of the
-        // build and geometry, identical for both engines.
-        let trace_bytes = comp.trace_arena_bytes();
-        let peak_alloc_estimate =
-            trace_bytes + stream.heap_bytes() + lanes_bytes + dag.heap_bytes();
-        let sequential = self.baseline.then(|| {
-            let mut seq_cfg = scaled.clone();
-            seq_cfg.num_cores = 1;
-            // A single core cannot be partitioned into >1 L2 clusters.
-            seq_cfg.clusters = 1;
-            seq_cfg.name = format!("{}-seq", scaled.name);
-            let mut sched = SchedulerSpec::new("pdf").build();
-            simulate_with_engine(comp, dag, &seq_cfg, sched.as_mut(), self.engine)
-        });
-        schedulers
-            .iter()
-            .enumerate()
-            .map(|(i, spec)| {
-                let mut sched = spec.build();
-                let result = simulate_with_engine(comp, dag, &scaled, sched.as_mut(), self.engine);
-                // The compile was paid once for the whole point; charge
-                // it to the point's first record only, so summing
-                // `compile_ms` over a report yields the true total
-                // rather than one copy per scheduler.
-                let record_compile_ms = if i == 0 { compile_ms } else { 0.0 };
-                RunRecord::from_sim(point.workload.label(), spec, &result, sequential.as_ref())
-                    .with_footprint(trace_bytes, peak_alloc_estimate)
-                    .with_compile_ms(record_compile_ms)
-            })
-            .collect()
-    }
-
     /// Partition [`Experiment::sweep_points`] into batchable groups: points
     /// sharing a workload and a machine shape
     /// ([`ccs_sim::batch::same_machine_shape`] on the *scaled* configs —
@@ -609,8 +532,7 @@ impl Experiment {
     /// batch engine.  Groups are ordered by first appearance and preserve
     /// point order within, so scattering each point's records back by
     /// [`SweepPoint::index`] reproduces report order exactly.  Points that
-    /// batch with nothing form singleton groups — running a group is then
-    /// exactly [`Experiment::run_sweep_point`].
+    /// batch with nothing form singleton groups.
     pub fn batch_groups(&self) -> Vec<Vec<SweepPoint>> {
         let scale = self.effective_scale();
         let mut groups: Vec<Vec<SweepPoint>> = Vec::new();
@@ -629,35 +551,62 @@ impl Experiment {
         groups
     }
 
-    /// Run one batchable group (per [`Experiment::batch_groups`]) through
-    /// [`simulate_batch`], returning each point's records in resolved-
-    /// scheduler order — byte-identical to [`Experiment::run_sweep_point`]
-    /// on every point (the batch engine's contract).  The build, the
-    /// geometry prebuild and the footprint metrics are shared by the whole
-    /// group; `compile_ms` is charged to the group's first record only, and
-    /// every record is annotated with the group width
-    /// ([`RunRecord::batch_width`]).
+    /// The units of work a run executes, each one [`Experiment::run_group`]
+    /// call: [`Experiment::batch_groups`] under [`SimEngine::Batch`], one
+    /// single-point group per sweep point under the other engines.  Every
+    /// sweep point appears in exactly one group.  [`Experiment::run`], a
+    /// parallel run and the `ccs-serve` daemon all execute this plan.
+    pub fn plan(&self) -> Vec<Vec<SweepPoint>> {
+        if self.engine == SimEngine::Batch {
+            self.batch_groups()
+        } else {
+            self.sweep_points().into_iter().map(|p| vec![p]).collect()
+        }
+    }
+
+    /// Run one group of [`Experiment::plan`], returning each point's records
+    /// in resolved-scheduler order — byte-identical to the corresponding
+    /// slice of [`Experiment::run`]'s report (every simulation is
+    /// deterministic).
+    ///
+    /// The build, the geometry prebuild and the footprint metrics are shared
+    /// by the whole group.  Registry builders are deterministic functions of
+    /// (spec, scale, scaled L2 capacity, cores), so each distinct
+    /// computation (and its DAG) is fetched through the **process-global
+    /// build cache** ([`crate::build_cache`]) and shared by every point,
+    /// sweep, repeat trial and daemon request of the process.  Caller-built
+    /// `Fixed` computations share their `Arc`'d trace arena but re-derive
+    /// the DAG.
+    ///
+    /// Under [`SimEngine::Batch`] each scheduler (and the sequential
+    /// baseline) runs one [`simulate_batch`] pass over the group, and every
+    /// record is annotated with the group width
+    /// ([`RunRecord::batch_width`]); the other engines run
+    /// [`simulate_with_engine`] per design point.  `compile_ms` is charged
+    /// to the group's first record only.
     ///
     /// # Panics
     /// Panics when `points` is empty or its points disagree on workload or
     /// machine shape.
-    pub fn run_batch_group(&self, points: &[SweepPoint]) -> Vec<Vec<RunRecord>> {
-        let head = points.first().expect("batch group has at least one point");
+    pub fn run_group(&self, points: &[SweepPoint]) -> Vec<Vec<RunRecord>> {
+        let head = points.first().expect("a group has at least one point");
         let scale = self.effective_scale();
         let schedulers = self.resolved_schedulers();
-        let scaled_configs: Vec<CmpConfig> =
-            points.iter().map(|p| p.config.scaled(scale)).collect();
+        let configs: Vec<CmpConfig> = points.iter().map(|p| p.config.scaled(scale)).collect();
+        let shape = &configs[0];
         assert!(
             points
                 .iter()
-                .zip(&scaled_configs)
+                .zip(&configs)
                 .all(|(p, c)| p.workload == head.workload
-                    && ccs_sim::batch::same_machine_shape(&scaled_configs[0], c)),
-            "batch group mixes workloads or machine shapes"
+                    && ccs_sim::batch::same_machine_shape(shape, c)),
+            "group mixes workloads or machine shapes"
         );
-        let l2_bytes = scaled_configs[0].l2.capacity;
+        let l2_bytes = shape.l2.capacity;
         let cores = head.config.num_cores;
         let build = || {
+            // Fault-plan hook (no-op unless a plan is installed): user
+            // workload factories can panic, and this is where they run.
             ccs_runtime::fault::inject_panic(ccs_runtime::fault::FaultKind::WorkloadBuild);
             let comp = head.workload.build(scale, l2_bytes, cores);
             let dag = Arc::new(Dag::from_computation(&comp));
@@ -673,20 +622,37 @@ impl Experiment {
         let (comp, dag) = &*built;
         let comp: &Computation = comp.as_ref();
         let dag: &Dag = dag.as_ref();
-        // One geometry prebuild serves the whole group: same machine shape
-        // means the same line stream and the same (L1, L2) set lanes.
+        // Geometry prebuild: resolve the line stream and the packed set
+        // lanes before the simulations, so the engine finds everything
+        // compiled.  Same machine shape means the same stream and lanes for
+        // the whole group.  Both are memoised on the computation, so
+        // `compile_ms` is the *incremental* cost this group actually paid —
+        // the full compile on a cold build, ~zero when an earlier group,
+        // sweep or trial already did it.
         let compile_start = std::time::Instant::now();
-        let shape = &scaled_configs[0];
         let stream = comp.line_stream(shape.l2.line_size);
         let lanes_bytes = prebuild_lanes(&stream, shape);
         let compile_ms = compile_start.elapsed().as_secs_f64() * 1000.0;
+        // Memory-footprint metrics: deterministic functions of the build
+        // and geometry, identical for every engine.
         let trace_bytes = comp.trace_arena_bytes();
         let peak_alloc_estimate =
             trace_bytes + stream.heap_bytes() + lanes_bytes + dag.heap_bytes();
-        // The sequential baselines differ only in latencies too, so they
-        // form their own (1-core, hence replayable) batch.
+        // The engine step: one result per config, in config order.
+        let simulate = |configs: &[CmpConfig], spec: &SchedulerSpec| match self.engine {
+            SimEngine::Batch => simulate_batch(comp, dag, configs, spec).results,
+            engine => configs
+                .iter()
+                .map(|config| {
+                    simulate_with_engine(comp, dag, config, spec.build().as_mut(), engine)
+                })
+                .collect(),
+        };
+        // The sequential baselines differ only in latencies too, so under
+        // the batch engine they form their own (1-core, hence replayable)
+        // batch.
         let sequentials = self.baseline.then(|| {
-            let seq_configs: Vec<CmpConfig> = scaled_configs
+            let seq_configs: Vec<CmpConfig> = configs
                 .iter()
                 .map(|scaled| {
                     let mut seq_cfg = scaled.clone();
@@ -697,14 +663,16 @@ impl Experiment {
                     seq_cfg
                 })
                 .collect();
-            simulate_batch(comp, dag, &seq_configs, &SchedulerSpec::new("pdf")).results
+            simulate(&seq_configs, &SchedulerSpec::new("pdf"))
         });
-        // One batched pass per scheduler over the whole group.
         let per_sched: Vec<Vec<ccs_sim::SimResult>> = schedulers
             .iter()
-            .map(|spec| simulate_batch(comp, dag, &scaled_configs, spec).results)
+            .map(|spec| simulate(&configs, spec))
             .collect();
-        let width = points.len() as u64;
+        let width = match self.engine {
+            SimEngine::Batch => points.len() as u64,
+            _ => 0,
+        };
         points
             .iter()
             .enumerate()
@@ -714,8 +682,10 @@ impl Experiment {
                     .enumerate()
                     .map(|(i, spec)| {
                         let sequential = sequentials.as_ref().map(|seqs| &seqs[j]);
-                        // As in `run_sweep_point`: the compile was paid once,
-                        // here for the whole group.
+                        // The compile was paid once for the whole group;
+                        // charge it to the group's first record only, so
+                        // summing `compile_ms` over a report yields the true
+                        // total rather than one copy per record.
                         let record_compile_ms = if i == 0 && j == 0 { compile_ms } else { 0.0 };
                         RunRecord::from_sim(
                             point.workload.label(),
@@ -732,63 +702,60 @@ impl Experiment {
             .collect()
     }
 
+    /// The canonical [`ResultStore`](crate::ResultStore) keys of one sweep
+    /// point's records, in resolved-scheduler order (see
+    /// [`crate::canon::record_key`]).
+    pub fn record_keys(&self, point: &SweepPoint) -> Vec<String> {
+        let label = point.workload.label();
+        let scale = self.effective_scale();
+        self.resolved_schedulers()
+            .iter()
+            .map(|spec| {
+                crate::canon::record_key(
+                    &label,
+                    &point.config,
+                    scale,
+                    self.engine,
+                    spec,
+                    self.baseline,
+                )
+            })
+            .collect()
+    }
+
+    /// The report name.
+    pub fn report_name(&self) -> &str {
+        &self.name
+    }
+
     /// Run the full cross-product and collect a [`Report`].
     ///
     /// Defaults when a dimension was left unset: schedulers = PDF and WS;
-    /// configs = the paper's 8-core default.  Under [`SimEngine::Batch`]
-    /// the sweep is partitioned with [`Experiment::batch_groups`] and each
-    /// group shares one recorded pass; the report is byte-identical either
-    /// way.
+    /// configs = the paper's 8-core default.  The sweep runs as
+    /// [`Experiment::plan`] → [`Experiment::run_group`] per group (fanned
+    /// across the pool under [`Experiment::parallelism`]), and each point's
+    /// records are placed by [`SweepPoint::index`], so the report is
+    /// byte-identical for every engine and every parallelism.
     ///
     /// # Panics
     /// Panics if no workload was added, or if a scheduler or workload name
     /// is not registered.
     pub fn run(&self) -> Report {
         assert!(!self.workloads.is_empty(), "experiment has no workloads");
-        if self.engine == SimEngine::Batch {
-            return self.run_batched();
-        }
-        // One point per workload × design point; each point yields one
-        // record per scheduler.  Points are independent, so they can run in
-        // any order — records are placed by position to keep the report
-        // deterministic.
-        let points = self.sweep_points();
-        let run_point = |point: &SweepPoint| self.run_sweep_point(point);
-        let threads = self.parallelism.min(points.len());
-        let results: Vec<Vec<RunRecord>> = if threads <= 1 {
-            points.iter().map(&run_point).collect()
-        } else {
-            let mut slots: Vec<Option<Vec<RunRecord>>> = points.iter().map(|_| None).collect();
-            let pool = ThreadPool::new(threads, Policy::WorkStealing);
-            pool.install(|| fan_out(&points, &mut slots, &run_point));
-            slots
-                .into_iter()
-                .map(|slot| slot.expect("every sweep point produces records"))
-                .collect()
-        };
-
-        let mut report = Report::new(self.name.clone(), self.effective_scale());
-        report.records = results.into_iter().flatten().collect();
-        report
-    }
-
-    /// The batch-engine body of [`Experiment::run`]: fan over
-    /// [`Experiment::batch_groups`] (each group is one unit of parallel
-    /// work) and scatter each point's records back by its cross-product
-    /// index, so record order matches the event engine exactly.
-    fn run_batched(&self) -> Report {
-        let groups = self.batch_groups();
-        let run_group = |group: &Vec<SweepPoint>| self.run_batch_group(group);
+        // Groups are independent, so they can run in any order — records
+        // are placed by position to keep the report deterministic.
+        let groups = self.plan();
+        let run_group = |group: &Vec<SweepPoint>| self.run_group(group);
         let threads = self.parallelism.min(groups.len());
         let per_group: Vec<Vec<Vec<RunRecord>>> = if threads <= 1 {
-            groups.iter().map(&run_group).collect()
+            groups.iter().map(run_group).collect()
         } else {
             let mut slots: Vec<Option<Vec<Vec<RunRecord>>>> = groups.iter().map(|_| None).collect();
             let pool = ThreadPool::new(threads, Policy::WorkStealing);
             pool.install(|| fan_out(&groups, &mut slots, &run_group));
             slots
                 .into_iter()
-                .map(|slot| slot.expect("every batch group produces records"))
+                .map(|slot| slot.expect("every group produces records"))
                 .collect()
         };
         let total_points: usize = groups.iter().map(Vec::len).sum();
@@ -809,8 +776,8 @@ impl Experiment {
 
 /// One resolved sweep point of an [`Experiment`]: a workload × design-point
 /// pair at cross-product position `index` (workload-major, matching report
-/// order).  Produced by [`Experiment::sweep_points`] and executed by
-/// [`Experiment::run_sweep_point`].
+/// order).  Produced by [`Experiment::sweep_points`], grouped by
+/// [`Experiment::plan`] and executed by [`Experiment::run_group`].
 #[derive(Clone, Debug)]
 pub struct SweepPoint {
     /// Position in the cross product.  The report slice this point's
@@ -822,9 +789,8 @@ pub struct SweepPoint {
     pub config: CmpConfig,
 }
 
-/// Recursively fork-join over work items (sweep points or batch groups),
-/// writing each item's result into its own slot so completion order cannot
-/// reorder the report.
+/// Recursively fork-join over the planned groups, writing each group's
+/// result into its own slot so completion order cannot reorder the report.
 fn fan_out<T, R, F>(items: &[T], slots: &mut [Option<R>], run: &F)
 where
     T: Sync,
@@ -888,28 +854,59 @@ mod tests {
 
     #[test]
     fn sweep_points_decompose_run_byte_identically() {
-        // The serve daemon runs `run_sweep_point` per point and reassembles;
-        // that must equal `run`'s report slice-for-slice, byte-for-byte.
-        let exp = Experiment::new(tiny_fixed_workload())
+        // The serve daemon runs `run_group` per planned group and
+        // reassembles; that must equal `run`'s report record for record and
+        // byte for byte, on every engine.  The sweep mixes a fixed and a
+        // registry workload, two latency variants of a 1-core point (a
+        // width-2 group under the batch engine) and a 2-core point.
+        let one_core = CmpConfig::default_with_cores(1).unwrap();
+        let base = Experiment::new(tiny_fixed_workload())
             .workload("mergesort")
-            .cores([2, 4])
+            .configs([
+                one_core.clone().with_l2_hit_latency(7),
+                one_core.with_l2_hit_latency(19),
+                CmpConfig::default_with_cores(2).unwrap(),
+            ])
             .scale(1024)
             .schedulers([SchedulerKind::Pdf, SchedulerKind::WorkStealing]);
-        let report = exp.run();
-        let points = exp.sweep_points();
-        assert_eq!(points.len(), 2 * 2);
-        let per_sched = exp.resolved_schedulers().len();
-        for point in &points {
-            let records = exp.run_sweep_point(point);
-            assert_eq!(records.len(), per_sched);
-            let start = point.index * per_sched;
-            for (offset, record) in records.iter().enumerate() {
-                let expected = &report.records[start + offset];
-                assert_eq!(record, expected);
-                assert_eq!(
-                    record.to_json().to_string_pretty(),
-                    expected.to_json().to_string_pretty(),
-                );
+        for engine in [
+            SimEngine::EventDriven,
+            SimEngine::Reference,
+            SimEngine::Batch,
+        ] {
+            let exp = base.clone().engine(engine);
+            let report = exp.run();
+            let groups = exp.plan();
+            let widths: Vec<usize> = groups.iter().map(Vec::len).collect();
+            let expected_widths: &[usize] = match engine {
+                SimEngine::Batch => &[2, 1, 2, 1],
+                _ => &[1; 6],
+            };
+            assert_eq!(widths, expected_widths, "{engine:?} plan");
+            let mut indices: Vec<usize> = groups.iter().flatten().map(|p| p.index).collect();
+            indices.sort_unstable();
+            assert_eq!(
+                indices,
+                (0..6).collect::<Vec<_>>(),
+                "{engine:?}: each point once"
+            );
+            let per_sched = exp.resolved_schedulers().len();
+            for group in &groups {
+                let per_point = exp.run_group(group);
+                assert_eq!(per_point.len(), group.len());
+                for (point, records) in group.iter().zip(&per_point) {
+                    assert_eq!(records.len(), per_sched);
+                    let start = point.index * per_sched;
+                    for (offset, record) in records.iter().enumerate() {
+                        let expected = &report.records[start + offset];
+                        assert_eq!(record, expected, "{engine:?}");
+                        assert_eq!(
+                            record.to_json().to_string_pretty(),
+                            expected.to_json().to_string_pretty(),
+                            "{engine:?}"
+                        );
+                    }
+                }
             }
         }
     }

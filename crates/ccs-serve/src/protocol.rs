@@ -32,8 +32,9 @@
 //! frame's `record` member is byte-compatible with report records.
 
 use ccs_experiment::json::{self, Json};
-use ccs_experiment::RunRecord;
-use ccs_sim::SimEngine;
+use ccs_experiment::{Experiment, RunRecord, WorkloadSpec};
+use ccs_sched::SchedulerSpec;
+use ccs_sim::{CmpConfig, SimEngine};
 
 /// The protocol version announced in the `hello` frame.
 pub const PROTOCOL_VERSION: &str = "ccs-serve/2";
@@ -64,6 +65,50 @@ pub struct SubmitRequest {
     /// is cancelled and terminates with the `timeout` state, keeping every
     /// record streamed so far.
     pub timeout_ms: Option<u64>,
+}
+
+impl SubmitRequest {
+    /// Validate the request against the spec grammar and the registries and
+    /// resolve it into the [`Experiment`] it names.  The daemon runs exactly
+    /// this experiment, and `serve_client --batch` runs it in process, so
+    /// the two reports compare byte for byte.  The error string is
+    /// client-facing (it becomes an `error` frame) and carries the
+    /// registries' did-you-mean hints.
+    pub fn experiment(&self) -> Result<Experiment, String> {
+        let workloads = self
+            .workloads
+            .iter()
+            .map(|spec| WorkloadSpec::resolve(spec).map_err(|e| e.to_string()))
+            .collect::<Result<Vec<_>, _>>()?;
+        let Some(first) = workloads.first() else {
+            return Err("submit has no workloads".to_string());
+        };
+        let name = self
+            .name
+            .clone()
+            .unwrap_or_else(|| first.name().to_string());
+        let schedulers = self
+            .schedulers
+            .iter()
+            .map(|spec| SchedulerSpec::resolve(spec).map_err(|e| e.to_string()))
+            .collect::<Result<Vec<_>, _>>()?;
+        let configs = self
+            .cores
+            .iter()
+            .map(|&cores| {
+                CmpConfig::default_with_cores(cores)
+                    .ok_or_else(|| format!("no default CMP configuration with {cores} cores"))
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(Experiment::named(name)
+            .workloads(workloads)
+            .schedulers(schedulers)
+            .configs(configs)
+            .scale(self.scale)
+            .quick(self.quick)
+            .engine(self.engine)
+            .sequential_baseline(self.baseline))
+    }
 }
 
 /// Terminal state of a request, carried by the `status` frame.
@@ -514,6 +559,42 @@ mod tests {
         };
         assert_eq!(again.workloads, req.workloads);
         assert_eq!(again.scale, req.scale);
+    }
+
+    #[test]
+    fn experiment_resolves_axes_and_rejects_an_empty_request() {
+        let req = SubmitRequest {
+            id: "r1".to_string(),
+            name: None,
+            workloads: vec!["mergesort".to_string()],
+            schedulers: Vec::new(),
+            cores: vec![2, 4],
+            scale: 1024,
+            quick: false,
+            engine: SimEngine::Batch,
+            baseline: false,
+            timeout_ms: None,
+        };
+        let exp = req.experiment().unwrap();
+        assert_eq!(exp.report_name(), "mergesort");
+        assert_eq!(exp.sweep_points().len(), 2);
+        assert_eq!(exp.resolved_schedulers().len(), 2, "PDF and WS default");
+
+        let error = |req: SubmitRequest| req.experiment().err().expect("must not resolve");
+        // A hand-built request with no workloads and no name is an error,
+        // not a panic.
+        let empty = SubmitRequest {
+            workloads: Vec::new(),
+            ..req.clone()
+        };
+        assert_eq!(error(empty), "submit has no workloads");
+
+        // A core count without a default design point carries its reason.
+        let cores = SubmitRequest {
+            cores: vec![3],
+            ..req
+        };
+        assert!(error(cores).contains("3 cores"));
     }
 
     #[test]

@@ -9,20 +9,22 @@
 //!   points are batched onto, so concurrent requests share the machine
 //!   instead of oversubscribing it.
 //!
-//! Each request decomposes into [`Experiment::sweep_points`]; every point
-//! is first checked against the persistent [`ResultStore`] (when the
-//! service has one).  A point whose records are *all* stored is streamed
-//! straight from disk (`cached: true` on the frames); anything else is
-//! simulated on the pool via
-//! [`spawn_cancellable`](ThreadPool::spawn_cancellable) and stored on
+//! A request resolves into an [`Experiment`] ([`SubmitRequest::experiment`])
+//! and runs through the same executor as an in-process sweep: one pass over
+//! [`Experiment::plan`].  Every point of a group is first checked against
+//! the persistent [`ResultStore`] (when the service has one) under its
+//! [`Experiment::record_keys`].  A point whose records are *all* stored is
+//! streamed straight from disk (`cached: true` on the frames); the group's
+//! other points run as one [`Experiment::run_group`] closure on the pool via
+//! [`spawn_cancellable`](ThreadPool::spawn_cancellable) and are stored on
 //! completion.  Stored records reserialise byte-identically to a fresh run
 //! (see [`ccs_experiment::result_store`]), so clients cannot tell a memo
 //! hit from a cold run except by the `cached` flag and the wall-clock.
-//! Requests submitted with the batch engine group their uncached points
-//! with [`Experiment::batch_groups`] instead, so a latency sweep's points
-//! share one recorded pass per group (records stay byte-identical, and the
+//! Under the batch engine a group is a latency sweep's batchable points,
+//! sharing one recorded pass (records stay byte-identical, and the
 //! canonical keys fold onto the event engine's — a batched request hits
-//! the entries an event request stored, and vice versa).
+//! the entries an event request stored, and vice versa); under the other
+//! engines every group is a single point.
 //!
 //! Cancellation rides on [`CancelToken`]s: each request gets a child of the
 //! service's root token.  Tripping the request token drops the request's
@@ -33,10 +35,10 @@
 //!
 //! # Failure containment (DESIGN.md §13)
 //!
-//! Every sweep-point closure runs under `catch_unwind`: a panicking user
-//! workload converts to an `error` frame for its request (and a `failed`
-//! terminal status) while the daemon, the pool worker and every other
-//! request keep going.  Requests submitted with `timeout_ms` are watched by
+//! Every group closure runs under `catch_unwind`: a panicking user
+//! workload converts to one `error` frame per point of its group (and a
+//! `failed` terminal status) while the daemon, the pool worker and every
+//! other request keep going.  Requests submitted with `timeout_ms` are watched by
 //! a deadline thread that trips their cancel token on expiry — in-flight
 //! points still stream (the partial-results contract of cancellation) and
 //! the terminal status reads `timeout`.  [`Service::health`] reports
@@ -51,11 +53,8 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use ccs_experiment::canon::record_key;
 use ccs_experiment::{Experiment, ResultStore, RunRecord, SweepPoint};
 use ccs_runtime::{CancelToken, Policy, ThreadPool};
-use ccs_sched::SchedulerSpec;
-use ccs_sim::{CmpConfig, SimEngine};
 use parking_lot::{Condvar, Mutex};
 
 use crate::protocol::{Frame, HealthReport, RequestState, SubmitRequest};
@@ -105,9 +104,6 @@ pub struct PreparedRequest {
     /// Total records a complete run produces.
     pub total: usize,
     exp: Arc<Experiment>,
-    schedulers: Vec<SchedulerSpec>,
-    engine: SimEngine,
-    baseline: bool,
     /// Server-side deadline, from the submit frame's `timeout_ms`.
     timeout: Option<Duration>,
 }
@@ -126,9 +122,9 @@ struct QueuedRequest {
 }
 
 /// One sweep point's outcome, reported back to the worker: its records, or
-/// the panic message of a failed (e.g. panicking-workload) point.
+/// the panic message of a failed (e.g. panicking-workload) group.
 struct PointDone {
-    index: usize,
+    point: SweepPoint,
     records: Result<Vec<RunRecord>, String>,
 }
 
@@ -329,57 +325,22 @@ impl Service {
         })
     }
 
-    /// Validate a submit frame against the spec grammar and registries,
-    /// resolving every axis.  The error string is client-facing (it becomes
-    /// an `error` frame) and carries the registries' did-you-mean hints.
+    /// Validate a submit frame and resolve it into its experiment (see
+    /// [`SubmitRequest::experiment`]).  The error string is client-facing:
+    /// it becomes an `error` frame.
     pub fn prepare(&self, req: &SubmitRequest) -> Result<PreparedRequest, String> {
         if req.id.is_empty() {
             return Err("request id must not be empty".to_string());
         }
-        let mut workloads = Vec::with_capacity(req.workloads.len());
-        for spec in &req.workloads {
-            workloads.push(ccs_experiment::WorkloadSpec::resolve(spec).map_err(|e| e.to_string())?);
-        }
-        let mut schedulers = Vec::with_capacity(req.schedulers.len());
-        for spec in &req.schedulers {
-            schedulers.push(SchedulerSpec::resolve(spec).map_err(|e| e.to_string())?);
-        }
-        let mut configs = Vec::with_capacity(req.cores.len());
-        for &cores in &req.cores {
-            configs.push(
-                CmpConfig::default_with_cores(cores)
-                    .ok_or_else(|| format!("no default CMP configuration with {cores} cores"))?,
-            );
-        }
-
-        let name = req
-            .name
-            .clone()
-            .unwrap_or_else(|| workloads[0].name().to_string());
-        let mut exp = Experiment::named(name.clone())
-            .workloads(workloads)
-            .scale(req.scale)
-            .quick(req.quick)
-            .engine(req.engine)
-            .sequential_baseline(req.baseline);
-        if !schedulers.is_empty() {
-            exp = exp.schedulers(schedulers);
-        }
-        if !configs.is_empty() {
-            exp = exp.configs(configs);
-        }
+        let exp = req.experiment()?;
         let points = exp.sweep_points().len();
-        let schedulers = exp.resolved_schedulers();
         Ok(PreparedRequest {
             id: req.id.clone(),
-            name,
+            name: exp.report_name().to_string(),
             scale: exp.effective_scale(),
             points,
-            total: points * schedulers.len(),
+            total: points * exp.resolved_schedulers().len(),
             exp: Arc::new(exp),
-            schedulers,
-            engine: req.engine,
-            baseline: req.baseline,
             timeout: req.timeout_ms.map(Duration::from_millis),
         })
     }
@@ -497,23 +458,6 @@ impl Drop for Service {
     }
 }
 
-/// Canonical store keys of one point's records, in resolved-scheduler order.
-fn point_keys(req: &PreparedRequest, point: &SweepPoint) -> Vec<String> {
-    req.schedulers
-        .iter()
-        .map(|sched| {
-            record_key(
-                &point.workload.label(),
-                &point.config,
-                req.scale,
-                req.engine,
-                sched,
-                req.baseline,
-            )
-        })
-        .collect()
-}
-
 /// Extract a human-readable message from a caught panic payload.
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(text) = payload.downcast_ref::<&str>() {
@@ -525,8 +469,8 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Drive one request end to end: stream cache hits, batch the rest onto the
-/// pool, store fresh records, emit the terminal status.
+/// Drive one request end to end: stream cache hits, run the rest of each
+/// planned group on the pool, store fresh records, emit the terminal status.
 fn run_request(inner: &Arc<ServiceInner>, request: QueuedRequest) {
     let QueuedRequest {
         prepared: req,
@@ -552,7 +496,7 @@ fn run_request(inner: &Arc<ServiceInner>, request: QueuedRequest) {
         token.cancel();
     }
 
-    let per_point = req.schedulers.len();
+    let per_point = req.exp.resolved_schedulers().len();
     let mut emit = |seq_base: usize, records: &[RunRecord], cached: bool| {
         for (offset, record) in records.iter().enumerate() {
             completed += 1;
@@ -577,84 +521,48 @@ fn run_request(inner: &Arc<ServiceInner>, request: QueuedRequest) {
     // Serve a point from the store when *all* its records are there.
     let stored_records = |point: &SweepPoint| -> Option<Vec<RunRecord>> {
         let store = inner.store.as_ref()?;
-        point_keys(&req, point)
+        req.exp
+            .record_keys(point)
             .iter()
             .map(|key| store.get(key))
             .collect()
     };
 
-    // Launch phase: serve stored points immediately, batch the rest.  The
-    // batch engine launches one pool closure per batchable *group* (its
-    // uncached points share a recorded pass); other engines launch one
-    // closure per point.
+    // Launch phase: one pass over the plan.  Each group serves its stored
+    // points immediately and launches one pool closure for the rest.
     let (tx, rx) = mpsc::channel::<PointDone>();
     if !token.is_cancelled() {
-        if req.engine == SimEngine::Batch {
-            for group in req.exp.batch_groups() {
-                let mut fresh = Vec::new();
-                for point in group {
-                    if let Some(records) = stored_records(&point) {
-                        emit(point.index * per_point, &records, true);
-                    } else {
-                        fresh.push(point);
-                    }
+        for group in req.exp.plan() {
+            let mut fresh = Vec::new();
+            for point in group {
+                match stored_records(&point) {
+                    Some(records) => emit(point.index * per_point, &records, true),
+                    None => fresh.push(point),
                 }
-                if fresh.is_empty() {
-                    continue;
-                }
-                let exp = Arc::clone(&req.exp);
-                let tx = tx.clone();
-                let service = Arc::clone(inner);
-                inner.pool.spawn_cancellable(&token, move || {
-                    // Panic isolation: a panicking workload build (user
-                    // factories can panic) fails this group, not the pool
-                    // worker or the daemon.
-                    match panic::catch_unwind(AssertUnwindSafe(|| exp.run_batch_group(&fresh))) {
-                        Ok(per_point_records) => {
-                            for (point, records) in fresh.iter().zip(per_point_records) {
-                                // The session may be gone; disconnect is fine.
-                                let _ = tx.send(PointDone {
-                                    index: point.index,
-                                    records: Ok(records),
-                                });
-                            }
-                        }
-                        Err(payload) => {
-                            service.panics_caught.fetch_add(1, Ordering::Relaxed);
-                            let message = panic_message(payload);
-                            for point in &fresh {
-                                let _ = tx.send(PointDone {
-                                    index: point.index,
-                                    records: Err(message.clone()),
-                                });
-                            }
-                        }
-                    }
-                });
             }
-        } else {
-            for point in req.exp.sweep_points() {
-                if let Some(records) = stored_records(&point) {
-                    emit(point.index * per_point, &records, true);
-                    continue;
-                }
-                let exp = Arc::clone(&req.exp);
-                let tx = tx.clone();
-                let service = Arc::clone(inner);
-                inner.pool.spawn_cancellable(&token, move || {
-                    let records =
-                        panic::catch_unwind(AssertUnwindSafe(|| exp.run_sweep_point(&point)))
-                            .map_err(|payload| {
-                                service.panics_caught.fetch_add(1, Ordering::Relaxed);
-                                panic_message(payload)
-                            });
-                    // The session may be gone; disconnect is fine either way.
-                    let _ = tx.send(PointDone {
-                        index: point.index,
-                        records,
-                    });
-                });
+            if fresh.is_empty() {
+                continue;
             }
+            let exp = Arc::clone(&req.exp);
+            let tx = tx.clone();
+            let service = Arc::clone(inner);
+            inner.pool.spawn_cancellable(&token, move || {
+                // Panic isolation: a panicking workload build (user
+                // factories can panic) fails this group's points, not the
+                // pool worker or the daemon.
+                let run = panic::catch_unwind(AssertUnwindSafe(|| exp.run_group(&fresh)));
+                let outcomes = match run {
+                    Ok(per_point) => per_point.into_iter().map(Ok).collect(),
+                    Err(payload) => {
+                        service.panics_caught.fetch_add(1, Ordering::Relaxed);
+                        vec![Err(panic_message(payload)); fresh.len()]
+                    }
+                };
+                for (point, records) in fresh.into_iter().zip(outcomes) {
+                    // The session may be gone; disconnect is fine.
+                    let _ = tx.send(PointDone { point, records });
+                }
+            });
         }
     }
     drop(tx);
@@ -672,7 +580,7 @@ fn run_request(inner: &Arc<ServiceInner>, request: QueuedRequest) {
                 failed += 1;
                 let frame = Frame::Error {
                     id: Some(req.id.clone()),
-                    message: format!("sweep point {} panicked: {message}", done.index),
+                    message: format!("sweep point {} panicked: {message}", done.point.index),
                 };
                 if reply.send(frame).is_err() {
                     token.cancel();
@@ -681,10 +589,7 @@ fn run_request(inner: &Arc<ServiceInner>, request: QueuedRequest) {
             }
         };
         if let Some(store) = &inner.store {
-            // Re-deriving the keys here is cheaper than shipping them
-            // through the pool closure.
-            let points = req.exp.sweep_points();
-            for (key, record) in point_keys(&req, &points[done.index]).iter().zip(&records) {
+            for (key, record) in req.exp.record_keys(&done.point).iter().zip(&records) {
                 if let Err(e) = store.put(key, record) {
                     // Memoisation is best-effort: the record still streams,
                     // it just won't be served from disk next time.
@@ -692,7 +597,7 @@ fn run_request(inner: &Arc<ServiceInner>, request: QueuedRequest) {
                 }
             }
         }
-        emit(done.index * per_point, &records, false);
+        emit(done.point.index * per_point, &records, false);
     }
 
     // Terminal state, most-specific first: expiry beats plain cancellation,
@@ -719,4 +624,36 @@ fn run_request(inner: &Arc<ServiceInner>, request: QueuedRequest) {
         completed,
         total,
     });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn prepare_rejects_a_request_without_workloads() {
+        let service = Service::start(ServiceConfig {
+            workers: 1,
+            pool_threads: 1,
+            ..ServiceConfig::default()
+        })
+        .unwrap();
+        // A library caller can hand-build what the wire parser rejects.
+        let req = SubmitRequest {
+            id: "empty".to_string(),
+            name: None,
+            workloads: Vec::new(),
+            schedulers: Vec::new(),
+            cores: Vec::new(),
+            scale: 1024,
+            quick: false,
+            engine: ccs_sim::SimEngine::EventDriven,
+            baseline: true,
+            timeout_ms: None,
+        };
+        match service.prepare(&req) {
+            Err(message) => assert_eq!(message, "submit has no workloads"),
+            Ok(_) => panic!("a request without workloads must not prepare"),
+        }
+    }
 }

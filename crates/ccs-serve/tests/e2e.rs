@@ -479,6 +479,14 @@ fn workload_panic_is_isolated_and_counted_in_health() {
         "panics in its factory (isolation test)",
         |_ctx| panic!("explosive by design"),
     );
+    // One point on the event engine; under the batch engine the two
+    // identical points form one 2-point group, so the failing unit is a
+    // real group.
+    panic_is_isolated(SimEngine::EventDriven, &[2]);
+    panic_is_isolated(SimEngine::Batch, &[2, 2]);
+}
+
+fn panic_is_isolated(engine: SimEngine, cores: &[usize]) {
     let server = Arc::new(
         Server::start(ServiceConfig {
             workers: 2,
@@ -491,26 +499,35 @@ fn workload_panic_is_isolated_and_counted_in_health() {
 
     // Submit the panicking sweep and a healthy one on the same connection.
     client
-        .submit(submit("boom", &["e2e-explosive"], &[2], &["pdf"]))
+        .submit(SubmitRequest {
+            engine,
+            ..submit("boom", &["e2e-explosive"], cores, &["pdf"])
+        })
         .unwrap();
     client
         .submit(submit("calm", &["mergesort"], &[2], &["pdf", "ws"]))
         .unwrap();
 
-    // The panic is contained to its request: a typed per-point error, a
+    // The panic is contained to its request: one typed error per point, a
     // `failed` terminal status, and no records.
     let boom = client.collect("boom").unwrap();
-    assert_eq!(boom.state, RequestState::Failed);
-    assert!(boom.records.is_empty());
+    assert_eq!(boom.state, RequestState::Failed, "{engine:?}");
+    assert!(boom.records.is_empty(), "{engine:?}");
+    assert_eq!(
+        boom.errors.len(),
+        cores.len(),
+        "{engine:?}: {:?}",
+        boom.errors
+    );
     assert!(
-        boom.errors.iter().any(|e| e.contains("panicked")),
-        "expected a panic error, got {:?}",
+        boom.errors.iter().all(|e| e.contains("panicked")),
+        "{engine:?}: expected panic errors, got {:?}",
         boom.errors
     );
 
     // The concurrent request — and the daemon — are unaffected.
     let calm = client.collect("calm").unwrap();
-    assert_eq!(calm.state, RequestState::Done);
+    assert_eq!(calm.state, RequestState::Done, "{engine:?}");
     assert_eq!(calm.records.len(), 2);
     assert!(calm.errors.is_empty());
 
