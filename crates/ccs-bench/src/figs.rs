@@ -250,14 +250,15 @@ pub fn coarse_vs_fine(opts: &Options) -> Report {
 
 /// A dense single-core memory-latency profile (100–1100 cycles on the
 /// 1-core default configuration).  Every point shares one machine shape, so
-/// under `--engine batch` each workload records a single event-driven pass
-/// and replays the remaining latencies from the tape — this sweep is the
-/// batch engine's honest showcase (and the harness times it both ways).
+/// under `--engine batch` each workload runs a single event-driven pass and
+/// re-times it in closed form for the remaining latencies — this sweep is
+/// the batch engine's honest showcase (and the harness times it both ways).
 pub fn latency_profile(opts: &Options) -> Report {
     let base = CmpConfig::default_with_cores(1).expect("single-core default config");
     // The grid stays dense even in quick mode: batching makes the extra
-    // latency points nearly free (each is one O(misses) replay), and the
-    // single-core event side is cheap enough for CI.
+    // latency points nearly free (each is an O(1) closed-form re-timing of
+    // the recorded pass), and the single-core event side is cheap enough
+    // for CI.
     let configs: Vec<CmpConfig> = (100..=1100)
         .step_by(100)
         .map(|lat| base.clone().with_memory_latency(lat))

@@ -21,6 +21,19 @@ pub struct MemoryStats {
     pub queue_cycles: u64,
 }
 
+impl MemoryStats {
+    /// Fraction of `total_cycles` during which the controller was busy
+    /// (clamped to 1.0; the paper reports this as memory bandwidth
+    /// utilisation).
+    pub fn utilization(&self, total_cycles: u64) -> f64 {
+        if total_cycles == 0 {
+            0.0
+        } else {
+            (self.busy_cycles as f64 / total_cycles as f64).min(1.0)
+        }
+    }
+}
+
 /// The off-chip memory controller.
 #[derive(Clone, Debug)]
 pub struct MainMemory {
@@ -62,14 +75,9 @@ impl MainMemory {
     }
 
     /// Fraction of `total_cycles` during which the controller was busy
-    /// (clamped to 1.0; the paper reports this as memory bandwidth
-    /// utilisation).
+    /// ([`MemoryStats::utilization`] of the accumulated statistics).
     pub fn utilization(&self, total_cycles: u64) -> f64 {
-        if total_cycles == 0 {
-            0.0
-        } else {
-            (self.stats.busy_cycles as f64 / total_cycles as f64).min(1.0)
-        }
+        self.stats.utilization(total_cycles)
     }
 
     /// Reset the controller to an idle, zero-statistics state.

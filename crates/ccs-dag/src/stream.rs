@@ -490,7 +490,7 @@ pub struct LineStream {
     /// hierarchies (empty unless a sweep point carries an L3).
     geom_triples: Mutex<TripleCache>,
     /// Memoised prefix sums of the pre-access compute lane
-    /// ([`LineStream::pre_prefix`]): the batched engine's replay cursor.
+    /// ([`LineStream::pre_prefix`]): the batched engine's tape-walk cursor.
     pre_prefix: Mutex<Option<Arc<Vec<u64>>>>,
 }
 
@@ -598,10 +598,11 @@ impl LineStream {
     /// and shared afterwards: `pre_prefix()[i]` is the total pre-access
     /// compute of steps `0..i` (length [`LineStream::num_steps`]` + 1`).
     ///
-    /// This is the batched engine's **replay cursor**: the compute cycles a
-    /// single-core run spends between two recorded misses at steps `a < b`
-    /// are `prefix[b] - prefix[a]` — one subtraction instead of re-walking
-    /// the packed lane per configuration of a latency sweep.
+    /// This is the batched engine's **tape-walk cursor**: the compute
+    /// cycles a single-core run spends between two recorded misses at steps
+    /// `a < b` are `prefix[b] - prefix[a]` — one subtraction instead of
+    /// re-walking the packed lane for each configuration of a latency sweep
+    /// whose memory requests can queue (the only ones that walk the tape).
     pub fn pre_prefix(&self) -> Arc<Vec<u64>> {
         let mut slot = self.pre_prefix.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(prefix) = slot.as_ref() {
@@ -693,7 +694,7 @@ impl LineStream {
     /// Deliberately *excludes* the lazily memoised [`pre_prefix`] lane:
     /// this figure feeds the deterministic `peak_alloc_estimate` record
     /// field, which must not depend on whether a batched run compiled the
-    /// replay cursor on a shared stream first.
+    /// tape-walk cursor on a shared stream first.
     ///
     /// [`pre_prefix`]: LineStream::pre_prefix
     pub fn heap_bytes(&self) -> u64 {

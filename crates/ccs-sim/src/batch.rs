@@ -6,10 +6,9 @@
 //! computation, the scheduler, the core count and the full cache geometry.
 //! The event engine still walks the compiled line stream once per point,
 //! re-deriving an access sequence that cannot differ between them.  This
-//! module amortises that walk: a **record/replay fast path** runs the event
-//! engine once with a tape recorder attached (the crate-private
-//! `machine::Record` hook) and re-times the recorded dispatch/miss sequence
-//! per configuration.
+//! module amortises that walk: the event engine runs **once** per group
+//! and every other configuration's result is assembled in closed form from
+//! the recorded one.
 //!
 //! # Correctness: when is the schedule latency-independent?
 //!
@@ -22,18 +21,36 @@
 //! stealer, whose RNG consumption is driven purely by the call sequence)
 //! makes the identical decisions under every latency assignment: the task
 //! order, the access sequence, and therefore every L1/L2 hit/miss/eviction
-//! count are fixed by the first pass.  Only the *timing* differs, and the
-//! timing model per recorded event is a closed form over the configured
-//! latencies:
+//! count are fixed by the first pass.  Only the *timing* differs.
 //!
-//! * between misses, a task advances by its compute cycles (a prefix-sum
-//!   lookup on the stream, [`ccs_dag::LineStream::pre_prefix`]) plus one
-//!   L1 hit latency per step;
-//! * each recorded L1 miss adds the L2 hit latency, and — when the tape
-//!   says it missed the L2 — a round trip through a fresh [`MainMemory`]
-//!   (whose queueing state is per-config, so contention/bandwidth metrics
-//!   are re-derived exactly);
-//! * a task close adds its trailing compute.
+//! # The closed form
+//!
+//! The core blocks on every miss, so its clock is a sum of charges: every
+//! stream step pays the L1 hit latency, every L1 miss the L2 hit latency,
+//! every L2 miss the memory latency plus whatever it queued at the memory
+//! controller, and the rest is the schedule's compute.  With `S` L1
+//! accesses, `M1` L1 misses and `M2` memory requests (all copied from the
+//! recording):
+//!
+//! ```text
+//! cycles(c) = W + l1_hit·S + l2_hit·M1 + latency·M2 + Q(c)
+//! ```
+//!
+//! where the compute `W` is the recording's `cycles` minus its own latency
+//! charges and queueing, and `Q(c)` is config `c`'s total queueing.
+//!
+//! **`Q(c) = 0` whenever `latency + l1_hit + l2_hit ≥ service_interval`.**
+//! A request starting at `s` frees the controller at `s + service_interval`;
+//! the blocked core resumes at `s + latency` and probes the L1 and the L2
+//! at least once more before its next request, so that request cannot
+//! arrive before `s + latency + l1_hit + l2_hit`.
+//!
+//! Only a group with a replayed configuration that can queue
+//! (`service_interval` past that bound) records a **tape** — tasks in
+//! dispatch order plus one word per L1 miss, through the crate-private
+//! `machine::Record` hook — and walks it through a fresh [`MainMemory`]
+//! for each queueing configuration to get its `Q`.  Every other group runs
+//! the recording pass with the no-op recorder and records nothing.
 //!
 //! With **multiple cores** this argument breaks: changing a latency moves a
 //! core's completion relative to its peers, which flips dispatch order,
@@ -47,14 +64,15 @@
 //! The replay is **byte-identical** to the event engine for every
 //! configuration — pinned by the equivalence suite
 //! (`tests/batch_equivalence.rs`: all registered workloads × all
-//! schedulers × random latency grids, full [`SimResult`] compared).
+//! schedulers × random latency grids, queueing ones included, full
+//! [`SimResult`] compared).
 
-use ccs_cache::MainMemory;
+use ccs_cache::{MainMemory, MemoryStats};
 use ccs_dag::{Computation, Dag, TaskId};
 use ccs_sched::SchedulerSpec;
 
 use crate::config::CmpConfig;
-use crate::machine::{self, Record, SimEngine};
+use crate::machine::{self, NoRecord, Record, SimEngine};
 use crate::metrics::SimResult;
 
 /// The outcome of one batched group: per-config results plus how they were
@@ -94,10 +112,10 @@ pub fn same_machine_shape(a: &CmpConfig, b: &CmpConfig) -> bool {
 
 /// Whether a group of same-shape configurations qualifies for the
 /// record/replay fast path: a single core (the latency-independence
-/// argument in the module docs), a flat two-level hierarchy (the tape
-/// records L2 outcomes only, so an L3 or clustered L2 cannot be re-timed)
-/// and a shared geometry.  Other groups return `false` and fall back to
-/// full event runs.
+/// argument in the module docs), a flat two-level hierarchy (the closed
+/// form charges L2 outcomes only, so an L3 or clustered L2 cannot be
+/// re-timed) and a shared geometry.  Other groups return `false` and fall
+/// back to full event runs.
 pub fn replayable(configs: &[CmpConfig]) -> bool {
     let Some(first) = configs.first() else {
         return false;
@@ -106,6 +124,15 @@ pub fn replayable(configs: &[CmpConfig]) -> bool {
         && first.l3.is_none()
         && first.clusters == 1
         && configs[1..].iter().all(|c| same_machine_shape(first, c))
+}
+
+/// Whether no memory request of a single-core run under `config` can queue
+/// at the controller: the next request comes at least `latency + l1_hit +
+/// l2_hit` after the previous one started (module docs), and the
+/// controller is free again after `service_interval`.
+fn queue_free(config: &CmpConfig) -> bool {
+    config.memory.latency + config.l1.hit_latency + config.l2.hit_latency
+        >= config.memory.service_interval
 }
 
 /// The tape of one recorded pass: task dispatch order plus every L1 miss.
@@ -134,9 +161,11 @@ impl Record for Tape {
 /// per-config results byte-identical to the event engine.
 ///
 /// When the group is [`replayable`], the first configuration runs the event
-/// engine with a tape recorder and the rest are re-timed from the tape;
-/// otherwise every configuration runs the event engine in full.  Each run
-/// builds a fresh scheduler from `sched` (schedulers are stateful).
+/// engine and the rest are assembled in closed form from its result (a
+/// tape is recorded only if some of them can queue at the memory
+/// controller); otherwise every configuration runs the event engine in
+/// full.  Each run builds a fresh scheduler from `sched` (schedulers are
+/// stateful).
 pub fn simulate_batch(
     comp: &Computation,
     dag: &Dag,
@@ -162,42 +191,93 @@ pub fn simulate_batch(
         };
     }
 
-    let mut tape = Tape::default();
+    let (head, rest) = configs.split_first().expect("non-empty group");
     let mut s = sched.build();
-    let recorded = machine::event_driven_rec(comp, dag, &configs[0], s.as_mut(), &mut tape);
+    let mut tape = None;
+    let recorded = if rest.iter().all(queue_free) {
+        machine::event_driven_rec(comp, dag, head, s.as_mut(), &mut NoRecord)
+    } else {
+        machine::event_driven_rec(comp, dag, head, s.as_mut(), tape.insert(Tape::default()))
+    };
+    // The schedule's compute: the recorded clock minus its latency charges.
+    let compute = recorded.cycles - latency_cycles(head, &recorded) - recorded.memory.queue_cycles;
     let mut results = Vec::with_capacity(configs.len());
-    results.push(recorded);
-    for config in &configs[1..] {
-        let replayed = replay(comp, config, &tape, &results[0]);
-        results.push(replayed);
+    for config in rest {
+        let queue = match &tape {
+            Some(tape) if !queue_free(config) => {
+                let (walked, queue) = walk_tape(comp, config, tape);
+                let closed_form = compute + latency_cycles(config, &recorded) + queue;
+                debug_assert_eq!(closed_form, walked, "closed form vs tape walk");
+                queue
+            }
+            _ => 0,
+        };
+        results.push(retime(config, &recorded, compute, queue));
     }
+    results.insert(0, recorded);
     BatchRun {
         results,
-        replayed: configs.len() - 1,
+        replayed: rest.len(),
         full_runs: 1,
     }
 }
 
-/// Re-time the recorded single-core pass under `config`'s latencies.
+/// The cycles `config`'s latencies charge the recorded access sequence,
+/// queueing aside: one L1 probe per access, one L2 probe per L1 miss and
+/// one memory round trip per request.
+fn latency_cycles(config: &CmpConfig, recorded: &SimResult) -> u64 {
+    config.l1.hit_latency * recorded.l1.accesses
+        + config.l2.hit_latency * recorded.l1.misses
+        + config.memory.latency * recorded.memory.requests
+}
+
+/// The recorded single-core result re-timed under `config`, whose memory
+/// requests queue for `queue` cycles in total.
 ///
 /// Latency-independent metrics (cache hit/miss/eviction counts, task and
-/// instruction totals) are copied from the recording result; the clock, the
-/// memory-controller queueing statistics and the bandwidth utilisation are
-/// re-derived from the tape.
-fn replay(comp: &Computation, config: &CmpConfig, tape: &Tape, recorded: &SimResult) -> SimResult {
-    let line_size = config.l2.line_size;
-    let stream = comp.line_stream(line_size);
+/// instruction totals) are copied from the recording; the clock, the
+/// memory-controller statistics and the bandwidth utilisation follow from
+/// the closed form in the module docs.
+fn retime(config: &CmpConfig, recorded: &SimResult, compute: u64, queue: u64) -> SimResult {
+    let cycles = compute + latency_cycles(config, recorded) + queue;
+    let requests = recorded.memory.requests;
+    let memory = MemoryStats {
+        requests,
+        busy_cycles: requests * config.memory.service_interval,
+        queue_cycles: queue,
+    };
+    SimResult {
+        config_name: config.name.clone(),
+        scheduler: recorded.scheduler.clone(),
+        num_cores: 1,
+        clusters: 1,
+        cycles,
+        instructions: recorded.instructions,
+        l1: recorded.l1,
+        l2: recorded.l2,
+        l3: recorded.l3,
+        memory,
+        bandwidth_utilization: memory.utilization(cycles),
+        // One core, busy from the first dispatch to the last completion.
+        core_busy: vec![cycles],
+        tasks: recorded.tasks,
+        l2_line_size: recorded.l2_line_size,
+    }
+}
+
+/// Walk the tape under `config`, advancing the clock by each step's
+/// compute and probe latencies and sending memory requests through a fresh
+/// [`MainMemory`]; returns the final clock and the total queueing.
+fn walk_tape(comp: &Computation, config: &CmpConfig, tape: &Tape) -> (u64, u64) {
+    let stream = comp.line_stream(config.l2.line_size);
     let prefix = stream.pre_prefix();
     let l1_hit = config.l1.hit_latency;
     let l2_hit = config.l2.hit_latency;
     let mut memory = MainMemory::new(config.memory);
 
     let mut time = 0u64;
-    let mut busy = 0u64;
-    let mut makespan = 0u64;
     let mut miss_idx = 0usize;
     for &task in &tape.tasks {
-        let started = time;
         let (start, end) = stream.range(task);
         let mut pos = start;
         // This task's misses are the next run of tape entries whose step
@@ -220,27 +300,9 @@ fn replay(comp: &Computation, config: &CmpConfig, tape: &Tape, recorded: &SimRes
         // The task's trailing all-hit steps, then its closing compute.
         time += prefix[end] - prefix[pos] + (end - pos) as u64 * l1_hit;
         time += comp.task(task).post_compute;
-        makespan = makespan.max(time);
-        busy += time - started;
     }
-    debug_assert_eq!(miss_idx, tape.misses.len(), "replay consumed every miss");
-
-    SimResult {
-        config_name: config.name.clone(),
-        scheduler: recorded.scheduler.clone(),
-        num_cores: 1,
-        clusters: 1,
-        cycles: makespan,
-        instructions: recorded.instructions,
-        l1: recorded.l1,
-        l2: recorded.l2,
-        l3: recorded.l3,
-        memory: *memory.stats(),
-        bandwidth_utilization: memory.utilization(makespan),
-        core_busy: vec![busy],
-        tasks: recorded.tasks,
-        l2_line_size: line_size,
-    }
+    debug_assert_eq!(miss_idx, tape.misses.len(), "walk consumed every miss");
+    (time, memory.stats().queue_cycles)
 }
 
 #[cfg(test)]
@@ -270,6 +332,24 @@ mod tests {
         b.finish(par)
     }
 
+    /// Strands streaming fresh lines with no compute between accesses, so
+    /// back-to-back memory requests are exactly `latency + l1_hit + l2_hit`
+    /// apart: the queue-free bound is tight on this computation.
+    fn streaming_comp() -> Computation {
+        let mut b = ComputationBuilder::new(128);
+        let mut space = ccs_dag::AddressSpace::new();
+        let leaves: Vec<_> = (0..4)
+            .map(|i| {
+                let region = space.alloc(8 * 1024);
+                b.strand_with(|t| {
+                    t.compute(i + 1).read_range(region.base, region.bytes, 0);
+                })
+            })
+            .collect();
+        let par = b.par(leaves, GroupMeta::labeled("stream"));
+        b.finish(par)
+    }
+
     fn config(cores: usize, l2_hit: u64, mem_latency: u64) -> CmpConfig {
         let mut cfg = CmpConfig::default_with_cores(if cores <= 1 { 1 } else { 16 }).unwrap();
         cfg.num_cores = cores;
@@ -296,7 +376,7 @@ mod tests {
         let mut with_l3 = config(1, 13, 300);
         with_l3.l3 = Some(ccs_cache::CacheConfig::new(1 << 20, 128, 16, 31));
         assert!(!same_machine_shape(&a, &with_l3), "L3 changes the shape");
-        assert!(!replayable(&[with_l3]), "the tape stops at the L2");
+        assert!(!replayable(&[with_l3]), "the closed form stops at the L2");
         let mut clustered = config(4, 13, 300);
         clustered.clusters = 2;
         assert!(!same_machine_shape(&wide, &clustered));
@@ -320,6 +400,73 @@ mod tests {
                 assert_eq!(got, &want, "{sched} / {}", cfg.name);
             }
         }
+    }
+
+    /// A single-core config with an explicit memory service interval.
+    fn paced(l2_hit: u64, mem_latency: u64, service_interval: u64) -> CmpConfig {
+        let mut cfg = config(1, l2_hit, mem_latency);
+        cfg.memory.service_interval = service_interval;
+        cfg.name = format!("{}-si{service_interval}", cfg.name);
+        cfg
+    }
+
+    #[test]
+    fn queueing_configs_replay_exactly_around_the_queue_free_bound() {
+        // L1 hit 1 + L2 hit 7 + memory latency 22 = 30 cycles.
+        let at_bound = paced(7, 22, 30);
+        let below = paced(7, 22, 31);
+        let deep = paced(7, 22, 400);
+        assert!(queue_free(&at_bound));
+        assert!(!queue_free(&below) && !queue_free(&deep));
+        let groups = [
+            // The recorded config queues, so `W` must subtract its queueing.
+            vec![
+                deep.clone(),
+                at_bound.clone(),
+                below.clone(),
+                config(1, 13, 300),
+            ],
+            // Only replayed configs queue: the tape is walked for them.
+            vec![
+                config(1, 13, 300),
+                below.clone(),
+                deep.clone(),
+                at_bound.clone(),
+            ],
+            // Nothing can queue: no tape at all.
+            vec![at_bound.clone(), config(1, 19, 900)],
+        ];
+        let mut replayed_queueing = 0;
+        for comp in [sample_comp(), streaming_comp()] {
+            let dag = Dag::from_computation(&comp);
+            for sched in ["pdf", "ws", "ws-rand@7"] {
+                let spec = SchedulerSpec::resolve(sched).unwrap();
+                for (g, configs) in groups.iter().enumerate() {
+                    let run = simulate_batch(&comp, &dag, configs, &spec);
+                    assert_eq!(run.replayed, configs.len() - 1);
+                    assert_eq!(run.full_runs, 1);
+                    if g == 0 {
+                        let queued = run.results[0].memory.queue_cycles;
+                        assert!(queued > 0, "{sched}: the recorded config queues");
+                    }
+                    for (i, (cfg, got)) in configs.iter().zip(&run.results).enumerate() {
+                        let want =
+                            simulate_engine(&comp, cfg, spec.clone(), SimEngine::EventDriven);
+                        assert_eq!(got, &want, "{sched} / {}", cfg.name);
+                        if queue_free(cfg) {
+                            assert_eq!(want.memory.queue_cycles, 0, "{sched} / {}", cfg.name);
+                        }
+                        if i > 0 && got.memory.queue_cycles > 0 {
+                            replayed_queueing += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(replayed_queueing > 0, "some replayed config must queue");
+        // The bound is tight: one cycle past it, back-to-back misses queue.
+        let past = simulate_engine(&streaming_comp(), &below, "pdf", SimEngine::EventDriven);
+        assert!(past.memory.queue_cycles > 0, "{:?}", past.memory);
     }
 
     #[test]

@@ -8,9 +8,12 @@
 //! §11): the record/replay fast path may re-time a recorded pass only
 //! where the schedule is provably latency-independent, and the planner's
 //! fallback must make every other group indistinguishable from the
-//! sequential path.  The grids here deliberately vary all three latency
-//! axes the grouping key leaves free — L1 hit, L2 hit and main-memory
-//! latency — so a replay formula that dropped any term would be caught.
+//! sequential path.  The grids here deliberately vary every timing axis
+//! the grouping key leaves free — L1 hit, L2 hit, main-memory latency and
+//! the memory service interval — so a replay formula that dropped any term
+//! would be caught.  The service interval straddles the queue-free bound
+//! `latency + l1_hit + l2_hit`, so grids mix configs re-timed in closed
+//! form with configs whose memory requests queue at the controller.
 
 use ccs_dag::Dag;
 use ccs_sched::SchedulerSpec;
@@ -28,6 +31,23 @@ fn latency_config(cores: usize, l1_hit: u64, l2_hit: u64, mem: u64) -> CmpConfig
     cfg.l1 = ccs_cache::CacheConfig::new(4 * 1024, 128, 4, l1_hit);
     cfg.l2 = ccs_cache::CacheConfig::new(64 * 1024, 128, 16, l2_hit);
     cfg.memory.latency = mem;
+    cfg
+}
+
+/// [`latency_config`] with its memory service interval picked by `pace`
+/// around the queue-free bound `b = mem + l1_hit + l2_hit`: 0 keeps the
+/// default interval, 1 sets it to `b` (the last interval that cannot
+/// queue), 2 to `b + 1` and 3 to `2b` (back-to-back misses queue).
+fn paced_config(l1_hit: u64, l2_hit: u64, mem: u64, pace: u64) -> CmpConfig {
+    let mut cfg = latency_config(1, l1_hit, l2_hit, mem);
+    let bound = mem + l1_hit + l2_hit;
+    cfg.memory.service_interval = match pace {
+        0 => cfg.memory.service_interval,
+        1 => bound,
+        2 => bound + 1,
+        _ => 2 * bound,
+    };
+    cfg.name = format!("{}-si{}", cfg.name, cfg.memory.service_interval);
     cfg
 }
 
@@ -52,12 +72,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// The headline property: every registered workload, three scheduler
-    /// families, a random single-core latency grid — full `SimResult`
-    /// equality per configuration, and the planner must actually have
-    /// taken the replay fast path (one full run, the rest replayed).
+    /// families, a random single-core latency grid (service intervals on
+    /// both sides of the queue-free bound) — full `SimResult` equality per
+    /// configuration, and the planner must actually have taken the replay
+    /// fast path (one full run, the rest replayed).
     #[test]
     fn batched_single_core_grids_match_the_event_engine(
-        grid in prop::collection::vec((1u64..4, 4u64..40, 100u64..1200), 2..5),
+        grid in prop::collection::vec((1u64..4, 4u64..40, 100u64..1200, 0u64..4), 2..5),
         seed in 1u64..1000,
     ) {
         let registry = WorkloadRegistry::global();
@@ -65,7 +86,7 @@ proptest! {
         prop_assert!(names.len() >= 6, "expected the six built-in workloads, got {names:?}");
         let configs: Vec<CmpConfig> = grid
             .iter()
-            .map(|&(l1_hit, l2_hit, mem)| latency_config(1, l1_hit, l2_hit, mem))
+            .map(|&(l1_hit, l2_hit, mem, pace)| paced_config(l1_hit, l2_hit, mem, pace))
             .collect();
         prop_assert!(replayable(&configs));
         let scheds = [
