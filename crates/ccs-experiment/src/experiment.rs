@@ -55,6 +55,23 @@ fn prebuild_lanes(stream: &ccs_dag::LineStream, config: &CmpConfig) -> u64 {
     }
 }
 
+/// Partition a one-core group's schedulers into classes by their exact
+/// dispatch order ([`ccs_sched::one_core_order`]): on one core the
+/// engines then make the same scheduler calls, so equal orders run
+/// identically.  Returns, per scheduler, the index of the first scheduler
+/// of its class.  The key is verified from each scheduler's behaviour, not
+/// declared, so registry user schedulers share exactly when they really
+/// coincide.
+fn one_core_classes(dag: &Dag, specs: &[&SchedulerSpec]) -> Vec<usize> {
+    let orders: Vec<Vec<ccs_dag::TaskId>> = specs
+        .iter()
+        .map(|spec| ccs_sched::one_core_order(dag, spec.build().as_mut()))
+        .collect();
+    (0..specs.len())
+        .map(|i| (0..i).find(|&k| orders[k] == orders[i]).unwrap_or(i))
+        .collect()
+}
+
 /// A serialisable "which workload" value — the workload-axis counterpart of
 /// [`SchedulerSpec`].
 ///
@@ -578,12 +595,18 @@ impl Experiment {
     /// `Fixed` computations share their `Arc`'d trace arena but re-derive
     /// the DAG.
     ///
-    /// Under [`SimEngine::Batch`] each scheduler (and the sequential
-    /// baseline) runs one [`simulate_batch`] pass over the group, and every
-    /// record is annotated with the group width
-    /// ([`RunRecord::batch_width`]); the other engines run
-    /// [`simulate_with_engine`] per design point.  `compile_ms` is charged
-    /// to the group's first record only.
+    /// Each scheduler, and the sequential baseline (a 1-core `pdf` run),
+    /// is one simulation of the group: under [`SimEngine::Batch`] one
+    /// [`simulate_batch`] pass over the group, with every record annotated
+    /// with the group width ([`RunRecord::batch_width`]); under the other
+    /// engines [`simulate_with_engine`] per design point.  On a one-core
+    /// group, simulations whose exact dispatch order
+    /// ([`ccs_sched::one_core_order`]) coincides run once and
+    /// hand their results to every member — `pdf`, `ws` and the baseline
+    /// usually form one class (DESIGN.md §11).  Records are unchanged: a
+    /// record takes its scheduler name from the spec, and only `cycles`
+    /// from the baseline.  `compile_ms` is charged to the group's first
+    /// record only.
     ///
     /// # Panics
     /// Panics when `points` is empty or its points disagree on workload or
@@ -648,11 +671,13 @@ impl Experiment {
                 })
                 .collect(),
         };
-        // The sequential baselines differ only in latencies too, so under
-        // the batch engine they form their own (1-core, hence replayable)
-        // batch.
-        let sequentials = self.baseline.then(|| {
-            let seq_configs: Vec<CmpConfig> = configs
+        // Every simulation the group needs: one per scheduler, then the
+        // sequential baseline.  The baselines differ only in latencies too,
+        // so under the batch engine they form their own (1-core, hence
+        // replayable) batch.
+        let seq_spec = SchedulerSpec::new("pdf");
+        let seq_configs: Option<Vec<CmpConfig>> = self.baseline.then(|| {
+            configs
                 .iter()
                 .map(|scaled| {
                     let mut seq_cfg = scaled.clone();
@@ -662,13 +687,39 @@ impl Experiment {
                     seq_cfg.name = format!("{}-seq", scaled.name);
                     seq_cfg
                 })
-                .collect();
-            simulate(&seq_configs, &SchedulerSpec::new("pdf"))
+                .collect()
         });
-        let per_sched: Vec<Vec<ccs_sim::SimResult>> = schedulers
+        let mut runs: Vec<(&SchedulerSpec, &[CmpConfig])> = schedulers
             .iter()
-            .map(|spec| simulate(&configs, spec))
+            .map(|spec| (spec, configs.as_slice()))
             .collect();
+        if let Some(seq_configs) = &seq_configs {
+            runs.push((&seq_spec, seq_configs));
+        }
+        // On one core, runs with the same dispatch order are one
+        // simulation: only each class's first run executes.  The baseline
+        // may join a class because a one-core point's configs are its
+        // baseline configs up to the name (one core means one cluster),
+        // and a record reads only `cycles` from its baseline.
+        let class_of = if cores == 1 && runs.len() > 1 {
+            let specs: Vec<&SchedulerSpec> = runs.iter().map(|&(spec, _)| spec).collect();
+            one_core_classes(dag, &specs)
+        } else {
+            (0..runs.len()).collect()
+        };
+        let results: Vec<Option<Vec<ccs_sim::SimResult>>> = runs
+            .iter()
+            .enumerate()
+            .map(|(i, &(spec, run_configs))| {
+                (class_of[i] == i).then(|| simulate(run_configs, spec))
+            })
+            .collect();
+        let results_of = |run: usize| {
+            results[class_of[run]]
+                .as_deref()
+                .expect("every class representative simulates")
+        };
+        let sequentials = self.baseline.then(|| results_of(schedulers.len()));
         let width = match self.engine {
             SimEngine::Batch => points.len() as u64,
             _ => 0,
@@ -681,7 +732,7 @@ impl Experiment {
                     .iter()
                     .enumerate()
                     .map(|(i, spec)| {
-                        let sequential = sequentials.as_ref().map(|seqs| &seqs[j]);
+                        let sequential = sequentials.map(|seqs| &seqs[j]);
                         // The compile was paid once for the whole group;
                         // charge it to the group's first record only, so
                         // summing `compile_ms` over a report yields the true
@@ -690,7 +741,7 @@ impl Experiment {
                         RunRecord::from_sim(
                             point.workload.label(),
                             spec,
-                            &per_sched[i][j],
+                            &results_of(i)[j],
                             sequential,
                         )
                         .with_footprint(trace_bytes, peak_alloc_estimate)

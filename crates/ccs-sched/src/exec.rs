@@ -100,11 +100,15 @@ impl Schedule {
 /// Execute `dag` on `num_cores` cores under `sched`, with task durations given
 /// by `duration`.
 ///
-/// The executor is a discrete-event loop.  It enables tasks in sequential
-/// (1DF) order whenever several become ready at once — this is the order a
-/// fork-join program would spawn them — and offers work to the core that just
-/// completed a task before other idle cores, matching the description of both
-/// schedulers in Section 3.
+/// The executor is a discrete-event loop.  Whenever several tasks become
+/// ready at once it enables them in *reverse* sequential (1DF) order, so a
+/// deque-based scheduler that pushes each enabled task on top ends up with
+/// the earliest-sequential one on top — the order a work-first fork-join
+/// program reaches them.  It offers work to the core that just completed a
+/// task before other idle cores, matching the description of both
+/// schedulers in Section 3.  The simulator engines in `ccs-sim` make the
+/// same scheduler calls in the same order, which [`one_core_order`] relies
+/// on.
 ///
 /// # Panics
 /// Panics if the scheduler is not greedy (returns `None` while tasks are
@@ -272,6 +276,33 @@ pub fn execute_with(
         task_core,
         core_busy,
     }
+}
+
+/// The exact order in which `sched` dispatches the tasks of `dag` on one
+/// core.
+///
+/// On one core this executor and the simulator engines in `ccs-sim` make
+/// the same scheduler calls: `init`, the roots and every batch of newly
+/// ready successors enabled in reverse 1DF order, and `next_task(0)` only
+/// while `ready_count() > 0`.  A deterministic scheduler's answers depend
+/// only on those calls, so two schedulers with equal orders drive every
+/// engine through identical one-core runs.  The experiment layer keys its
+/// one-core simulations by this order (DESIGN.md §11).
+///
+/// Runs [`execute_with`] with unit durations, so the tasks start at the
+/// distinct times `0..n` and each start time is the task's dispatch
+/// position.
+///
+/// # Panics
+/// As [`execute_with`]: if the scheduler is not greedy or returns a task
+/// that is not ready.
+pub fn one_core_order(dag: &Dag, sched: &mut dyn Scheduler) -> Vec<TaskId> {
+    let schedule = execute_with(dag, 1, sched, |_| 1);
+    let mut order = vec![TaskId(0); dag.num_tasks()];
+    for (task, &start) in schedule.task_start.iter().enumerate() {
+        order[start as usize] = TaskId(task as u32);
+    }
+    order
 }
 
 /// Execute `dag` with the selected scheduler, charging each task its

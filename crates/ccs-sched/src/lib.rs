@@ -57,7 +57,7 @@ pub mod theory;
 pub mod ws;
 
 pub use central::CentralQueue;
-pub use exec::{execute, execute_with, Schedule};
+pub use exec::{execute, execute_with, one_core_order, Schedule};
 pub use pdf::Pdf;
 pub use registry::{SchedulerFactory, SchedulerParams, SchedulerRegistry, SchedulerSpec};
 pub use scheduler::{Scheduler, SchedulerKind};

@@ -61,6 +61,12 @@
 //! ([`Experiment::batch_groups`](../../ccs_experiment/struct.Experiment.html#method.batch_groups))
 //! forms the groups; this module only decides replay vs fallback.
 //!
+//! The same argument makes a one-core run a function of the scheduler's
+//! dispatch order alone, so the experiment layer calls this module once
+//! per distinct one-core order (`ccs_sched::one_core_order`), not once
+//! per scheduler: on one core `pdf`, `ws` and the sequential baseline
+//! share one recording pass (DESIGN.md §11).
+//!
 //! The replay is **byte-identical** to the event engine for every
 //! configuration — pinned by the equivalence suite
 //! (`tests/batch_equivalence.rs`: all registered workloads × all

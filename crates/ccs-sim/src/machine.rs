@@ -1318,4 +1318,87 @@ mod tests {
         let batch = simulate_engine(&comp, &cfg, SchedulerKind::Pdf, SimEngine::Batch);
         assert_eq!(event, batch);
     }
+
+    /// Collects the engine's dispatch sequence.
+    struct Dispatches(Vec<TaskId>);
+
+    impl Record for Dispatches {
+        fn task_dispatched(&mut self, task: TaskId) {
+            self.0.push(task);
+        }
+        fn l1_miss(&mut self, _step: usize, _l2_hit: bool) {}
+    }
+
+    /// A greedy scheduler that always runs the ready task with the largest
+    /// id — an order no built-in scheduler produces.
+    #[derive(Default)]
+    struct LifoById(std::collections::BTreeSet<TaskId>);
+
+    impl Scheduler for LifoById {
+        fn init(&mut self, _dag: &Dag, _num_cores: usize) {
+            self.0.clear();
+        }
+        fn task_enabled(&mut self, task: TaskId, _enabling_core: Option<usize>) {
+            self.0.insert(task);
+        }
+        fn next_task(&mut self, _core: usize) -> Option<TaskId> {
+            self.0.pop_last()
+        }
+        fn ready_count(&self) -> usize {
+            self.0.len()
+        }
+        fn name(&self) -> &'static str {
+            "lifo-by-id"
+        }
+    }
+
+    /// The contract the experiment layer's one-core sharing stands on: the
+    /// event engine dispatches exactly `ccs_sched::one_core_order` on one
+    /// core, for every registered workload and every kind of scheduler, a
+    /// test-local one included.  PDF and WS run the sequential order there;
+    /// the central queue does not, so the key separates real classes.
+    #[test]
+    fn one_core_dispatch_order_is_the_executor_order() {
+        let registry = ccs_workloads::WorkloadRegistry::global();
+        let cfg = tiny_config(1, 64);
+        let specs = [
+            SchedulerSpec::new("pdf"),
+            SchedulerSpec::new("ws"),
+            SchedulerSpec::new("ws-rand").with_seed(7),
+            SchedulerSpec::new("central"),
+        ];
+        let mut central_differs = false;
+        let names = registry.names();
+        assert!(
+            names.len() >= 6,
+            "expected the six built-in workloads, got {names:?}"
+        );
+        for name in &names {
+            let ctx = ccs_workloads::BuildCtx::new(4096, 64 * 1024, 1);
+            let comp = registry.build(name, &ctx).unwrap_or_else(|e| panic!("{e}"));
+            let dag = Dag::from_computation(&comp);
+            // `None` stands for the test-local scheduler.
+            for spec in specs.iter().map(Some).chain([None]) {
+                let build = || -> Box<dyn Scheduler> {
+                    spec.map_or_else(|| Box::<LifoById>::default(), SchedulerSpec::build)
+                };
+                let label = spec.map_or("lifo-by-id".to_string(), |spec| spec.to_string());
+                let order = ccs_sched::one_core_order(&dag, build().as_mut());
+                let mut rec = Dispatches(Vec::new());
+                event_driven_rec(&comp, &dag, &cfg, build().as_mut(), &mut rec);
+                assert_eq!(
+                    rec.0, order,
+                    "{name} / {label}: engine and executor disagree"
+                );
+                match spec.map(|spec| spec.name.as_str()) {
+                    Some("pdf" | "ws") => {
+                        assert_eq!(order, dag.seq_order(), "{name} / {label}: not 1DF")
+                    }
+                    Some("central") => central_differs |= order != dag.seq_order(),
+                    _ => {}
+                }
+            }
+        }
+        assert!(central_differs, "central ran 1DF on every workload");
+    }
 }

@@ -15,8 +15,11 @@
 //! `latency + l1_hit + l2_hit`, so grids mix configs re-timed in closed
 //! form with configs whose memory requests queue at the controller.
 
-use ccs_dag::Dag;
-use ccs_sched::SchedulerSpec;
+use std::collections::BTreeSet;
+
+use ccs_dag::{Dag, TaskId};
+use ccs_experiment::{Experiment, RunRecord};
+use ccs_sched::{Scheduler, SchedulerRegistry, SchedulerSpec};
 use ccs_sim::batch::replayable;
 use ccs_sim::{simulate_batch, simulate_with_engine, CmpConfig, SimEngine};
 use ccs_workloads::{BuildCtx, WorkloadRegistry};
@@ -136,5 +139,97 @@ proptest! {
         prop_assert_eq!(batch.replayed, 0);
         let expected = event_results(&comp, &dag, &configs, &sched);
         prop_assert_eq!(batch.results, expected);
+    }
+}
+
+/// A greedy scheduler that always runs the ready task with the largest id:
+/// on one core its order is not 1DF, so it forms its own class.
+#[derive(Default)]
+struct LifoById(BTreeSet<TaskId>);
+
+impl Scheduler for LifoById {
+    fn init(&mut self, _dag: &Dag, _num_cores: usize) {
+        self.0.clear();
+    }
+    fn task_enabled(&mut self, task: TaskId, _enabling_core: Option<usize>) {
+        self.0.insert(task);
+    }
+    fn next_task(&mut self, _core: usize) -> Option<TaskId> {
+        self.0.pop_last()
+    }
+    fn ready_count(&self) -> usize {
+        self.0.len()
+    }
+    fn name(&self) -> &'static str {
+        "oracle-lifo"
+    }
+}
+
+/// The experiment-level oracle for one-core sharing.  `run_group` runs
+/// schedulers whose one-core dispatch orders coincide, and the sequential
+/// baseline, as one simulation.  Its records must equal records built from
+/// one direct `simulate_with_engine` call per scheduler and point plus a
+/// direct one-core `pdf` baseline, on every engine.  Comparing the event
+/// and batch reports cannot catch a wrong share, because both go through
+/// `run_group`; this oracle does not.  The 2-core point checks that a
+/// multi-core group is untouched.
+#[test]
+fn one_core_sharing_matches_per_scheduler_simulations() {
+    SchedulerRegistry::global().register_fn("oracle-lifo", |_| Box::<LifoById>::default());
+    let one_core = CmpConfig::default_with_cores(1).expect("1-core default exists");
+    let mut configs: Vec<CmpConfig> = [(7, 100), (19, 400), (19, 1100)]
+        .into_iter()
+        .map(|(l2_hit, mem)| {
+            one_core
+                .clone()
+                .with_l2_hit_latency(l2_hit)
+                .with_memory_latency(mem)
+        })
+        .collect();
+    configs.push(CmpConfig::default_with_cores(2).expect("2-core default exists"));
+    let schedulers = [
+        SchedulerSpec::new("pdf"),
+        SchedulerSpec::new("ws"),
+        SchedulerSpec::new("ws-rand").with_seed(7),
+        SchedulerSpec::new("central"),
+        SchedulerSpec::new("oracle-lifo"),
+    ];
+    for engine in [
+        SimEngine::EventDriven,
+        SimEngine::Reference,
+        SimEngine::Batch,
+    ] {
+        let experiment = Experiment::new("mergesort")
+            .configs(configs.clone())
+            .schedulers(schedulers.clone())
+            .scale(1024)
+            .sequential_baseline(true)
+            .engine(engine);
+        let scale = experiment.effective_scale();
+        let report = experiment.run();
+        assert_eq!(report.len(), configs.len() * schedulers.len());
+        let mut got = report.records.iter();
+        for point in experiment.sweep_points() {
+            let scaled = point.config.scaled(scale);
+            let comp = point
+                .workload
+                .build(scale, scaled.l2.capacity, scaled.num_cores);
+            let dag = Dag::from_computation(&comp);
+            let mut seq_config = scaled.clone();
+            seq_config.num_cores = 1;
+            seq_config.clusters = 1;
+            let mut pdf = SchedulerSpec::new("pdf").build();
+            let sequential = simulate_with_engine(&comp, &dag, &seq_config, pdf.as_mut(), engine);
+            for spec in &schedulers {
+                let got = got.next().expect("one record per point and scheduler");
+                let mut sched = spec.build();
+                let result = simulate_with_engine(&comp, &dag, &scaled, sched.as_mut(), engine);
+                // The footprint fields are not simulated; take them as given.
+                let want =
+                    RunRecord::from_sim(point.workload.label(), spec, &result, Some(&sequential))
+                        .with_footprint(got.trace_bytes, got.peak_alloc_estimate);
+                assert_eq!(*got, want, "{engine} / {} / {spec}", scaled.name);
+            }
+        }
     }
 }
