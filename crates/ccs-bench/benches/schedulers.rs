@@ -3,7 +3,7 @@
 
 use ccs_dag::synth::{random_computation, SynthParams};
 use ccs_dag::Dag;
-use ccs_sched::{execute, SchedulerKind};
+use ccs_sched::execute;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 fn bench_schedulers(c: &mut Criterion) {
@@ -25,17 +25,10 @@ fn bench_schedulers(c: &mut Criterion) {
     let mut group = c.benchmark_group("scheduler_overhead");
     group.throughput(Throughput::Elements(dag.num_tasks() as u64));
 
-    for kind in [
-        SchedulerKind::Pdf,
-        SchedulerKind::WorkStealing,
-        SchedulerKind::CentralQueue,
-    ] {
+    for kind in ["pdf", "ws", "central"] {
         for cores in [4usize, 16] {
             group.bench_with_input(
-                BenchmarkId::new(
-                    kind.name(),
-                    format!("{}tasks_{}cores", dag.num_tasks(), cores),
-                ),
+                BenchmarkId::new(kind, format!("{}tasks_{}cores", dag.num_tasks(), cores)),
                 &cores,
                 |b, &cores| b.iter(|| execute(&dag, cores, kind).makespan),
             );

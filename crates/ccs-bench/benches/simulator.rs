@@ -1,7 +1,6 @@
 //! End-to-end throughput of the trace-driven CMP simulator (references
 //! simulated per second), PDF vs WS on a small Mergesort.
 
-use ccs_sched::SchedulerKind;
 use ccs_sim::{simulate, CmpConfig};
 use ccs_workloads::{mergesort, MergesortParams};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -14,9 +13,9 @@ fn bench_simulator(c: &mut Criterion) {
     group.throughput(Throughput::Elements(comp.total_refs()));
     group.sample_size(10);
 
-    for kind in [SchedulerKind::Pdf, SchedulerKind::WorkStealing] {
+    for kind in ["pdf", "ws"] {
         group.bench_with_input(
-            BenchmarkId::new("mergesort_128k", kind.name()),
+            BenchmarkId::new("mergesort_128k", kind),
             &kind,
             |b, &kind| b.iter(|| simulate(&comp, &cfg, kind).cycles),
         );

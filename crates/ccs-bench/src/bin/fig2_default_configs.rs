@@ -9,7 +9,8 @@
 //!     [--scale N] [--app lu|hashjoin|mergesort] [--json PATH]
 //! ```
 
-use ccs_bench::{figs, print_report, Options};
+use ccs_bench::{figs, print_report};
+use ccs_experiment::Options;
 
 fn main() {
     let opts = Options::from_env();

@@ -11,7 +11,8 @@
 //! cargo run --release -p ccs-bench --bin fig4_l2_hit_time -- [--scale N] [--json PATH]
 //! ```
 
-use ccs_bench::{figs, print_report, Options};
+use ccs_bench::{figs, print_report};
+use ccs_experiment::Options;
 
 fn main() {
     let opts = Options::from_env();

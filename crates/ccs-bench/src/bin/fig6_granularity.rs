@@ -14,7 +14,8 @@
 //!     [--scale N] [--coarse-vs-fine] [--json PATH]
 //! ```
 
-use ccs_bench::{figs, print_report, Options};
+use ccs_bench::{figs, print_report};
+use ccs_experiment::Options;
 
 fn main() {
     let opts = Options::from_env();

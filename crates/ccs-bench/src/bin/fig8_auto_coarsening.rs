@@ -16,10 +16,10 @@
 //! cargo run --release -p ccs-bench --bin fig8_auto_coarsening -- [--scale N]
 //! ```
 
-use ccs_bench::{run_sim, Options};
+use ccs_bench::run_sim;
 use ccs_dag::TaskGroupTree;
+use ccs_experiment::Options;
 use ccs_profile::{apply_coarsening, coarsen, CoarsenTarget, WorkingSetProfile};
-use ccs_sched::SchedulerKind;
 use ccs_sim::CmpConfig;
 use ccs_workloads::{mergesort, MergesortParams};
 
@@ -73,7 +73,7 @@ fn main() {
             ("cache/(2*cores) dag", &dag_comp),
             ("cache/(2*cores) actual", &actual),
         ] {
-            let r = run_sim(comp, &cfg, &opts, SchedulerKind::Pdf);
+            let r = run_sim(comp, &cfg, &opts, "pdf");
             rows.push((scheme.to_string(), r.cycles));
         }
         let best = rows.iter().map(|(_, c)| *c).min().unwrap().max(1);

@@ -9,8 +9,8 @@
 //!
 //! ```text
 //! cargo run --release -p ccs-bench --bin run_all -- \
-//!     [--scale N] [--quick] [--json PATH] [--parallel N] [--workloads spec,...]
-//!     [--bench] [--engine event|reference]
+//!     [--scale N] [--quick] [--json PATH] [--parallel N] [--app NAME]
+//!     [--workloads spec,...] [--cores N,...] [--bench] [--engine event|reference|batch]
 //! ```
 //!
 //! `--bench` substitutes the timed [`ccs_bench::harness`] for the plain
@@ -26,8 +26,10 @@
 //! machine-readable trajectory.  The full (non-quick) suite also runs the
 //! Section 5.5 secondary benchmarks through the open workload registry.
 //!
+//! `--app NAME` restricts the figure sweeps to one paper workload.
 //! `--workloads <spec,...>` replaces the figure sweeps with exactly the
-//! requested registry workloads (`--workloads quicksort,matmul:n=512`), and
+//! requested registry workloads (`--workloads quicksort,matmul:n=512`) on
+//! the `--cores` default configurations (8 cores when none are given), and
 //! `--parallel N` fans every sweep across `N` threads of the `ccs-runtime`
 //! pool — the merged JSON is byte-identical to a sequential run.
 
@@ -35,7 +37,8 @@ use std::path::PathBuf;
 use std::process::Command;
 
 use ccs_bench::figs::Sweep;
-use ccs_bench::{figs, harness, Options, Report};
+use ccs_bench::{figs, harness};
+use ccs_experiment::{Options, Report};
 
 fn main() {
     let mut opts = Options::from_env();

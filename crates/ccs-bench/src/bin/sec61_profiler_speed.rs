@@ -14,8 +14,8 @@
 
 use std::time::Instant;
 
-use ccs_bench::Options;
 use ccs_dag::TaskGroupTree;
+use ccs_experiment::Options;
 use ccs_profile::{profile_all_groups, WorkingSetProfile};
 use ccs_workloads::{mergesort, MergesortParams};
 

@@ -35,7 +35,7 @@
 use std::path::PathBuf;
 use std::process::exit;
 
-use ccs_bench::Options;
+use ccs_experiment::Options;
 use ccs_runtime::fault::{self, FaultPlan};
 use ccs_serve::{Server, ServiceConfig};
 

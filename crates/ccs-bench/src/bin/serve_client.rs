@@ -45,7 +45,8 @@ use std::path::PathBuf;
 use std::process::exit;
 use std::time::Duration;
 
-use ccs_bench::{print_report, Options};
+use ccs_bench::print_report;
+use ccs_experiment::Options;
 use ccs_serve::protocol::SubmitRequest;
 use ccs_serve::{run_with_retry, Client, CollectedRun, RequestState, RetryPolicy};
 

@@ -5,13 +5,36 @@
 //! all of them into one machine-readable trajectory.
 
 use ccs_experiment::{Experiment, Options, Report, WorkloadSpec};
-use ccs_sched::SchedulerKind;
 use ccs_sim::CmpConfig;
-use ccs_workloads::{hashjoin, mergesort, Benchmark, HashJoinParams, MergesortParams};
+use ccs_workloads::{hashjoin, mergesort, HashJoinParams, MergesortParams};
 
-/// The PDF-vs-WS scheduler pair every figure compares.
-fn pdf_ws() -> [SchedulerKind; 2] {
-    [SchedulerKind::Pdf, SchedulerKind::WorkStealing]
+/// The experiment every sweep here starts from: the PDF-vs-WS pair every
+/// figure compares, on `opts`' scale, quick mode, parallelism and engine.
+fn sweep(name: &str, opts: &Options) -> Experiment {
+    Experiment::named(name)
+        .schedulers(["pdf", "ws"])
+        .scale(opts.scale)
+        .quick(opts.quick)
+        .parallelism(opts.parallel)
+        .engine(opts.engine)
+}
+
+/// Run `exp` over `workloads` — an empty report when the selection has no
+/// panel in this figure (`--app lu` on a figure without LU).
+fn run_over(exp: Experiment, workloads: Vec<&str>) -> Report {
+    if workloads.is_empty() {
+        return Report::new(exp.report_name(), exp.effective_scale());
+    }
+    exp.workloads(workloads).run()
+}
+
+/// The selected paper workloads except LU, which the paper reports only in
+/// Figure 2.
+fn without_lu(opts: &Options) -> Vec<&'static str> {
+    opts.benchmarks()
+        .into_iter()
+        .filter(|name| *name != "lu")
+        .collect()
 }
 
 /// A named figure sweep.
@@ -38,27 +61,19 @@ pub fn figure_sweeps() -> Vec<Sweep> {
 /// speedup over sequential execution and L2 misses per 1000 instructions for
 /// LU (1–16 cores), Hash Join and Mergesort (1–32 cores).
 pub fn fig2(opts: &Options) -> Report {
-    let mut report = Report::new("fig2", opts.effective_scale());
-    for bench in opts.benchmarks() {
-        let configs = CmpConfig::default_configs().into_iter().filter(|cfg| {
-            // The paper reports LU only up to 16 cores (the 2Kx2K input is
-            // smaller than the 32-core L2).
-            let lu_cap = bench != Benchmark::Lu || cfg.num_cores <= 16;
-            let quick_cap = !opts.quick || cfg.num_cores <= 8;
-            lu_cap && quick_cap
-        });
-        report.merge(
-            Experiment::new(bench)
-                .name("fig2")
-                .configs(configs)
-                .schedulers(pdf_ws())
-                .scale(opts.scale)
-                .quick(opts.quick)
-                .parallelism(opts.parallel)
-                .engine(opts.engine)
-                .run(),
-        );
-    }
+    let configs = |max_cores: usize| {
+        CmpConfig::default_configs()
+            .into_iter()
+            .filter(move |cfg| cfg.num_cores <= max_cores && (!opts.quick || cfg.num_cores <= 8))
+    };
+    // The paper reports LU only up to 16 cores (the 2Kx2K input is smaller
+    // than the 32-core L2), so LU runs on its own, ahead of the others.
+    let (lu, others): (Vec<&str>, Vec<&str>) = opts
+        .benchmarks()
+        .into_iter()
+        .partition(|name| *name == "lu");
+    let mut report = run_over(sweep("fig2", opts).configs(configs(16)), lu);
+    report.merge(run_over(sweep("fig2", opts).configs(configs(32)), others));
     report
 }
 
@@ -70,29 +85,10 @@ pub fn fig2(opts: &Options) -> Report {
 /// and the shrinking cache then hurts), while Mergesort keeps improving to
 /// 24–26 cores.
 pub fn fig3(opts: &Options) -> Report {
-    let configs: Vec<CmpConfig> = CmpConfig::single_tech_45nm()
+    let configs = CmpConfig::single_tech_45nm()
         .into_iter()
-        .filter(|cfg| !opts.quick || cfg.num_cores % 8 == 0 || cfg.num_cores == 1)
-        .collect();
-    let mut report = Report::new("fig3", opts.effective_scale());
-    for bench in opts
-        .benchmarks()
-        .into_iter()
-        .filter(|b| *b != Benchmark::Lu)
-    {
-        report.merge(
-            Experiment::new(bench)
-                .name("fig3")
-                .configs(configs.iter().cloned())
-                .schedulers(pdf_ws())
-                .scale(opts.scale)
-                .quick(opts.quick)
-                .parallelism(opts.parallel)
-                .engine(opts.engine)
-                .run(),
-        );
-    }
-    report
+        .filter(|cfg| !opts.quick || cfg.num_cores % 8 == 0 || cfg.num_cores == 1);
+    run_over(sweep("fig3", opts).configs(configs), without_lu(opts))
 }
 
 /// Figure 4: sensitivity to the L2 hit time on the 16-core default
@@ -105,25 +101,7 @@ pub fn fig3(opts: &Options) -> Report {
 pub fn fig4(opts: &Options) -> Report {
     let base = CmpConfig::default_with_cores(16).expect("16-core default config");
     let configs = [7u64, 19].map(|hit| base.clone().with_l2_hit_latency(hit));
-    let mut report = Report::new("fig4", opts.effective_scale());
-    for bench in opts
-        .benchmarks()
-        .into_iter()
-        .filter(|b| *b != Benchmark::Lu)
-    {
-        report.merge(
-            Experiment::new(bench)
-                .name("fig4")
-                .configs(configs.iter().cloned())
-                .schedulers(pdf_ws())
-                .scale(opts.scale)
-                .quick(opts.quick)
-                .parallelism(opts.parallel)
-                .engine(opts.engine)
-                .run(),
-        );
-    }
-    report
+    run_over(sweep("fig4", opts).configs(configs), without_lu(opts))
 }
 
 /// The Section 5.3 check on a [`fig4`] report: for each workload, does PDF on
@@ -153,29 +131,10 @@ pub fn fig5(opts: &Options) -> Report {
     } else {
         &[100, 300, 500, 700, 900, 1100]
     };
-    let configs: Vec<CmpConfig> = latencies
+    let configs = latencies
         .iter()
-        .map(|&lat| base.clone().with_memory_latency(lat))
-        .collect();
-    let mut report = Report::new("fig5", opts.effective_scale());
-    for bench in opts
-        .benchmarks()
-        .into_iter()
-        .filter(|b| *b != Benchmark::Lu)
-    {
-        report.merge(
-            Experiment::new(bench)
-                .name("fig5")
-                .configs(configs.iter().cloned())
-                .schedulers(pdf_ws())
-                .scale(opts.scale)
-                .quick(opts.quick)
-                .parallelism(opts.parallel)
-                .engine(opts.engine)
-                .run(),
-        );
-    }
-    report
+        .map(|&lat| base.clone().with_memory_latency(lat));
+    run_over(sweep("fig5", opts).configs(configs), without_lu(opts))
 }
 
 /// Figure 6: impact of task granularity on Mergesort — L2 misses per 1000
@@ -200,15 +159,10 @@ pub fn fig6(opts: &Options) -> Report {
         let params = MergesortParams::new(n_items).with_task_working_set(ws);
         WorkloadSpec::fixed(format!("mergesort/ws={ws}"), mergesort::build(&params))
     });
-    Experiment::named("fig6")
+    sweep("fig6", opts)
         .workloads(workloads)
         .cores(core_counts.to_vec())
-        .schedulers(pdf_ws())
-        .scale(opts.scale)
-        .quick(opts.quick)
         .sequential_baseline(false)
-        .parallelism(opts.parallel)
-        .engine(opts.engine)
         .run()
 }
 
@@ -233,18 +187,13 @@ pub fn coarse_vs_fine(opts: &Options) -> Report {
             .coarse_grained(),
     );
 
-    Experiment::named("sec54-coarse-vs-fine")
+    sweep("sec54-coarse-vs-fine", opts)
         .workload(WorkloadSpec::fixed("mergesort/fine", ms_fine))
         .workload(WorkloadSpec::fixed("mergesort/coarse", ms_coarse))
         .workload(WorkloadSpec::fixed("hashjoin/fine", hj_fine))
         .workload(WorkloadSpec::fixed("hashjoin/coarse", hj_coarse))
         .config(cfg)
-        .schedulers(pdf_ws())
-        .scale(opts.scale)
-        .quick(opts.quick)
         .sequential_baseline(false)
-        .parallelism(opts.parallel)
-        .engine(opts.engine)
         .run()
 }
 
@@ -259,30 +208,13 @@ pub fn latency_profile(opts: &Options) -> Report {
     // latency points nearly free (each is an O(1) closed-form re-timing of
     // the recorded pass), and the single-core event side is cheap enough
     // for CI.
-    let configs: Vec<CmpConfig> = (100..=1100)
+    let configs = (100..=1100)
         .step_by(100)
-        .map(|lat| base.clone().with_memory_latency(lat))
-        .collect();
-    let mut report = Report::new("latency_profile", opts.effective_scale());
-    for bench in opts
-        .benchmarks()
-        .into_iter()
-        .filter(|b| *b != Benchmark::Lu)
-    {
-        report.merge(
-            Experiment::new(bench)
-                .name("latency_profile")
-                .configs(configs.iter().cloned())
-                .schedulers(pdf_ws())
-                .scale(opts.scale)
-                .quick(opts.quick)
-                .sequential_baseline(false)
-                .parallelism(opts.parallel)
-                .engine(opts.engine)
-                .run(),
-        );
-    }
-    report
+        .map(|lat| base.clone().with_memory_latency(lat));
+    let exp = sweep("latency_profile", opts)
+        .configs(configs)
+        .sequential_baseline(false);
+    run_over(exp, without_lu(opts))
 }
 
 /// The many-core scaling profile (DESIGN.md §12): an extrapolation sweep
@@ -306,50 +238,35 @@ pub fn scaling_profile(opts: &Options) -> Report {
         configs.push(flat.clone().clustered(cores / 32).with_l3_mb(l3_mb));
         configs.push(flat);
     }
-    let mut report = Report::new("scaling_profile", opts.effective_scale());
-    for bench in opts
-        .benchmarks()
-        .into_iter()
-        .filter(|b| *b != Benchmark::Lu)
-    {
-        report.merge(
-            Experiment::new(bench)
-                .name("scaling_profile")
-                .configs(configs.iter().cloned())
-                .schedulers(pdf_ws())
-                .scale(opts.scale)
-                .quick(opts.quick)
-                .sequential_baseline(false)
-                .parallelism(opts.parallel)
-                .engine(opts.engine)
-                .run(),
-        );
-    }
-    report
+    let exp = sweep("scaling_profile", opts)
+        .configs(configs)
+        .sequential_baseline(false);
+    run_over(exp, without_lu(opts))
 }
 
 /// Section 5.5: the secondary benchmarks through the open workload registry
 /// — Quicksort (unbalanced divide), Matmul (small working set) and Heat
 /// (bandwidth-bound stencil) on the 8-core default configuration, PDF vs WS.
 pub fn extras(opts: &Options) -> Report {
-    Experiment::named("sec55-extras")
+    sweep("sec55-extras", opts)
         .workloads(["quicksort", "matmul", "heat"])
         .cores(8)
-        .schedulers(pdf_ws())
-        .scale(opts.scale)
-        .quick(opts.quick)
-        .parallelism(opts.parallel)
-        .engine(opts.engine)
         .run()
 }
 
 /// The `--workloads` sweep: whatever registry specs the command line
-/// selected, on the 8-core default configuration, PDF vs WS.  `run_all`
-/// substitutes this for the figure sweeps when `--workloads` is given.
+/// selected, on the `--cores` default configurations (8 cores when none
+/// are given), PDF vs WS.  `run_all` substitutes this for the figure sweeps
+/// when `--workloads` is given.
 pub fn workload_sweep(opts: &Options) -> Report {
+    let cores = if opts.cores.is_empty() {
+        vec![8]
+    } else {
+        opts.cores.clone()
+    };
     opts.experiment("workloads")
-        .cores(8)
-        .schedulers(pdf_ws())
+        .cores(cores)
+        .schedulers(["pdf", "ws"])
         .run()
 }
 
@@ -357,7 +274,7 @@ pub fn workload_sweep(opts: &Options) -> Report {
 mod tests {
     use super::*;
 
-    fn quick_opts(app: Benchmark) -> Options {
+    fn quick_opts(app: &'static str) -> Options {
         Options {
             quick: true,
             scale: 1024,
@@ -368,9 +285,9 @@ mod tests {
 
     #[test]
     fn fig3_skips_lu_and_respects_quick_filter() {
-        let report = fig3(&quick_opts(Benchmark::Lu));
+        let report = fig3(&quick_opts("lu"));
         assert!(report.is_empty(), "fig3 has no LU panel");
-        let report = fig3(&quick_opts(Benchmark::Mergesort));
+        let report = fig3(&quick_opts("mergesort"));
         assert!(!report.is_empty());
         assert!(report
             .records
@@ -381,7 +298,7 @@ mod tests {
 
     #[test]
     fn fig4_configs_are_distinguishable_and_checkable() {
-        let report = fig4(&quick_opts(Benchmark::Mergesort));
+        let report = fig4(&quick_opts("mergesort"));
         assert!(report.records.iter().any(|r| r.config.contains("l2hit7")));
         assert!(report.records.iter().any(|r| r.config.contains("l2hit19")));
         let checks = pdf_slow_beats_ws_fast(&report);
@@ -430,11 +347,41 @@ mod tests {
                 "matmul:n=64".to_string()
             ]
         );
+        assert!(report.records.iter().all(|r| r.cores == 8));
+
+        // `--cores` replaces the 8-core default.
+        let opts = Options::parse(
+            ["--workloads", "mergesort", "--cores", "2", "--quick"]
+                .into_iter()
+                .map(String::from),
+        );
+        let report = workload_sweep(&opts);
+        assert!(!report.is_empty());
+        assert!(report.records.iter().all(|r| r.cores == 2));
+    }
+
+    #[test]
+    fn app_and_workloads_select_identical_figure_sweeps() {
+        for name in ccs_workloads::PAPER_WORKLOADS {
+            let by_app = quick_opts(name);
+            let by_workloads = Options::parse(
+                ["--workloads", name, "--scale", "1024", "--quick"]
+                    .into_iter()
+                    .map(String::from),
+            );
+            for (sweep, run) in figure_sweeps() {
+                assert_eq!(
+                    run(&by_app).to_json(),
+                    run(&by_workloads).to_json(),
+                    "{sweep} on {name}"
+                );
+            }
+        }
     }
 
     #[test]
     fn latency_profile_batch_engine_is_byte_identical_and_replayed() {
-        let mut opts = quick_opts(Benchmark::Mergesort);
+        let mut opts = quick_opts("mergesort");
         let event = latency_profile(&opts);
         opts.engine = ccs_sim::SimEngine::Batch;
         let batched = latency_profile(&opts);
@@ -449,7 +396,7 @@ mod tests {
 
     #[test]
     fn scaling_profile_pairs_flat_and_clustered_topologies() {
-        let report = scaling_profile(&quick_opts(Benchmark::Mergesort));
+        let report = scaling_profile(&quick_opts("mergesort"));
         // Quick mode keeps the CI-tracked 256-core clustered+L3 point...
         assert!(report
             .records
@@ -466,7 +413,7 @@ mod tests {
 
     #[test]
     fn fig5_sweeps_memory_latency() {
-        let report = fig5(&quick_opts(Benchmark::Mergesort));
+        let report = fig5(&quick_opts("mergesort"));
         let configs: std::collections::BTreeSet<_> =
             report.records.iter().map(|r| r.config.clone()).collect();
         assert_eq!(

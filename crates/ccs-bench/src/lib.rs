@@ -3,9 +3,10 @@
 //!
 //! Each binary in `src/bin/` reproduces one figure/table (see DESIGN.md's
 //! experiment index).  The sweeps themselves are described with the
-//! [`Experiment`] builder from `ccs-experiment` — the per-figure functions in
-//! [`figs`] return a serialisable [`Report`], and the binaries are thin
-//! wrappers that print it as TSV and optionally emit JSON (`--json PATH`).
+//! [`Experiment`](ccs_experiment::Experiment) builder from `ccs-experiment`
+//! — the per-figure functions in [`figs`] return a serialisable [`Report`],
+//! and the binaries are thin wrappers that print it as TSV and optionally
+//! emit JSON (`--json PATH`).
 //!
 //! All binaries accept the shared [`Options`] flags (`--scale`, `--quick`,
 //! `--app`, `--json`, `--engine`) plus binary-specific extras.  `run_all
@@ -16,9 +17,8 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub use ccs_experiment::{Experiment, Options, Report, RunRecord, WorkloadSpec};
-
 use ccs_dag::Computation;
+use ccs_experiment::{Options, Report};
 use ccs_sched::SchedulerSpec;
 use ccs_sim::{simulate_engine, CmpConfig, SimResult};
 
@@ -27,7 +27,8 @@ pub mod harness;
 
 /// Simulate `comp` on the scaled version of `cfg` under the selected
 /// scheduler.  Used by the non-sweep binaries (`fig8_auto_coarsening`);
-/// sweep-shaped work goes through [`Experiment`] instead.
+/// sweep-shaped work goes through [`Experiment`](ccs_experiment::Experiment)
+/// instead.
 pub fn run_sim(
     comp: &Computation,
     cfg: &CmpConfig,
@@ -64,11 +65,11 @@ pub fn print_report(title: &str, report: &Report, opts: &Options) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccs_workloads::Benchmark;
+    use ccs_experiment::Experiment;
 
     #[test]
     fn quick_pdf_ws_run_is_consistent() {
-        let report = Experiment::new(Benchmark::Mergesort)
+        let report = Experiment::new("mergesort")
             .cores(4)
             .scale(512)
             .quick(true)
@@ -86,7 +87,7 @@ mod tests {
         let opts = Options {
             quick: true,
             scale: 512,
-            app: Some(Benchmark::Mergesort),
+            app: Some("mergesort"),
             ..Options::default()
         };
         let fig2 = figs::fig2(&opts);

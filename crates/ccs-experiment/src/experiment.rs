@@ -20,7 +20,7 @@ use ccs_runtime::{join, Policy, ThreadPool};
 use ccs_sched::spec::{format_spec, parse_spec, SpecParseError};
 use ccs_sched::SchedulerSpec;
 use ccs_sim::{simulate_batch, simulate_with_engine, CmpConfig, SimEngine};
-use ccs_workloads::{Benchmark, BuildCtx, UnknownWorkload, WorkloadRegistry};
+use ccs_workloads::{BuildCtx, UnknownWorkload, WorkloadRegistry};
 
 use crate::report::{Report, RunRecord};
 
@@ -84,8 +84,8 @@ fn one_core_classes(dag: &Dag, specs: &[&SchedulerSpec]) -> Vec<usize> {
 /// every design point.
 ///
 /// Every workload-accepting entry point takes `impl Into<WorkloadSpec>`, so
-/// a [`Benchmark`], a `"matmul:n=512"` string literal, or a fully built spec
-/// all work.
+/// a registry name (`"mergesort"`, `"matmul:n=512"`) or a fully built spec
+/// both work.
 #[derive(Clone, Debug)]
 pub enum WorkloadSpec {
     /// A named workload built through [`WorkloadRegistry::global`] per
@@ -248,12 +248,6 @@ impl std::fmt::Display for WorkloadSpec {
     }
 }
 
-impl From<Benchmark> for WorkloadSpec {
-    fn from(b: Benchmark) -> WorkloadSpec {
-        WorkloadSpec::registry(b.name())
-    }
-}
-
 impl From<&str> for WorkloadSpec {
     /// Parse via [`WorkloadSpec::parse`].
     ///
@@ -319,13 +313,11 @@ impl CoreSelection for std::ops::Range<usize> {
 ///
 /// ```
 /// use ccs_experiment::Experiment;
-/// use ccs_sched::SchedulerKind;
-/// use ccs_workloads::Benchmark;
 ///
-/// let report = Experiment::new(Benchmark::Mergesort)
+/// let report = Experiment::new("mergesort")
 ///     .cores(8)
 ///     .scale(512)
-///     .schedulers([SchedulerKind::Pdf, SchedulerKind::WorkStealing])
+///     .schedulers(["pdf", "ws"])
 ///     .run();
 /// assert_eq!(report.len(), 2);
 /// let pdf = report.for_scheduler("pdf").next().unwrap();
@@ -433,8 +425,8 @@ impl Experiment {
         self
     }
 
-    /// Add several schedulers: `SchedulerKind`s, registry names, or full
-    /// specs.
+    /// Add several schedulers: registry names (`"pdf"`, `"ws-rand@7"`) or
+    /// full specs.
     pub fn schedulers<S: Into<SchedulerSpec>>(
         mut self,
         schedulers: impl IntoIterator<Item = S>,
@@ -866,7 +858,6 @@ where
 mod tests {
     use super::*;
     use ccs_dag::{ComputationBuilder, GroupMeta};
-    use ccs_sched::SchedulerKind;
 
     fn tiny_fixed_workload() -> WorkloadSpec {
         let mut b = ComputationBuilder::new(128);
@@ -889,11 +880,7 @@ mod tests {
         let report = Experiment::new(tiny_fixed_workload())
             .cores([2, 4])
             .scale(64)
-            .schedulers([
-                SchedulerKind::Pdf,
-                SchedulerKind::WorkStealing,
-                SchedulerKind::CentralQueue,
-            ])
+            .schedulers(["pdf", "ws", "central"])
             .run();
         assert_eq!(report.len(), 2 * 3);
         assert_eq!(report.schedulers(), vec!["central", "pdf", "ws"]);
@@ -919,7 +906,7 @@ mod tests {
                 CmpConfig::default_with_cores(2).unwrap(),
             ])
             .scale(1024)
-            .schedulers([SchedulerKind::Pdf, SchedulerKind::WorkStealing]);
+            .schedulers(["pdf", "ws"]);
         for engine in [
             SimEngine::EventDriven,
             SimEngine::Reference,
@@ -971,9 +958,9 @@ mod tests {
 
     #[test]
     fn quick_clamps_scale() {
-        let exp = Experiment::new(Benchmark::Mergesort).scale(32).quick(true);
+        let exp = Experiment::new("mergesort").scale(32).quick(true);
         assert_eq!(exp.effective_scale(), 256);
-        let exp = Experiment::new(Benchmark::Mergesort).scale(512).quick(true);
+        let exp = Experiment::new("mergesort").scale(512).quick(true);
         assert_eq!(exp.effective_scale(), 512);
     }
 
@@ -992,7 +979,7 @@ mod tests {
         let report = Experiment::new(tiny_fixed_workload())
             .cores(2)
             .scale(64)
-            .scheduler(SchedulerKind::WorkStealingRandom(9))
+            .scheduler("ws-rand@9")
             .run();
         assert_eq!(report.records[0].scheduler, "ws-rand");
         assert_eq!(report.records[0].seed, Some(9));
@@ -1142,7 +1129,7 @@ mod tests {
 
     #[test]
     fn benchmark_workload_runs_end_to_end() {
-        let report = Experiment::new(Benchmark::Mergesort)
+        let report = Experiment::new("mergesort")
             .cores(4)
             .scale(512)
             .schedulers(["pdf", "ws"])

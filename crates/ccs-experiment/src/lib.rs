@@ -45,13 +45,11 @@
 //!
 //! ```
 //! use ccs_experiment::Experiment;
-//! use ccs_sched::SchedulerKind;
-//! use ccs_workloads::Benchmark;
 //!
-//! let report = Experiment::new(Benchmark::Mergesort)
+//! let report = Experiment::new("mergesort")
 //!     .cores(8)
 //!     .scale(512)
-//!     .schedulers([SchedulerKind::Pdf, SchedulerKind::WorkStealing])
+//!     .schedulers(["pdf", "ws"])
 //!     .run();
 //!
 //! // Machine-readable trajectory…

@@ -1,13 +1,13 @@
 //! Command-line options shared by every experiment binary.
 //!
-//! Moved here from `ccs-bench` so the flags and the [`Experiment`] layer stay
-//! in one place; `ccs-bench` re-exports this type for compatibility.
+//! They live next to the [`Experiment`] layer so the flags and the sweeps
+//! they configure stay in one place.
 
 use std::path::PathBuf;
 
 use ccs_sched::spec::split_spec_list;
-use ccs_sim::SimEngine;
-use ccs_workloads::Benchmark;
+use ccs_sim::{CmpConfig, SimEngine};
+use ccs_workloads::PAPER_WORKLOADS;
 
 use crate::{Experiment, WorkloadSpec};
 
@@ -23,12 +23,13 @@ use crate::{Experiment, WorkloadSpec};
 ///   containing `=` continues the previous spec's parameters).  Unknown
 ///   names are rejected up front with a did-you-mean listing of the
 ///   registered workloads.  May be repeated;
-/// * `--app lu|hashjoin|mergesort` — restrict to one *paper* benchmark
-///   (predates `--workloads`, kept as a compatibility alias for the closed
-///   three-benchmark list; ignored whenever `--workloads` is given);
+/// * `--app lu|hashjoin|mergesort` — restrict the figure sweeps to one of
+///   the [`PAPER_WORKLOADS`] (ignored whenever `--workloads` is given);
 /// * `--cores N,...` — simulated core counts (design points) for binaries
-///   that take them (e.g. `serve_client`); each count must be at least 1 —
-///   `--cores 0` would silently simulate nothing and is rejected up front;
+///   that take them (`serve_client`, `run_all --workloads`); each count
+///   must name one of the paper's default configurations
+///   ([`CmpConfig::default_with_cores`]: 1, 2, 4, 8, 16 or 32 cores) and is
+///   rejected up front otherwise;
 /// * `--parallel N` — fan experiment sweeps across `N` threads of the
 ///   `ccs-runtime` pool ([`Experiment::parallelism`]); `0` means one thread
 ///   per available core, the default (1) is sequential;
@@ -55,14 +56,15 @@ pub struct Options {
     pub scale: u64,
     /// Reduced sweep for smoke tests.
     pub quick: bool,
-    /// Optional paper-benchmark filter (`--app lu|hashjoin|mergesort`;
-    /// superseded by the open `--workloads` list).
-    pub app: Option<Benchmark>,
+    /// Optional paper-benchmark filter (`--app lu|hashjoin|mergesort`): one
+    /// of the [`PAPER_WORKLOADS`] registry names.  Superseded by the open
+    /// `--workloads` list.
+    pub app: Option<&'static str>,
     /// Registry-backed workload selection (`--workloads <spec,...>`); empty
     /// means "the default selection" (see [`Options::workload_specs`]).
     pub workloads: Vec<WorkloadSpec>,
-    /// Simulated core counts (`--cores N,...`, each ≥ 1); empty means the
-    /// binary's default design points.
+    /// Simulated core counts (`--cores N,...`, each 1, 2, 4, 8, 16 or 32);
+    /// empty means the binary's default design points.
     pub cores: Vec<usize>,
     /// Worker threads for sweep execution (`--parallel N`; 1 = sequential).
     pub parallel: usize,
@@ -129,11 +131,12 @@ impl Options {
          \x20 --quick            reduced smoke-test sweep\n\
          \x20 --workloads SPECS  registry workloads (e.g. mergesort,heat:rows=256,cols=256)\n\
          \x20 --app NAME         paper benchmark filter (lu|hashjoin|mergesort)\n\
-         \x20 --cores N,...      simulated core counts, each >= 1 (e.g. 2,4,256).\n\
-         \x20                    Counts up to 4096 use the O(sharers) hierarchical\n\
-         \x20                    sharer-mask directory; beyond 4096 the simulator\n\
-         \x20                    falls back to broadcast invalidation (O(cores) per\n\
-         \x20                    store, metrics-identical, slower).\n\
+         \x20 --cores N,...      simulated core counts, each 1, 2, 4, 8, 16 or 32 (the\n\
+         \x20                    paper's default configurations; e.g. 2,4,16).\n\
+         \x20                    Larger machines are built in the library\n\
+         \x20                    (CmpConfig::many_core): up to 4096 cores they use\n\
+         \x20                    the O(sharers) hierarchical sharer-mask directory,\n\
+         \x20                    beyond it broadcast invalidation (slower).\n\
          \x20 --parallel N       sweep worker threads (0 = one per host core)\n\
          \x20 --json PATH        write the JSON report to PATH ('-' = stdout)\n\
          \x20 --store PATH       persistent result-store directory\n\
@@ -169,20 +172,16 @@ impl Options {
                 "--quick" => opts.quick = true,
                 "--app" => {
                     let v = value(&mut iter, "--app", "a value")?;
-                    opts.app = Some(match v.as_str() {
-                        "lu" => Benchmark::Lu,
-                        "hashjoin" => Benchmark::HashJoin,
-                        "mergesort" => Benchmark::Mergesort,
-                        other => {
-                            return Err(OptionsError::invalid(
-                                "--app",
-                                format!(
-                                    "unknown app {other:?} (lu|hashjoin|mergesort; \
-                                     use --workloads for the open registry)"
-                                ),
-                            ))
-                        }
-                    });
+                    let app = PAPER_WORKLOADS.into_iter().find(|name| *name == v);
+                    opts.app = Some(app.ok_or_else(|| {
+                        OptionsError::invalid(
+                            "--app",
+                            format!(
+                                "unknown app {v:?} (lu|hashjoin|mergesort; \
+                                 use --workloads for the open registry)"
+                            ),
+                        )
+                    })?);
                 }
                 "--workloads" => {
                     let v = value(&mut iter, "--workloads", "a value")?;
@@ -200,6 +199,15 @@ impl Options {
                             return Err(OptionsError::invalid(
                                 "--cores",
                                 "0 cores would simulate nothing; counts must be at least 1",
+                            ));
+                        }
+                        if CmpConfig::default_with_cores(n).is_none() {
+                            return Err(OptionsError::invalid(
+                                "--cores",
+                                format!(
+                                    "no default CMP configuration with {n} cores \
+                                     (1, 2, 4, 8, 16 or 32)"
+                                ),
                             ));
                         }
                         opts.cores.push(n);
@@ -256,32 +264,35 @@ impl Options {
     /// drop its parameters, so it selects no figure panel (figure binaries
     /// then print an empty report with a note, the same as `--app lu` on a
     /// figure without an LU panel).
-    pub fn benchmarks(&self) -> Vec<Benchmark> {
-        let all = [Benchmark::Lu, Benchmark::HashJoin, Benchmark::Mergesort];
+    ///
+    /// The result keeps [`PAPER_WORKLOADS`] order whatever order the flags
+    /// named them in.
+    pub fn benchmarks(&self) -> Vec<&'static str> {
         if !self.workloads.is_empty() {
-            return all
+            return PAPER_WORKLOADS
                 .into_iter()
                 .filter(|b| {
-                    self.workloads.iter().any(|w| match w {
-                        WorkloadSpec::Registry { name, params } => {
-                            name == b.name() && params.is_empty()
-                        }
-                        WorkloadSpec::Fixed { .. } => false,
+                    self.workloads.iter().any(|w| {
+                        matches!(w, WorkloadSpec::Registry { name, params }
+                            if name == b && params.is_empty())
                     })
                 })
                 .collect();
         }
-        if let Some(app) = self.app {
-            return vec![app];
+        match self.app {
+            Some(app) => vec![app],
+            None => PAPER_WORKLOADS.to_vec(),
         }
-        all.to_vec()
     }
 
     /// The full workload selection: the `--workloads` specs verbatim, or the
     /// [`Options::benchmarks`] fallback when none were given.
     pub fn workload_specs(&self) -> Vec<WorkloadSpec> {
         if self.workloads.is_empty() {
-            self.benchmarks().into_iter().map(Into::into).collect()
+            self.benchmarks()
+                .into_iter()
+                .map(WorkloadSpec::registry)
+                .collect()
         } else {
             self.workloads.clone()
         }
@@ -418,11 +429,11 @@ mod tests {
         );
         assert_eq!(o.scale, 64);
         assert!(o.quick);
-        assert_eq!(o.app, Some(Benchmark::Mergesort));
+        assert_eq!(o.app, Some("mergesort"));
         assert_eq!(o.parallel, 4);
         assert_eq!(o.json, Some(PathBuf::from("out.json")));
         assert_eq!(o.rest, vec!["--foo".to_string()]);
-        assert_eq!(o.benchmarks(), vec![Benchmark::Mergesort]);
+        assert_eq!(o.benchmarks(), vec!["mergesort"]);
         assert_eq!(o.effective_scale(), 256);
     }
 
@@ -478,9 +489,17 @@ mod tests {
 
     #[test]
     fn cores_flag_rejects_zero_and_parses_lists() {
-        let o = Options::parse(["--cores", "2,4, 256"].into_iter().map(String::from));
-        assert_eq!(o.cores, vec![2, 4, 256]);
+        let o = Options::parse(["--cores", "2,4, 16"].into_iter().map(String::from));
+        assert_eq!(o.cores, vec![2, 4, 16]);
         assert!(o.rest.is_empty());
+
+        // Counts without a default configuration are rejected up front,
+        // with the same lookup every consumer resolves them through.
+        let err = Options::try_parse(["--cores".into(), "2,256".into()]).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "--cores: no default CMP configuration with 256 cores (1, 2, 4, 8, 16 or 32)"
+        );
 
         // `--cores 0` used to be accepted and silently simulated nothing.
         let err = Options::try_parse(["--cores".into(), "0".into()]).unwrap_err();
@@ -569,7 +588,7 @@ mod tests {
         let labels: Vec<String> = o.workload_specs().iter().map(|w| w.label()).collect();
         assert_eq!(labels, vec!["heat:cols=64,rows=64", "matmul:n=128", "lu"]);
         // Only the paper benchmarks among them reach the figure sweeps.
-        assert_eq!(o.benchmarks(), vec![Benchmark::Lu]);
+        assert_eq!(o.benchmarks(), vec!["lu"]);
     }
 
     #[test]
@@ -580,7 +599,7 @@ mod tests {
                 .into_iter()
                 .map(String::from),
         );
-        assert_eq!(o.benchmarks(), vec![Benchmark::Mergesort]);
+        assert_eq!(o.benchmarks(), vec!["mergesort"]);
         assert_eq!(
             o.workload_specs(),
             vec![WorkloadSpec::registry("mergesort")]
@@ -593,7 +612,7 @@ mod tests {
                 .into_iter()
                 .map(String::from),
         );
-        assert_eq!(o.benchmarks(), vec![]);
+        assert!(o.benchmarks().is_empty());
         assert_eq!(o.workload_specs()[0].label(), "mergesort:ws=8192");
     }
 

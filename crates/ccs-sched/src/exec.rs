@@ -309,9 +309,9 @@ pub fn one_core_order(dag: &Dag, sched: &mut dyn Scheduler) -> Vec<TaskId> {
 /// instruction count ([`Dag::work_of`]) as its duration.
 ///
 /// The scheduler is resolved through the [global
-/// registry](crate::registry::SchedulerRegistry::global): pass a
-/// [`SchedulerKind`](crate::SchedulerKind), a registered name (`"pdf"`), or a
-/// full [`SchedulerSpec`] — user-registered schedulers work unmodified.
+/// registry](crate::registry::SchedulerRegistry::global): pass a registered
+/// name (`"pdf"`, `"ws-rand@7"`) or a full [`SchedulerSpec`] —
+/// user-registered schedulers work unmodified.
 pub fn execute(dag: &Dag, num_cores: usize, sched: impl Into<SchedulerSpec>) -> Schedule {
     let mut sched = sched.into().build();
     execute_with(dag, num_cores, sched.as_mut(), |t| dag.work_of(t))
@@ -320,7 +320,6 @@ pub fn execute(dag: &Dag, num_cores: usize, sched: impl Into<SchedulerSpec>) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::SchedulerKind;
     use ccs_dag::synth::{random_computation, SynthParams};
     use ccs_dag::{ComputationBuilder, Dag, GroupMeta, TaskTrace};
 
@@ -344,11 +343,7 @@ mod tests {
     #[test]
     fn single_core_makespan_is_total_work() {
         let dag = balanced_tree(4, 100);
-        for kind in [
-            SchedulerKind::Pdf,
-            SchedulerKind::WorkStealing,
-            SchedulerKind::CentralQueue,
-        ] {
+        for kind in ["pdf", "ws", "central"] {
             let s = execute(&dag, 1, kind);
             assert_eq!(s.makespan, dag.total_work(), "{kind}");
             s.validate(&dag).unwrap();
@@ -361,7 +356,7 @@ mod tests {
         let w = dag.total_work();
         let d = dag.depth();
         for p in [2usize, 4, 8] {
-            for kind in [SchedulerKind::Pdf, SchedulerKind::WorkStealing] {
+            for kind in ["pdf", "ws"] {
                 let s = execute(&dag, p, kind);
                 s.validate(&dag).unwrap();
                 // Greedy (Brent) bound: T_P <= W/P + D.
@@ -381,8 +376,8 @@ mod tests {
     #[test]
     fn parallel_execution_speeds_up_balanced_trees() {
         let dag = balanced_tree(6, 200);
-        let seq = execute(&dag, 1, SchedulerKind::Pdf).makespan;
-        for kind in [SchedulerKind::Pdf, SchedulerKind::WorkStealing] {
+        let seq = execute(&dag, 1, "pdf").makespan;
+        for kind in ["pdf", "ws"] {
             let s = execute(&dag, 8, kind);
             assert!(
                 s.speedup_over(seq) > 4.0,
@@ -396,7 +391,7 @@ mod tests {
     fn pdf_sequential_prefix_property_on_one_core() {
         // On one core PDF reproduces the sequential order exactly.
         let dag = balanced_tree(4, 10);
-        let s = execute(&dag, 1, SchedulerKind::Pdf);
+        let s = execute(&dag, 1, "pdf");
         let order = s.start_order();
         assert_eq!(order, dag.seq_order().to_vec());
     }
@@ -408,12 +403,12 @@ mod tests {
             let comp = random_computation(seed, &params);
             let dag = Dag::from_computation(&comp);
             for kind in [
-                SchedulerKind::Pdf,
-                SchedulerKind::WorkStealing,
-                SchedulerKind::WorkStealingRandom(seed),
-                SchedulerKind::CentralQueue,
+                SchedulerSpec::new("pdf"),
+                SchedulerSpec::new("ws"),
+                SchedulerSpec::new("ws-rand").with_seed(seed),
+                SchedulerSpec::new("central"),
             ] {
-                let s = execute(&dag, 4, kind);
+                let s = execute(&dag, 4, &kind);
                 s.validate(&dag)
                     .unwrap_or_else(|e| panic!("seed {seed} {kind}: {e}"));
             }
@@ -424,7 +419,7 @@ mod tests {
     fn deterministic_schedules() {
         let comp = random_computation(3, &SynthParams::default());
         let dag = Dag::from_computation(&comp);
-        for kind in [SchedulerKind::Pdf, SchedulerKind::WorkStealing] {
+        for kind in ["pdf", "ws"] {
             let a = execute(&dag, 4, kind);
             let b = execute(&dag, 4, kind);
             assert_eq!(a.task_start, b.task_start, "{kind}");
@@ -435,7 +430,7 @@ mod tests {
     #[test]
     fn utilization_bounded_by_one() {
         let dag = balanced_tree(5, 30);
-        let s = execute(&dag, 4, SchedulerKind::Pdf);
+        let s = execute(&dag, 4, "pdf");
         assert!(s.utilization() > 0.0 && s.utilization() <= 1.0);
     }
 
@@ -447,7 +442,7 @@ mod tests {
         let p = b.par(vec![l, r], GroupMeta::default());
         let comp = b.finish(p);
         let dag = Dag::from_computation(&comp);
-        let s = execute(&dag, 2, SchedulerKind::WorkStealing);
+        let s = execute(&dag, 2, "ws");
         assert_eq!(s.makespan, 0);
         s.validate(&dag).unwrap();
     }

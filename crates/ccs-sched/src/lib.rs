@@ -25,7 +25,7 @@
 //!
 //! ```
 //! use ccs_dag::{ComputationBuilder, Dag, GroupMeta};
-//! use ccs_sched::{execute, SchedulerKind};
+//! use ccs_sched::execute;
 //!
 //! // par(8 strands) followed by a join strand.
 //! let mut b = ComputationBuilder::new(128);
@@ -38,8 +38,8 @@
 //! let comp = b.finish(root);
 //! let dag = Dag::from_computation(&comp);
 //!
-//! let pdf = execute(&dag, 4, SchedulerKind::Pdf);
-//! let ws = execute(&dag, 4, SchedulerKind::WorkStealing);
+//! let pdf = execute(&dag, 4, "pdf");
+//! let ws = execute(&dag, 4, "ws");
 //! assert_eq!(pdf.makespan, ws.makespan); // same work, both greedy
 //! pdf.validate(&dag).unwrap();
 //! ```
@@ -60,6 +60,6 @@ pub use central::CentralQueue;
 pub use exec::{execute, execute_with, one_core_order, Schedule};
 pub use pdf::Pdf;
 pub use registry::{SchedulerFactory, SchedulerParams, SchedulerRegistry, SchedulerSpec};
-pub use scheduler::{Scheduler, SchedulerKind};
+pub use scheduler::Scheduler;
 pub use spec::{SpecError, SpecParseError};
 pub use ws::WorkStealing;

@@ -11,8 +11,8 @@
 //! * [`SchedulerSpec`] — a serialisable "which scheduler" value (name +
 //!   instantiation parameters).  Every executor entry point
 //!   ([`crate::execute`], `ccs_sim::simulate`, the experiment layer) accepts
-//!   `impl Into<SchedulerSpec>`, so a [`SchedulerKind`], a `"pdf"` string
-//!   literal, or a fully parameterised spec all work.
+//!   `impl Into<SchedulerSpec>`, so a registry name (`"pdf"`,
+//!   `"ws-rand@7"`) or a fully parameterised spec both work.
 //!
 //! User-defined schedulers plug into *every* driver without touching crate
 //! internals:
@@ -39,7 +39,7 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock, RwLock};
 
-use crate::scheduler::{Scheduler, SchedulerKind};
+use crate::scheduler::Scheduler;
 
 /// Instantiation parameters passed to a [`SchedulerFactory`].
 ///
@@ -339,17 +339,6 @@ impl SchedulerSpec {
     }
 }
 
-impl From<SchedulerKind> for SchedulerSpec {
-    fn from(kind: SchedulerKind) -> Self {
-        match kind {
-            SchedulerKind::WorkStealingRandom(seed) => {
-                SchedulerSpec::new(kind.name()).with_seed(seed)
-            }
-            _ => SchedulerSpec::new(kind.name()),
-        }
-    }
-}
-
 impl From<&str> for SchedulerSpec {
     /// Parse via [`SchedulerSpec::parse`].
     ///
@@ -426,11 +415,11 @@ mod tests {
 
     #[test]
     fn kind_conversion_preserves_seed() {
-        let spec = SchedulerSpec::from(SchedulerKind::WorkStealingRandom(42));
+        let spec = SchedulerSpec::from("ws-rand@42");
         assert_eq!(spec.name, "ws-rand");
         assert_eq!(spec.params.seed, Some(42));
         assert_eq!(spec.to_string(), "ws-rand@42");
-        assert_eq!(SchedulerSpec::from(SchedulerKind::Pdf).to_string(), "pdf");
+        assert_eq!(SchedulerSpec::from("pdf").to_string(), "pdf");
     }
 
     #[test]

@@ -35,65 +35,3 @@ pub trait Scheduler {
     /// output.
     fn name(&self) -> &'static str;
 }
-
-/// The built-in schedulers — a convenience enum kept as a thin compatibility
-/// shim over the open [scheduler registry](crate::registry).
-///
-/// New code (and anything that wants user-defined schedulers) should use
-/// [`crate::registry::SchedulerSpec`]; every executor entry point accepts
-/// `impl Into<SchedulerSpec>`, and `SchedulerKind` converts losslessly.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum SchedulerKind {
-    /// Parallel Depth First.
-    Pdf,
-    /// Work Stealing with deterministic round-robin victim selection.
-    WorkStealing,
-    /// Work Stealing with seeded random victim selection.
-    WorkStealingRandom(u64),
-    /// Central FIFO queue (breadth-first-ish baseline, not in the paper).
-    CentralQueue,
-}
-
-impl SchedulerKind {
-    /// Instantiate the scheduler by resolving this kind's name through the
-    /// [global registry](crate::registry::SchedulerRegistry::global).
-    pub fn build(self) -> Box<dyn Scheduler> {
-        crate::registry::SchedulerSpec::from(self).build()
-    }
-
-    /// Stable short name — the registry name this kind resolves to.
-    pub fn name(self) -> &'static str {
-        match self {
-            SchedulerKind::Pdf => "pdf",
-            SchedulerKind::WorkStealing => "ws",
-            SchedulerKind::WorkStealingRandom(_) => "ws-rand",
-            SchedulerKind::CentralQueue => "central",
-        }
-    }
-}
-
-impl std::fmt::Display for SchedulerKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn kinds_build_matching_names() {
-        // Every kind's registry name and its built scheduler's name agree —
-        // in particular the two WS variants are distinguishable in output.
-        assert_eq!(SchedulerKind::Pdf.build().name(), "pdf");
-        assert_eq!(SchedulerKind::WorkStealing.build().name(), "ws");
-        assert_eq!(
-            SchedulerKind::WorkStealingRandom(1).build().name(),
-            "ws-rand"
-        );
-        assert_eq!(SchedulerKind::CentralQueue.build().name(), "central");
-        assert_eq!(SchedulerKind::Pdf.to_string(), "pdf");
-        assert_eq!(SchedulerKind::WorkStealingRandom(7).name(), "ws-rand");
-    }
-}

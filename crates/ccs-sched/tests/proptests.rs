@@ -2,8 +2,8 @@
 
 use ccs_dag::synth::{random_computation, SynthParams};
 use ccs_dag::Dag;
+use ccs_sched::execute;
 use ccs_sched::theory::{pdf_ideal_misses, sequential_misses, theorem31_capacity};
-use ccs_sched::{execute, SchedulerKind};
 use proptest::prelude::*;
 
 fn small_params() -> SynthParams {
@@ -34,7 +34,7 @@ proptest! {
         let dag = Dag::from_computation(&comp);
         let w = dag.total_work();
         let d = dag.depth();
-        for kind in [SchedulerKind::Pdf, SchedulerKind::WorkStealing, SchedulerKind::CentralQueue] {
+        for kind in ["pdf", "ws", "central"] {
             let s = execute(&dag, cores, kind);
             prop_assert!(s.validate(&dag).is_ok());
             prop_assert!(s.makespan >= d);
@@ -50,7 +50,7 @@ proptest! {
     fn one_core_makespan_equals_total_work(seed in 0u64..10_000) {
         let comp = random_computation(seed, &small_params());
         let dag = Dag::from_computation(&comp);
-        for kind in [SchedulerKind::Pdf, SchedulerKind::WorkStealing, SchedulerKind::CentralQueue] {
+        for kind in ["pdf", "ws", "central"] {
             let s = execute(&dag, 1, kind);
             prop_assert_eq!(s.makespan, dag.total_work());
         }

@@ -31,7 +31,6 @@
 //!
 //! ```
 //! use ccs_dag::{AddressSpace, ComputationBuilder, GroupMeta};
-//! use ccs_sched::SchedulerKind;
 //! use ccs_sim::{simulate, CmpConfig};
 //!
 //! // Two tasks streaming over the same 64 KB array, then a join.
@@ -46,8 +45,8 @@
 //! let comp = b.finish(root);
 //!
 //! let config = CmpConfig::default_with_cores(2).unwrap();
-//! let pdf = simulate(&comp, &config, SchedulerKind::Pdf);
-//! let ws = simulate(&comp, &config, SchedulerKind::WorkStealing);
+//! let pdf = simulate(&comp, &config, "pdf");
+//! let ws = simulate(&comp, &config, "ws");
 //! assert_eq!(pdf.instructions, ws.instructions);
 //! assert!(pdf.l2.misses <= ws.l2.misses);
 //! ```

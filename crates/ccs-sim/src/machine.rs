@@ -245,9 +245,9 @@ impl Core {
 /// using the default (event-driven) engine.
 ///
 /// The scheduler is resolved through the [global
-/// registry](ccs_sched::SchedulerRegistry::global): pass a
-/// [`SchedulerKind`](ccs_sched::SchedulerKind), a registered name (`"pdf"`),
-/// or a full [`SchedulerSpec`] — user-registered schedulers work unmodified.
+/// registry](ccs_sched::SchedulerRegistry::global): pass a registered name
+/// (`"pdf"`, `"ws-rand@7"`) or a full [`SchedulerSpec`] — user-registered
+/// schedulers work unmodified.
 pub fn simulate(
     comp: &Computation,
     config: &CmpConfig,
@@ -997,7 +997,6 @@ fn event_loop<R: Record, const HAS_L3: bool>(
 mod tests {
     use super::*;
     use ccs_dag::{ComputationBuilder, GroupMeta};
-    use ccs_sched::SchedulerKind;
 
     /// A computation of `width` strands each streaming over its own
     /// `bytes_per_task`-byte array, followed by a join strand.
@@ -1072,7 +1071,7 @@ mod tests {
     fn single_core_executes_all_instructions() {
         let comp = disjoint_streams(4, 16 * 1024);
         let cfg = tiny_config(1, 64);
-        let r = simulate(&comp, &cfg, SchedulerKind::Pdf);
+        let r = simulate(&comp, &cfg, "pdf");
         assert_eq!(r.instructions, comp.total_work());
         assert_eq!(r.tasks, comp.num_tasks());
         // Every cycle accounted: cycles >= instructions (1 IPC peak).
@@ -1084,8 +1083,8 @@ mod tests {
     #[test]
     fn parallel_run_is_faster_but_not_superlinear() {
         let comp = disjoint_streams(8, 8 * 1024);
-        let seq = simulate(&comp, &tiny_config(1, 512), SchedulerKind::Pdf);
-        for kind in [SchedulerKind::Pdf, SchedulerKind::WorkStealing] {
+        let seq = simulate(&comp, &tiny_config(1, 512), "pdf");
+        for kind in ["pdf", "ws"] {
             let par = simulate(&comp, &tiny_config(4, 512), kind);
             let speedup = par.speedup_over(&seq);
             assert!(speedup > 1.5, "{kind}: speedup {speedup}");
@@ -1097,8 +1096,8 @@ mod tests {
     fn schedulers_execute_same_work_with_same_total_references() {
         let comp = disjoint_streams(6, 4 * 1024);
         let cfg = tiny_config(3, 128);
-        let pdf = simulate(&comp, &cfg, SchedulerKind::Pdf);
-        let ws = simulate(&comp, &cfg, SchedulerKind::WorkStealing);
+        let pdf = simulate(&comp, &cfg, "pdf");
+        let ws = simulate(&comp, &cfg, "ws");
         assert_eq!(pdf.instructions, ws.instructions);
         assert_eq!(pdf.l1.accesses, ws.l1.accesses);
         assert_eq!(pdf.tasks, ws.tasks);
@@ -1110,7 +1109,7 @@ mod tests {
         // pass everything hits in L2 (or L1).
         let comp = shared_streams(8, 32 * 1024);
         let cfg = tiny_config(4, 256);
-        let r = simulate(&comp, &cfg, SchedulerKind::Pdf);
+        let r = simulate(&comp, &cfg, "pdf");
         let cold = 32 * 1024 / 128;
         assert_eq!(r.l2.misses, cold, "only compulsory misses expected");
     }
@@ -1122,7 +1121,7 @@ mod tests {
         // shared case.
         let comp = disjoint_streams(8, 32 * 1024);
         let cfg = tiny_config(4, 64);
-        let r = simulate(&comp, &cfg, SchedulerKind::WorkStealing);
+        let r = simulate(&comp, &cfg, "ws");
         let cold = 8 * 32 * 1024 / 128;
         assert!(r.l2.misses >= cold, "at least all compulsory misses");
     }
@@ -1131,7 +1130,7 @@ mod tests {
     fn memory_bandwidth_utilization_is_bounded() {
         let comp = disjoint_streams(8, 16 * 1024);
         let cfg = tiny_config(8, 64);
-        let r = simulate(&comp, &cfg, SchedulerKind::WorkStealing);
+        let r = simulate(&comp, &cfg, "ws");
         assert!(r.bandwidth_utilization > 0.0);
         assert!(r.bandwidth_utilization <= 1.0);
         assert!(r.core_utilization() <= 1.0);
@@ -1141,7 +1140,7 @@ mod tests {
     fn simulation_is_deterministic() {
         let comp = disjoint_streams(5, 8 * 1024);
         let cfg = tiny_config(3, 128);
-        for kind in [SchedulerKind::Pdf, SchedulerKind::WorkStealing] {
+        for kind in ["pdf", "ws"] {
             let a = simulate(&comp, &cfg, kind);
             let b = simulate(&comp, &cfg, kind);
             assert_eq!(a.cycles, b.cycles);
@@ -1159,7 +1158,7 @@ mod tests {
         let p = b.par(vec![l, r2], GroupMeta::default());
         let comp = b.finish(p);
         let cfg = tiny_config(2, 64);
-        let r = simulate(&comp, &cfg, SchedulerKind::Pdf);
+        let r = simulate(&comp, &cfg, "pdf");
         assert_eq!(r.tasks, 2);
         assert_eq!(r.cycles, 100);
     }
@@ -1168,7 +1167,7 @@ mod tests {
     fn more_cores_than_tasks_is_fine() {
         let comp = disjoint_streams(2, 4 * 1024);
         let cfg = tiny_config(8, 128);
-        let r = simulate(&comp, &cfg, SchedulerKind::WorkStealing);
+        let r = simulate(&comp, &cfg, "ws");
         assert_eq!(r.tasks, 3);
         assert!(r.cycles > 0);
     }
@@ -1182,7 +1181,7 @@ mod tests {
         ];
         for (name, comp) in &scenarios {
             for cores in [1usize, 2, 4] {
-                for kind in [SchedulerKind::Pdf, SchedulerKind::WorkStealing] {
+                for kind in ["pdf", "ws"] {
                     let cfg = tiny_config(cores, 128);
                     let fast = simulate_engine(comp, &cfg, kind, SimEngine::EventDriven);
                     let slow = simulate_engine(comp, &cfg, kind, SimEngine::Reference);
@@ -1219,11 +1218,7 @@ mod tests {
         let comp = b.finish(par);
         for cores in [3usize, 8, 16] {
             let cfg = tiny_config(cores, 128);
-            for kind in [
-                SchedulerKind::Pdf,
-                SchedulerKind::WorkStealing,
-                SchedulerKind::WorkStealingRandom(9),
-            ] {
+            for kind in ["pdf", "ws", "ws-rand@9"] {
                 let fast = simulate_engine(&comp, &cfg, kind, SimEngine::EventDriven);
                 let again = simulate_engine(&comp, &cfg, kind, SimEngine::EventDriven);
                 assert_eq!(fast, again, "{kind} / {cores} cores must be deterministic");
@@ -1245,7 +1240,7 @@ mod tests {
         ];
         for (name, comp) in &scenarios {
             for (cores, clusters) in [(4usize, 2usize), (8, 4), (96, 4)] {
-                for kind in [SchedulerKind::Pdf, SchedulerKind::WorkStealing] {
+                for kind in ["pdf", "ws"] {
                     let cfg = tiny_config(cores, 64).clustered(clusters).with_l3_mb(1);
                     let fast = simulate_engine(comp, &cfg, kind, SimEngine::EventDriven);
                     let slow = simulate_engine(comp, &cfg, kind, SimEngine::Reference);
@@ -1264,13 +1259,13 @@ mod tests {
         // L3 behind it catches the reuse.
         let comp = shared_streams(8, 32 * 1024);
         let cfg = tiny_config(4, 16).with_l3_mb(1);
-        let r = simulate(&comp, &cfg, SchedulerKind::Pdf);
+        let r = simulate(&comp, &cfg, "pdf");
         assert!(r.l3.accesses > 0);
         assert_eq!(r.l3.accesses, r.l2.misses, "every L2 miss probes the L3");
         assert!(r.l3.misses < r.l3.accesses, "warm reuse hits in the L3");
         assert_eq!(r.l3.misses, r.memory.requests, "only L3 misses go off-chip");
         assert!(r.l3_mpki() > 0.0);
-        let flat = simulate(&comp, &tiny_config(4, 16), SchedulerKind::Pdf);
+        let flat = simulate(&comp, &tiny_config(4, 16), "pdf");
         assert_eq!(flat.l3, ccs_cache::CacheStats::default());
         assert!(
             flat.memory.requests > r.memory.requests,
@@ -1284,8 +1279,8 @@ mod tests {
         // cold pass misses; split into 4×16 KB cluster slices, each cluster
         // re-fetches the array for itself.
         let comp = shared_streams(8, 32 * 1024);
-        let shared = simulate(&comp, &tiny_config(8, 64), SchedulerKind::Pdf);
-        let clustered = simulate(&comp, &tiny_config(8, 64).clustered(4), SchedulerKind::Pdf);
+        let shared = simulate(&comp, &tiny_config(8, 64), "pdf");
+        let clustered = simulate(&comp, &tiny_config(8, 64).clustered(4), "pdf");
         assert_eq!(shared.instructions, clustered.instructions);
         assert!(
             clustered.l2.misses > shared.l2.misses,
@@ -1314,8 +1309,8 @@ mod tests {
     fn batch_engine_on_one_config_is_the_event_engine() {
         let comp = shared_writers(6, 8 * 1024);
         let cfg = tiny_config(4, 128);
-        let event = simulate_engine(&comp, &cfg, SchedulerKind::Pdf, SimEngine::EventDriven);
-        let batch = simulate_engine(&comp, &cfg, SchedulerKind::Pdf, SimEngine::Batch);
+        let event = simulate_engine(&comp, &cfg, "pdf", SimEngine::EventDriven);
+        let batch = simulate_engine(&comp, &cfg, "pdf", SimEngine::Batch);
         assert_eq!(event, batch);
     }
 

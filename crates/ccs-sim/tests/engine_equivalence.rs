@@ -10,7 +10,6 @@
 //! unobservable work.
 
 use ccs_dag::synth::{random_computation, SynthParams};
-use ccs_sched::SchedulerKind;
 use ccs_sim::{simulate_engine, CmpConfig, SimEngine};
 use proptest::prelude::*;
 
@@ -52,7 +51,7 @@ proptest! {
     ) {
         let cores = [1usize, 2, 4][cores_idx];
         let comp = random_computation(seed, &synth_params());
-        let kind = if pdf == 0 { SchedulerKind::Pdf } else { SchedulerKind::WorkStealing };
+        let kind = if pdf == 0 { "pdf" } else { "ws" };
         let cfg = tiny_config(cores);
         let fast = simulate_engine(&comp, &cfg, kind, SimEngine::EventDriven);
         let slow = simulate_engine(&comp, &cfg, kind, SimEngine::Reference);
@@ -78,7 +77,7 @@ proptest! {
         let divisors: Vec<usize> = (1..=cores).filter(|&d| cores.is_multiple_of(d)).collect();
         let clusters = divisors[cluster_pick % divisors.len()];
         let comp = random_computation(seed, &synth_params());
-        let kind = if pdf == 0 { SchedulerKind::Pdf } else { SchedulerKind::WorkStealing };
+        let kind = if pdf == 0 { "pdf" } else { "ws" };
         let cfg = tiny_config(cores).clustered(clusters).with_l3_mb(1);
         let fast = simulate_engine(&comp, &cfg, kind, SimEngine::EventDriven);
         let slow = simulate_engine(&comp, &cfg, kind, SimEngine::Reference);
@@ -107,7 +106,7 @@ fn engines_agree_across_seeds_schedulers_and_cores() {
         let wide_cores = if seed % 3 == 0 { Some(wide) } else { None };
         for cores in [1usize, 2, 4].into_iter().chain(wide_cores) {
             let cfg = tiny_config(cores);
-            for kind in [SchedulerKind::Pdf, SchedulerKind::WorkStealing] {
+            for kind in ["pdf", "ws"] {
                 let fast = simulate_engine(&comp, &cfg, kind, SimEngine::EventDriven);
                 let slow = simulate_engine(&comp, &cfg, kind, SimEngine::Reference);
                 assert_eq!(fast, slow, "seed {seed} / {kind} / {cores} cores");
@@ -147,7 +146,7 @@ fn broadcast_fallback_matches_reference_past_directory_width() {
 
     for cores in [1usize, 4, MAX_DIRECTORY_CORES + 1, MAX_DIRECTORY_CORES + 8] {
         let cfg = tiny_config(cores);
-        for kind in [SchedulerKind::Pdf, SchedulerKind::WorkStealing] {
+        for kind in ["pdf", "ws"] {
             let fast = simulate_engine(&comp, &cfg, kind, SimEngine::EventDriven);
             let slow = simulate_engine(&comp, &cfg, kind, SimEngine::Reference);
             assert_eq!(fast, slow, "{kind} / {cores} cores");
@@ -172,7 +171,7 @@ fn geometry_lanes_compile_once_and_are_shared_across_runs() {
     // whole schedulers × cores matrix of a sweep point shares one pair.
     for cores in [1usize, 2, 4] {
         let cfg = tiny_config(cores);
-        for kind in [SchedulerKind::Pdf, SchedulerKind::WorkStealing] {
+        for kind in ["pdf", "ws"] {
             let _ = simulate_engine(&comp, &cfg, kind, SimEngine::EventDriven);
         }
     }
@@ -242,7 +241,7 @@ fn engines_agree_on_straddling_refs_and_mru_hammering() {
 
     for cores in [1usize, 2, 4] {
         let cfg = tiny_config(cores);
-        for kind in [SchedulerKind::Pdf, SchedulerKind::WorkStealing] {
+        for kind in ["pdf", "ws"] {
             let fast = simulate_engine(&comp, &cfg, kind, SimEngine::EventDriven);
             let slow = simulate_engine(&comp, &cfg, kind, SimEngine::Reference);
             assert_eq!(fast, slow, "{kind} / {cores} cores");

@@ -71,7 +71,7 @@ impl HashJoinParams {
     /// Paper-proportional parameters scaled down by `scale` (1 = the paper's
     /// ~341 MB build partition), with sub-partitions sized for an L2 of
     /// `l2_bytes`.  The single authority for how Hash Join scales — used by
-    /// `Benchmark::build_scaled` and the workload registry.
+    /// the workload registry.
     pub fn scaled(scale: u64, l2_bytes: u64) -> Self {
         let scale = scale.max(1);
         let build_bytes = ((341u64 << 20) / scale).max(1 << 20);

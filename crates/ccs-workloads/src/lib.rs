@@ -7,7 +7,8 @@
 //!    cache-line-level memory traces ([`mergesort::build`],
 //!    [`hashjoin::build`], [`lu::build`], and the secondary benchmarks in
 //!    [`extras`]) — these drive the CMP simulator to reproduce the paper's
-//!    figures;
+//!    figures.  Each is registered by name with [`WorkloadRegistry::global`],
+//!    and [`PAPER_WORKLOADS`] names the paper's three;
 //! 2. a **native kernel** running on the `ccs-runtime` fork-join pool
 //!    ([`native`]), so the library is also usable as a real parallel runtime.
 //!
@@ -31,61 +32,13 @@ pub use lu::LuParams;
 pub use mergesort::MergesortParams;
 pub use registry::{BuildCtx, UnknownWorkload, WorkloadFactory, WorkloadRegistry};
 
-use ccs_dag::Computation;
-
-/// The three primary benchmarks of the experimental study (Section 4.2).
-///
-/// This enum predates the open [`WorkloadRegistry`] and survives as a thin
-/// compatibility shim (exactly like `SchedulerKind` does for the scheduler
-/// registry): it names the same workloads the registry registers under
-/// `"lu"`, `"hashjoin"` and `"mergesort"`, and [`Benchmark::build_scaled`]
-/// and the registry factories share one code path (the per-kernel
-/// `Params::scaled` constructors), so enum-built and registry-built
-/// computations are identical.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Benchmark {
-    /// Recursive dense LU factorization (scientific, small working set).
-    Lu,
-    /// Database hash join (irregular, large working set, bandwidth hungry).
-    HashJoin,
-    /// Parallel mergesort (divide and conquer).
-    Mergesort,
-}
-
-impl Benchmark {
-    /// Short name used in experiment output.
-    pub fn name(self) -> &'static str {
-        match self {
-            Benchmark::Lu => "lu",
-            Benchmark::HashJoin => "hashjoin",
-            Benchmark::Mergesort => "mergesort",
-        }
-    }
-
-    /// Build the benchmark at a paper-proportional input size scaled down by
-    /// `scale_divisor` (1 = the paper's input sizes), with task granularity
-    /// appropriate for an L2 of `l2_bytes` shared by `cores` cores.
-    ///
-    /// Paper input sizes: LU factors a 2K×2K matrix of doubles (32 MB), Hash
-    /// Join joins a ~341 MB build partition with a ~683 MB probe partition
-    /// (1 GB memory buffer), Mergesort sorts 32 M four-byte integers (128 MB).
-    pub fn build_scaled(self, scale_divisor: u64, l2_bytes: u64, cores: usize) -> Computation {
-        let scale = scale_divisor.max(1);
-        match self {
-            Benchmark::Lu => lu::build(&LuParams::scaled(scale, l2_bytes)),
-            Benchmark::HashJoin => hashjoin::build(&HashJoinParams::scaled(scale, l2_bytes)),
-            Benchmark::Mergesort => {
-                mergesort::build(&MergesortParams::scaled(scale, l2_bytes, cores))
-            }
-        }
-    }
-}
-
-impl std::fmt::Display for Benchmark {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
+/// The paper's three primary benchmarks (Section 4.2) by registry name, in
+/// the order its figures report them: recursive dense LU factorization
+/// (scientific, small working set), database hash join (irregular, large
+/// working set, bandwidth hungry) and parallel mergesort (divide and
+/// conquer).  [`WorkloadRegistry::global`] builds each at paper-proportional
+/// input sizes through its `Params::scaled` constructor.
+pub const PAPER_WORKLOADS: [&str; 3] = ["lu", "hashjoin", "mergesort"];
 
 #[cfg(test)]
 mod tests {
@@ -93,17 +46,23 @@ mod tests {
 
     #[test]
     fn benchmark_names() {
-        assert_eq!(Benchmark::Lu.name(), "lu");
-        assert_eq!(Benchmark::HashJoin.to_string(), "hashjoin");
-        assert_eq!(Benchmark::Mergesort.name(), "mergesort");
+        // Figure reports list the paper benchmarks in this order.
+        assert_eq!(PAPER_WORKLOADS, ["lu", "hashjoin", "mergesort"]);
+        for name in PAPER_WORKLOADS {
+            assert!(
+                WorkloadRegistry::global().describe(name).is_some(),
+                "{name}"
+            );
+        }
     }
 
     #[test]
     fn scaled_builds_are_nontrivial_and_valid() {
         // Use a large scale divisor so this stays fast in debug builds.
-        for bench in [Benchmark::Lu, Benchmark::HashJoin, Benchmark::Mergesort] {
-            let comp = bench.build_scaled(256, 256 * 1024, 8);
-            assert!(comp.num_tasks() > 1, "{bench}: {}", comp.num_tasks());
+        let ctx = BuildCtx::new(256, 256 * 1024, 8);
+        for name in PAPER_WORKLOADS {
+            let comp = WorkloadRegistry::global().build(name, &ctx).unwrap();
+            assert!(comp.num_tasks() > 1, "{name}: {}", comp.num_tasks());
             ccs_dag::Dag::from_computation(&comp).validate().unwrap();
         }
     }

@@ -49,8 +49,7 @@ impl LuParams {
     /// 2K×2K matrix; the dimension scales with `sqrt(scale)` so the
     /// matrix-to-cache ratio is preserved), with the block size tracking an
     /// L2 of `l2_bytes` via [`LuParams::block_for_l2`].  The single authority
-    /// for how LU scales — used by `Benchmark::build_scaled` and the workload
-    /// registry.
+    /// for how LU scales — used by the workload registry.
     pub fn scaled(scale: u64, l2_bytes: u64) -> Self {
         let scale = scale.max(1);
         let dim = (2048.0 / (scale as f64).sqrt()).round() as u64;

@@ -69,7 +69,7 @@ impl MergesortParams {
     /// Paper-proportional parameters scaled down by `scale` (1 = the paper's
     /// 32 M items), with task granularity sized for an L2 of `l2_bytes`
     /// shared by `cores` cores.  The single authority for how Mergesort
-    /// scales — used by `Benchmark::build_scaled` and the workload registry.
+    /// scales — used by the workload registry.
     pub fn scaled(scale: u64, l2_bytes: u64, cores: usize) -> Self {
         let scale = scale.max(1);
         let n_items = ((32u64 << 20) / scale).max(1 << 14);

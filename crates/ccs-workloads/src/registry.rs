@@ -52,8 +52,8 @@ use crate::{hashjoin, lu, mergesort, HashJoinParams, LuParams, MergesortParams};
 ///
 /// The scale divisor and the machine shape come from the experiment layer
 /// (the L2 capacity is the *scaled* capacity of the design point, so task
-/// granularity can track the cache exactly as `Benchmark::build_scaled`
-/// did); the `key=value` parameters come from the workload spec string
+/// granularity can track the cache through each kernel's `Params::scaled`
+/// constructor); the `key=value` parameters come from the workload spec string
 /// (`"heat:rows=1024,cols=1024,steps=8"`).
 #[derive(Clone, Debug)]
 pub struct BuildCtx {
@@ -422,7 +422,6 @@ impl std::fmt::Debug for WorkloadRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Benchmark;
     use ccs_dag::Dag;
 
     const ALL: [&str; 6] = ["lu", "hashjoin", "mergesort", "quicksort", "matmul", "heat"];
@@ -453,16 +452,29 @@ mod tests {
     }
 
     #[test]
-    fn registry_matches_benchmark_build_scaled() {
+    fn registry_matches_scaled_param_builds() {
+        // A bare paper-benchmark name builds at the paper's parameters: the
+        // kernel's `Params::scaled` for the design point, trace for trace.
         let (scale, l2, cores) = (512, 128 * 1024, 8);
         let ctx = BuildCtx::new(scale, l2, cores);
-        for bench in [Benchmark::Lu, Benchmark::HashJoin, Benchmark::Mergesort] {
-            let by_enum = bench.build_scaled(scale, l2, cores);
-            let by_name = WorkloadRegistry::global()
-                .build(bench.name(), &ctx)
-                .unwrap();
-            assert_eq!(by_enum.num_tasks(), by_name.num_tasks(), "{bench}");
-            assert_eq!(by_enum.total_work(), by_name.total_work(), "{bench}");
+        let direct = [
+            ("lu", lu::build(&LuParams::scaled(scale, l2))),
+            (
+                "hashjoin",
+                hashjoin::build(&HashJoinParams::scaled(scale, l2)),
+            ),
+            (
+                "mergesort",
+                mergesort::build(&MergesortParams::scaled(scale, l2, cores)),
+            ),
+        ];
+        for (name, direct) in direct {
+            let by_name = WorkloadRegistry::global().build(name, &ctx).unwrap();
+            assert_eq!(direct.num_tasks(), by_name.num_tasks(), "{name}");
+            assert!(
+                direct.sequential_refs().eq(by_name.sequential_refs()),
+                "{name}: traces must be identical"
+            );
         }
     }
 

@@ -104,7 +104,7 @@ fn main() {
     );
 
     // 3. An experiment sweep, side by side with the built-ins.
-    let report = Experiment::new(Benchmark::Mergesort)
+    let report = Experiment::new("mergesort")
         .cores(8)
         .scale(256)
         .schedulers(["pdf", "ws", "ws-ring"])

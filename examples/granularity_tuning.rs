@@ -62,8 +62,8 @@ fn main() {
     // re-grouped DAG (the Fig. 8 "dag" scheme).
     let (cfg, plan) = &plans[1];
     let coarse = apply_coarsening(&fine, &tree, plan);
-    let fine_run = simulate(&fine, cfg, SchedulerKind::Pdf);
-    let coarse_run = simulate(&coarse, cfg, SchedulerKind::Pdf);
+    let fine_run = simulate(&fine, cfg, "pdf");
+    let coarse_run = simulate(&coarse, cfg, "pdf");
     println!(
         "16-core PDF execution: fine-grained {} cycles vs auto-coarsened {} cycles ({:+.1}%)",
         fine_run.cycles,

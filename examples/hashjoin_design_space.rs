@@ -16,13 +16,13 @@ fn main() {
     let scale = 64u64;
     println!("Hash Join on 45nm design points (inputs and caches scaled by 1/{scale})\n");
 
-    let report = Experiment::new(Benchmark::HashJoin)
+    let report = Experiment::new("hashjoin")
         .configs(
             CmpConfig::single_tech_45nm()
                 .into_iter()
                 .filter(|cfg| [2usize, 8, 14, 18, 22, 26].contains(&cfg.num_cores)),
         )
-        .schedulers([SchedulerKind::Pdf, SchedulerKind::WorkStealing])
+        .schedulers(["pdf", "ws"])
         .scale(scale)
         .sequential_baseline(false)
         .run();

@@ -40,11 +40,11 @@ fn main() {
 
     let mut seq_cfg = config.clone();
     seq_cfg.num_cores = 1;
-    let seq = simulate(&comp, &seq_cfg, SchedulerKind::Pdf);
+    let seq = simulate(&comp, &seq_cfg, "pdf");
 
     println!("\nscheduler   cycles      speedup  L2 misses  misses/1000instr");
     let mut results = Vec::new();
-    for kind in [SchedulerKind::Pdf, SchedulerKind::WorkStealing] {
+    for kind in ["pdf", "ws"] {
         let r = simulate(&comp, &config, kind);
         println!(
             "{:<10} {:>10}  {:>7.2}  {:>9}  {:>10.3}",

@@ -11,10 +11,10 @@ use ccs::prelude::*;
 fn main() {
     // A Mergesort at 1/64 of the paper's input size on the paper's 8-core
     // default configuration (Table 2), caches scaled to match.
-    let report = Experiment::new(Benchmark::Mergesort)
+    let report = Experiment::new("mergesort")
         .cores(8)
         .scale(64)
-        .schedulers([SchedulerKind::Pdf, SchedulerKind::WorkStealing])
+        .schedulers(["pdf", "ws"])
         .run();
 
     println!("experiment: {} (scale 1/{})\n", report.name, report.scale);

@@ -33,10 +33,10 @@
 //! ```
 //! use ccs::prelude::*;
 //!
-//! let report = Experiment::new(Benchmark::Mergesort)
+//! let report = Experiment::new("mergesort")
 //!     .cores(8)
 //!     .scale(512)
-//!     .schedulers([SchedulerKind::Pdf, SchedulerKind::WorkStealing])
+//!     .schedulers(["pdf", "ws"])
 //!     .run();
 //! let pdf = report.for_scheduler("pdf").next().unwrap();
 //! let ws = report.for_scheduler("ws").next().unwrap();
@@ -45,9 +45,8 @@
 //! ```
 //!
 //! The lower-level entry points remain available, and accept anything that
-//! converts into a [`SchedulerSpec`](ccs_sched::SchedulerSpec) — a
-//! [`SchedulerKind`](ccs_sched::SchedulerKind), a registry name like
-//! `"pdf"`, or a seeded spec:
+//! converts into a [`SchedulerSpec`](ccs_sched::SchedulerSpec) — a registry
+//! name like `"pdf"` or `"ws-rand@7"`, or a full spec:
 //!
 //! ```
 //! use ccs::prelude::*;
@@ -57,7 +56,7 @@
 //! );
 //! let config = CmpConfig::default_with_cores(8).unwrap().scaled(64);
 //! let pdf = simulate(&comp, &config, "pdf");
-//! let ws = simulate(&comp, &config, SchedulerKind::WorkStealing);
+//! let ws = simulate(&comp, &config, "ws");
 //! assert!(pdf.l2.misses <= ws.l2.misses, "PDF shares the cache constructively");
 //! ```
 //!
@@ -110,12 +109,11 @@ pub mod prelude {
     pub use ccs_profile::{coarsen, CoarsenTarget, WorkingSetProfile};
     pub use ccs_runtime::{join, Policy, ThreadPool};
     pub use ccs_sched::{
-        execute, Scheduler, SchedulerFactory, SchedulerKind, SchedulerParams, SchedulerRegistry,
-        SchedulerSpec,
+        execute, Scheduler, SchedulerFactory, SchedulerParams, SchedulerRegistry, SchedulerSpec,
     };
     pub use ccs_sim::{simulate, CmpConfig, SimResult, Technology};
     pub use ccs_workloads::{
-        Benchmark, BuildCtx, HashJoinParams, LuParams, MergesortParams, WorkloadFactory,
-        WorkloadRegistry,
+        BuildCtx, HashJoinParams, LuParams, MergesortParams, WorkloadFactory, WorkloadRegistry,
+        PAPER_WORKLOADS,
     };
 }

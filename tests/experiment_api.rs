@@ -1,8 +1,7 @@
 //! Integration tests for the unified `Experiment` API: report round-trips,
-//! registry/enum equivalence on both axes (schedulers *and* workloads),
-//! user-defined schedulers and workloads through every driver, parallel
-//! sweep determinism, and the paper's PDF-≤-WS L2-miss invariant as a
-//! standing check.
+//! registry names building the paper's parameters, user-defined schedulers
+//! and workloads through every driver, parallel sweep determinism, and the
+//! paper's PDF-≤-WS L2-miss invariant as a standing check.
 
 use std::collections::VecDeque;
 
@@ -33,14 +32,10 @@ fn fixed_computation() -> Computation {
 
 #[test]
 fn report_round_trips_through_json() {
-    let report = Experiment::new(Benchmark::Mergesort)
+    let report = Experiment::new("mergesort")
         .cores([2, 4])
         .scale(512)
-        .schedulers([
-            SchedulerKind::Pdf,
-            SchedulerKind::WorkStealing,
-            SchedulerKind::WorkStealingRandom(7),
-        ])
+        .schedulers(["pdf", "ws", "ws-rand@7"])
         .run();
     assert_eq!(report.len(), 2 * 3);
 
@@ -58,37 +53,6 @@ fn report_round_trips_through_json() {
 
     // CSV has one line per record plus the header.
     assert_eq!(report.to_csv().lines().count(), report.len() + 1);
-}
-
-#[test]
-fn registry_and_enum_builds_produce_identical_schedules() {
-    let comp = fixed_computation();
-    let dag = Dag::from_computation(&comp);
-    let pairs: [(&str, SchedulerKind); 4] = [
-        ("pdf", SchedulerKind::Pdf),
-        ("ws", SchedulerKind::WorkStealing),
-        ("ws-rand", SchedulerKind::WorkStealingRandom(0)),
-        ("central", SchedulerKind::CentralQueue),
-    ];
-    for (name, kind) in pairs {
-        for cores in [1usize, 3, 8] {
-            let by_name = execute(&dag, cores, name);
-            let by_kind = execute(&dag, cores, kind);
-            assert_eq!(
-                by_name.task_start, by_kind.task_start,
-                "{name} on {cores} cores"
-            );
-            assert_eq!(
-                by_name.task_core, by_kind.task_core,
-                "{name} on {cores} cores"
-            );
-            assert_eq!(
-                by_name.scheduler, by_kind.scheduler,
-                "{name} on {cores} cores"
-            );
-            by_name.validate(&dag).unwrap();
-        }
-    }
 }
 
 /// A user-defined scheduler: plain FIFO over enabling order, tracked per
@@ -159,22 +123,22 @@ fn user_defined_scheduler_runs_through_executor_simulator_and_experiment() {
 }
 
 #[test]
-fn registry_and_enum_workload_builds_are_identical() {
-    // The compat-shim guarantee: `Benchmark::build_scaled` and the registry
-    // factory share one code path, so the built computations match trace
-    // for trace, not just statistically.
+fn paper_workload_specs_build_the_paper_parameters() {
+    // What an experiment simulates for a bare paper-benchmark name is the
+    // kernel built from its `Params::scaled` constructor, trace for trace.
     let (scale, l2, cores) = (512u64, 256 * 1024u64, 8usize);
-    for bench in [Benchmark::Lu, Benchmark::HashJoin, Benchmark::Mergesort] {
-        let by_enum = bench.build_scaled(scale, l2, cores);
-        let ctx = BuildCtx::new(scale, l2, cores);
-        let by_name = WorkloadRegistry::global()
-            .build(bench.name(), &ctx)
-            .expect("paper benchmark registered");
-        assert_eq!(by_enum.num_tasks(), by_name.num_tasks(), "{bench}");
-        assert_eq!(by_enum.total_work(), by_name.total_work(), "{bench}");
-        let refs_enum: Vec<_> = by_enum.sequential_refs().collect();
-        let refs_name: Vec<_> = by_name.sequential_refs().collect();
-        assert_eq!(refs_enum, refs_name, "{bench}: traces must be identical");
+    let direct = [
+        ccs::workloads::lu::build(&LuParams::scaled(scale, l2)),
+        ccs::workloads::hashjoin::build(&HashJoinParams::scaled(scale, l2)),
+        ccs::workloads::mergesort::build(&MergesortParams::scaled(scale, l2, cores)),
+    ];
+    for (name, direct) in PAPER_WORKLOADS.into_iter().zip(direct) {
+        let by_spec = WorkloadSpec::from(name).build(scale, l2, cores);
+        assert_eq!(direct.num_tasks(), by_spec.num_tasks(), "{name}");
+        assert_eq!(direct.total_work(), by_spec.total_work(), "{name}");
+        let refs_direct: Vec<_> = direct.sequential_refs().collect();
+        let refs_spec: Vec<_> = by_spec.sequential_refs().collect();
+        assert_eq!(refs_direct, refs_spec, "{name}: traces must be identical");
     }
 }
 
@@ -282,10 +246,10 @@ fn unknown_scheduler_name_fails_with_clear_error() {
 fn pdf_l2_misses_at_most_ws_on_mergesort() {
     // The doctest invariant from the crate root, kept as an integration test:
     // PDF shares the shared L2 constructively, WS fragments it.
-    let report = Experiment::new(Benchmark::Mergesort)
+    let report = Experiment::new("mergesort")
         .cores(16)
         .scale(64)
-        .schedulers([SchedulerKind::Pdf, SchedulerKind::WorkStealing])
+        .schedulers(["pdf", "ws"])
         .run();
     let pdf = report.for_scheduler("pdf").next().unwrap();
     let ws = report.for_scheduler("ws").next().unwrap();

@@ -39,8 +39,8 @@ fn coarsening_pipeline_end_to_end() {
     assert_eq!(coarse.total_work(), fine.total_work());
     assert_eq!(coarse.total_refs(), fine.total_refs());
 
-    let fine_run = simulate(&fine, &cfg, SchedulerKind::Pdf);
-    let coarse_run = simulate(&coarse, &cfg, SchedulerKind::Pdf);
+    let fine_run = simulate(&fine, &cfg, "pdf");
+    let coarse_run = simulate(&coarse, &cfg, "pdf");
     assert_eq!(fine_run.instructions, coarse_run.instructions);
     // The automatic selection must not be a disaster: within 2x of the
     // fine-grained run (the paper's point is that it lands within 5% of the
