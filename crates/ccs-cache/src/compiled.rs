@@ -1,6 +1,6 @@
-//! The id-native compiled cache: the probe path of [`SetAssocCache`]
-//! specialised for callers that resolved their addresses to dense `u32`
-//! line ids up front.
+//! The id-native compiled cache: the simulator's set-associative, true-LRU,
+//! write-back cache, probed by precompiled `(set, u32 tag)` pairs instead
+//! of by address, in `O(1)` per probe whatever the associativity.
 //!
 //! The CMP simulator's hot loop probes a cache once per line-granular
 //! trace step.  With the precompiled line streams of `ccs-dag::stream`
@@ -8,24 +8,44 @@
 //! `set_index` lane maps that id straight to a set — so the address is
 //! never needed: the *line id itself* is a perfect tag (two distinct
 //! lines always have distinct ids, in any set), and it fits in 31 bits by
-//! construction (`STEP_ID_MASK`).  [`CompiledCache`] exploits that:
+//! construction (`STEP_ID_MASK`).  [`CompiledCache`] keeps three
+//! structures:
 //!
-//! * tags are `u32` — half the bytes of [`SetAssocCache`]'s `u64` line
-//!   tags, so a 16-way set's tag array is a single 64-byte cache line on
-//!   the host and the probe scan touches half the memory;
-//! * a probe takes `(set, tag)` directly — no line masking, no shift/mask
-//!   or modulo set indexing, no address table load;
-//! * probes report a bare `bool` hit — eviction bookkeeping stays in the
-//!   statistics, where the simulator reads it.
+//! * **tags** — one `u32` per way: the pre-shifted id ([`line_tag`],
+//!   `id << 1`) with the dirty bit folded into bit 0, or the empty-way
+//!   sentinel;
+//! * **a recency list per set** — the set's ways form a circular doubly
+//!   linked list (`prev`/`next` per way, `head` per set).  The head is the
+//!   MRU way and its `prev` is the tail, the LRU way; empty ways sit at
+//!   the tail end.  A miss takes the tail way, records an eviction only if
+//!   that way held a line, and becomes the new head by moving `head` alone
+//!   (the list is circular).  A hit splices its way to the front; an
+//!   invalidated way is emptied and spliced to the tail.  Lines never move
+//!   between ways;
+//! * **way hints** — a map from line id to the way the line was last
+//!   installed in, one `u8` per id, stored in fixed-size pages allocated
+//!   on first write; an unallocated page reads as one shared zero page.  A
+//!   probe reads the hint and confirms it with a single tag compare.  A
+//!   resident line's hint is always current: it was written when the line
+//!   was installed, and the line has not moved since.  Any other hint —
+//!   never written, or stale because its line was evicted or invalidated
+//!   and the way reused — names a way holding a different tag or none, so
+//!   it reads as the miss it is.  There is no tag scan, and stale hints
+//!   never need clearing.
 //!
-//! Layout and replacement are **identical** to [`SetAssocCache`]:
-//! positional true LRU (each set kept MRU→LRU in one flat array, victim =
-//! last way, empties as the suffix) with the dirty bit folded into tag
-//! bit 0.  Tags passed in must therefore be *pre-shifted* line ids —
-//! [`line_tag`] (`id << 1`) — leaving bit 0 free.  Every statistics
-//! decision (hit/miss, eviction, write-back) matches `SetAssocCache`
-//! probe-for-probe; the engine-equivalence suite pins the two models (and
-//! the retained reference `RefCache`) metrics-identical.
+//! Replacement is **identical** to the positional true LRU of
+//! [`SetAssocCache`] (each set kept MRU→LRU in one array, victim = last
+//! way, empties as the suffix): the list order *is* the positional order,
+//! and empty ways stay at the tail end in both, so every hit, miss,
+//! eviction and write-back matches probe for probe.  The unit tests below
+//! pin the two in random lockstep, `ccs-sim`'s reference module pins this
+//! cache against the seed `RefCache` across geometries, and the
+//! engine-equivalence suites pin whole simulations.
+//!
+//! Hint memory grows with the lines a cache touches, not with the line-id
+//! bound: a private L1 of a many-core run allocates only the pages of the
+//! ids its own core touched, and [`CompiledCache::heap_bytes`] counts
+//! them.
 //!
 //! [`SetAssocCache`]: crate::SetAssocCache
 
@@ -59,34 +79,126 @@ const INVALID_TAG: u32 = u32::MAX;
 /// [`line_tag`] pre-shifts the id).
 const DIRTY_BIT: u32 = 1;
 
+/// log2 of the line ids per way-hint page (1 KiB of `u8` hints).
+const HINT_PAGE_SHIFT: u32 = 10;
+
+/// Line ids per way-hint page.
+const HINT_PAGE: usize = 1 << HINT_PAGE_SHIFT;
+
+/// One way: its tag and its neighbours in the set's recency list, as way
+/// indices within the set.
+#[derive(Clone, Copy, Debug)]
+struct Way {
+    /// `line_tag(id) | dirty`, or `INVALID_TAG` when empty.
+    tag: u32,
+    /// The next more recent way (the head's `prev` is the tail).
+    prev: u8,
+    /// The next less recent way (the tail's `next` is the head).
+    next: u8,
+}
+
+/// Line id → way hint, in lazily allocated pages (see the module docs).
+#[derive(Clone, Debug)]
+struct WayHints {
+    /// Offset of each id page's hints in `slots`; 0 is the shared zero
+    /// page, which every unallocated page reads.
+    page_of: Vec<u32>,
+    /// The zero page (never written), then every allocated page.
+    slots: Vec<u8>,
+}
+
+impl WayHints {
+    fn new(num_ids: usize) -> Self {
+        WayHints {
+            page_of: vec![0; num_ids.div_ceil(HINT_PAGE)],
+            slots: vec![0; HINT_PAGE],
+        }
+    }
+
+    #[inline(always)]
+    fn get(&self, id: u32) -> usize {
+        let start = self.page_of[(id >> HINT_PAGE_SHIFT) as usize] as usize;
+        self.slots[start + (id as usize & (HINT_PAGE - 1))] as usize
+    }
+
+    #[inline(always)]
+    fn set(&mut self, id: u32, way: usize) {
+        let page = &mut self.page_of[(id >> HINT_PAGE_SHIFT) as usize];
+        if *page == 0 {
+            *page = Self::alloc_page(&mut self.slots);
+        }
+        self.slots[*page as usize + (id as usize & (HINT_PAGE - 1))] = way as u8;
+    }
+
+    /// Append a zeroed page and return its offset.  Ids are below 2^31, so
+    /// at most 2^21 pages follow the zero page and offsets fit in `u32`.
+    #[cold]
+    fn alloc_page(slots: &mut Vec<u8>) -> u32 {
+        let start = slots.len();
+        slots.resize(start + HINT_PAGE, 0);
+        start as u32
+    }
+
+    /// Number of allocated pages (the zero page excluded).
+    #[cfg(test)]
+    fn pages(&self) -> usize {
+        self.slots.len() / HINT_PAGE - 1
+    }
+
+    fn heap_bytes(&self) -> u64 {
+        (self.page_of.capacity() * std::mem::size_of::<u32>() + self.slots.capacity()) as u64
+    }
+}
+
 /// A set-associative, true-LRU, write-back cache probed by `(set, u32
 /// tag)` instead of by address — the id-native twin of
 /// [`SetAssocCache`](crate::SetAssocCache) (see the module docs).
+///
+/// A line id must always be probed with the same set: its way hint is a
+/// way index within that set.
 #[derive(Clone, Debug)]
 pub struct CompiledCache {
-    /// Tag per way (`line_tag(id) | DIRTY_BIT`), `num_sets × assoc` flat;
-    /// each set ordered MRU→LRU with `INVALID_TAG` (empty) ways as the
-    /// suffix.
-    tags: Vec<u32>,
+    /// Every way, `num_sets × assoc` flat.
+    ways: Vec<Way>,
+    /// The MRU way of each set.
+    heads: Vec<u8>,
+    hints: WayHints,
     stats: CacheStats,
     assoc: usize,
 }
 
 impl CompiledCache {
-    /// Create an empty (cold) cache of `num_sets` sets ×
-    /// `associativity` ways.
+    /// The most ways a set may have: every way must fit a `u8` hint.
+    pub const MAX_ASSOCIATIVITY: u32 = 256;
+
+    /// Create an empty (cold) cache of `num_sets` sets × `associativity`
+    /// ways, probed with line ids below `num_ids`.
     ///
     /// # Panics
-    /// Panics if either dimension is zero.
-    pub fn new(num_sets: u64, associativity: u32) -> Self {
+    /// Panics if either dimension is zero or `associativity` exceeds
+    /// [`CompiledCache::MAX_ASSOCIATIVITY`].
+    pub fn new(num_sets: u64, associativity: u32, num_ids: usize) -> Self {
         assert!(num_sets > 0, "need at least one set");
         assert!(associativity > 0, "associativity must be positive");
-        let assoc = associativity as usize;
-        CompiledCache {
-            tags: vec![INVALID_TAG; (num_sets * assoc as u64) as usize],
+        assert!(
+            associativity <= Self::MAX_ASSOCIATIVITY,
+            "{associativity} ways exceed the compiled cache's {} per set",
+            Self::MAX_ASSOCIATIVITY
+        );
+        let empty = Way {
+            tag: INVALID_TAG,
+            prev: 0,
+            next: 0,
+        };
+        let mut cache = CompiledCache {
+            ways: vec![empty; (num_sets * associativity as u64) as usize],
+            heads: vec![0; num_sets as usize],
+            hints: WayHints::new(num_ids),
             stats: CacheStats::default(),
-            assoc,
-        }
+            assoc: associativity as usize,
+        };
+        cache.flush();
+        cache
     }
 
     /// Accumulated statistics.
@@ -99,95 +211,106 @@ impl CompiledCache {
         self.stats.reset();
     }
 
-    /// Flush the contents (cold cache) without touching statistics.
+    /// Flush the contents (cold cache) without touching statistics.  Each
+    /// set's list is relinked in way order; the hints go stale, which
+    /// needs no clearing.
     pub fn flush(&mut self) {
-        self.tags.fill(INVALID_TAG);
+        let assoc = self.assoc;
+        for (i, way) in self.ways.iter_mut().enumerate() {
+            let w = i % assoc;
+            *way = Way {
+                tag: INVALID_TAG,
+                prev: ((w + assoc - 1) % assoc) as u8,
+                next: ((w + 1) % assoc) as u8,
+            };
+        }
+        self.heads.fill(0);
     }
 
     /// Number of lines currently resident.
     pub fn resident_lines(&self) -> usize {
-        self.tags.iter().filter(|&&t| t != INVALID_TAG).count()
+        self.ways.iter().filter(|w| w.tag != INVALID_TAG).count()
     }
 
-    /// Heap bytes held by the tag array.
+    /// Heap bytes held by the ways, the list heads and the way-hint pages.
     pub fn heap_bytes(&self) -> u64 {
-        (self.tags.capacity() * std::mem::size_of::<u32>()) as u64
+        (self.ways.capacity() * std::mem::size_of::<Way>() + self.heads.capacity()) as u64
+            + self.hints.heap_bytes()
     }
 
-    /// Start index of `set` in the flat way array.
-    #[inline]
-    fn set_base(&self, set: u32) -> usize {
-        set as usize * self.assoc
-    }
-
-    /// Position of `tag` within its set (0 = MRU), if resident.  MRU way
-    /// first — re-touches of the most recent line are the most common
-    /// probe — then a **first-match, early-exit** scan: a line is resident
-    /// in at most one way, so the first match is the only match, the
-    /// average hit scans half the set, and the branchy exit keeps LLVM
-    /// from auto-vectorising the loop into an index-tracking reduction
-    /// (measured as a net loss at 4–32 ways: the vector prologue, blends
-    /// and horizontal max cost more than the 3–31 scalar compares they
-    /// replace).
+    /// The way holding `tag` in the set starting at `base`, if resident:
+    /// the line's hint, confirmed by one tag compare.  `stored ^ tag` is 0
+    /// or `DIRTY_BIT` on a match (tags have bit 0 clear) and greater on a
+    /// mismatch: distinct pre-shifted ids differ above bit 0, and the
+    /// empty sentinel keeps bit 1 set against any 31-bit pre-shifted id.
     #[inline(always)]
-    fn find_pos(&self, base: usize, tag: u32) -> Option<usize> {
-        let set = &self.tags[base..base + self.assoc];
-        // `stored ^ tag` is 0 or DIRTY_BIT on a match (tags have bit 0
-        // clear) and > DIRTY_BIT on a mismatch: distinct pre-shifted ids
-        // differ above bit 0, and the empty sentinel keeps bit 1 set
-        // against any 31-bit pre-shifted id.
-        if set[0] ^ tag <= DIRTY_BIT {
-            return Some(0);
-        }
-        set.iter()
-            .skip(1)
-            .position(|&stored| stored ^ tag <= DIRTY_BIT)
-            .map(|i| i + 1)
+    fn find(&self, base: usize, tag: u32) -> Option<usize> {
+        let way = self.hints.get(tag >> 1);
+        (self.ways[base + way].tag ^ tag <= DIRTY_BIT).then_some(way)
     }
 
-    /// One-pass move-to-front probe: install `new_front` at the MRU way
-    /// and ripple the previous occupants down until the probed tag's old
-    /// copy (a hit — its position is the ripple's length), an empty way
-    /// (a miss with a free way), or the end of the set (a miss evicting
-    /// the rippled-out LRU way).
-    ///
-    /// This fuses the two passes a find-then-rotate probe makes over the
-    /// set (`find_pos` + `touch`/`allocate_front`): a hit at position `j`
-    /// still touches `j + 1` ways, but a **miss** touches each way once
-    /// instead of twice — and misses dominate the L2 traffic of the
-    /// sweeps this simulator exists for.  Returns `Some(old stored tag)`
-    /// on a hit (so the caller can fold its dirty bit forward), `None` on
-    /// a miss; on an evicting miss the eviction is recorded.
-    ///
-    /// The caller must already have handled the MRU way (`ways[0]`).
+    /// Take `way` out of its set's list.
     #[inline(always)]
-    fn ripple_insert(&mut self, base: usize, tag: u32, new_front: u32) -> Option<u32> {
-        let ways = &mut self.tags[base..base + self.assoc];
-        let mut prev = ways[0];
-        ways[0] = new_front;
-        let mut i = 1;
-        while i < ways.len() {
-            let cur = ways[i];
-            ways[i] = prev;
-            if cur ^ tag <= DIRTY_BIT {
-                // Hit: the line's old copy leaves position `i`, its
-                // more-recent neighbours have all shifted down one.
-                return Some(cur);
-            }
-            if cur == INVALID_TAG {
-                // Miss into the empty suffix: the ripple consumed one
-                // empty way and the suffix invariant still holds.
-                return None;
-            }
-            prev = cur;
-            i += 1;
+    fn unlink(&mut self, base: usize, way: usize) {
+        let Way { prev, next, .. } = self.ways[base + way];
+        self.ways[base + prev as usize].next = next;
+        self.ways[base + next as usize].prev = prev;
+    }
+
+    /// Put an unlinked `way` back between the tail and `head`.
+    #[inline(always)]
+    fn link_before_head(&mut self, base: usize, head: usize, way: usize) {
+        let tail = self.ways[base + head].prev;
+        self.ways[base + tail as usize].next = way as u8;
+        let w = &mut self.ways[base + way];
+        w.prev = tail;
+        w.next = head as u8;
+        self.ways[base + head].prev = way as u8;
+    }
+
+    /// Make `way` the MRU way of `set`.
+    #[inline(always)]
+    fn promote(&mut self, set: usize, base: usize, way: usize) {
+        let head = self.heads[set] as usize;
+        if way == head {
+            return;
         }
-        // Miss, full set: `prev` rippled out of the last way.  It can
-        // only be the empty sentinel when the set is 1-way and was empty.
-        if prev != INVALID_TAG {
-            self.stats.record_eviction(prev & DIRTY_BIT != 0);
+        // The tail already sits just before the head: moving `head` onto
+        // it is the whole splice.
+        if way != self.ways[base + head].prev as usize {
+            self.unlink(base, way);
+            self.link_before_head(base, head, way);
         }
-        None
+        self.heads[set] = way as u8;
+    }
+
+    /// Make `way` the LRU way of `set`.
+    #[inline(always)]
+    fn demote(&mut self, set: usize, base: usize, way: usize) {
+        let head = self.heads[set] as usize;
+        if way == head {
+            // Circular list: the head's successor becomes the head and the
+            // old head is now the tail.
+            self.heads[set] = self.ways[base + way].next;
+        } else if way != self.ways[base + head].prev as usize {
+            self.unlink(base, way);
+            self.link_before_head(base, head, way);
+        }
+    }
+
+    /// Allocate line `id` at the MRU position of `set`, storing `stored`:
+    /// the tail way is the victim (an eviction is recorded only if it held
+    /// a line), and becomes the head.
+    #[inline(always)]
+    fn install(&mut self, set: usize, base: usize, id: u32, stored: u32) {
+        let victim = self.ways[base + self.heads[set] as usize].prev;
+        let way = &mut self.ways[base + victim as usize];
+        if way.tag != INVALID_TAG {
+            self.stats.record_eviction(way.tag & DIRTY_BIT != 0);
+        }
+        way.tag = stored;
+        self.hints.set(id, victim as usize);
+        self.heads[set] = victim;
     }
 
     /// Probe the cache: returns whether the line was resident, touching
@@ -199,27 +322,21 @@ impl CompiledCache {
     #[inline(always)]
     pub fn access_compiled(&mut self, set: u32, tag: u32, is_write: bool) -> bool {
         debug_assert_eq!(tag & DIRTY_BIT, 0, "tag must be pre-shifted (line_tag)");
-        let base = self.set_base(set);
-        // MRU fast path: re-touches of the most recent line are the most
-        // common probe, and neither reorder the set nor ripple anything.
-        let front = self.tags[base];
-        if front ^ tag <= DIRTY_BIT {
-            self.tags[base] = front | is_write as u32;
-            self.stats.record(true, is_write);
-            return true;
-        }
-        match self.ripple_insert(base, tag, tag | is_write as u32) {
-            Some(old) => {
-                // Fold the hit way's dirty bit forward.
-                self.tags[base] |= old & DIRTY_BIT;
-                self.stats.record(true, is_write);
+        let set = set as usize;
+        let base = set * self.assoc;
+        let hit = match self.find(base, tag) {
+            Some(way) => {
+                self.ways[base + way].tag |= is_write as u32;
+                self.promote(set, base, way);
                 true
             }
             None => {
-                self.stats.record(false, is_write);
+                self.install(set, base, tag >> 1, tag | is_write as u32);
                 false
             }
-        }
+        };
+        self.stats.record(hit, is_write);
+        hit
     }
 
     /// Insert a line (e.g. a fill returning from the next level) without
@@ -230,22 +347,22 @@ impl CompiledCache {
     #[inline(always)]
     pub fn fill_compiled(&mut self, set: u32, tag: u32, dirty: bool) {
         debug_assert_eq!(tag & DIRTY_BIT, 0, "tag must be pre-shifted (line_tag)");
-        let base = self.set_base(set);
-        let front = self.tags[base];
-        if front ^ tag <= DIRTY_BIT {
-            self.tags[base] = front | dirty as u32;
-            return;
-        }
-        if let Some(old) = self.ripple_insert(base, tag, tag | dirty as u32) {
-            self.tags[base] |= old & DIRTY_BIT;
+        let set = set as usize;
+        let base = set * self.assoc;
+        match self.find(base, tag) {
+            Some(way) => {
+                self.ways[base + way].tag |= dirty as u32;
+                self.promote(set, base, way);
+            }
+            None => self.install(set, base, tag >> 1, tag | dirty as u32),
         }
     }
 
     /// Record a *filtered* read hit: the caller has proved (e.g. via a
-    /// one-entry MRU filter) that the line is at the MRU position of its
-    /// set, so probing would be a state no-op.  Only the statistics move,
-    /// exactly as [`CompiledCache::access_compiled`] would move them for
-    /// that hit.
+    /// one-entry MRU filter) that the line is the head of its set's
+    /// recency list, so probing would be a state no-op.  Only the
+    /// statistics move, exactly as [`CompiledCache::access_compiled`]
+    /// would move them for that hit.
     #[inline]
     pub fn record_mru_read_hit(&mut self) {
         self.stats.record(true, false);
@@ -255,22 +372,22 @@ impl CompiledCache {
     /// statistics).
     #[inline]
     pub fn contains_compiled(&self, set: u32, tag: u32) -> bool {
-        self.find_pos(self.set_base(set), tag).is_some()
+        self.find(set as usize * self.assoc, tag).is_some()
     }
 
     /// Invalidate a line if present; returns `true` if it was present and
-    /// dirty.  Keeps the rest of the recency order and the
-    /// empties-as-suffix invariant.
+    /// dirty.  The emptied way moves to the tail, keeping the rest of the
+    /// recency order and the empties at the tail end.
     #[inline(always)]
     pub fn invalidate_compiled(&mut self, set: u32, tag: u32) -> bool {
         debug_assert_eq!(tag & DIRTY_BIT, 0, "tag must be pre-shifted (line_tag)");
-        let base = self.set_base(set);
-        match self.find_pos(base, tag) {
-            Some(pos) => {
-                let was_dirty = self.tags[base + pos] & DIRTY_BIT != 0;
-                let last = base + self.assoc - 1;
-                self.tags.copy_within(base + pos + 1..last + 1, base + pos);
-                self.tags[last] = INVALID_TAG;
+        let set = set as usize;
+        let base = set * self.assoc;
+        match self.find(base, tag) {
+            Some(way) => {
+                let was_dirty = self.ways[base + way].tag & DIRTY_BIT != 0;
+                self.ways[base + way].tag = INVALID_TAG;
+                self.demote(set, base, way);
                 was_dirty
             }
             None => false,
@@ -289,7 +406,7 @@ mod tests {
     /// of 64 B): line id `i` stands for line address `i * 64`, so id and
     /// set mappings coincide with the address-keyed tests.
     fn small() -> CompiledCache {
-        CompiledCache::new(2, 2)
+        CompiledCache::new(2, 2, 16)
     }
 
     #[test]
@@ -378,7 +495,7 @@ mod tests {
     fn lockstep_with_setassoc() {
         let cfg = CacheConfig::new(8 * 64, 64, 4, 1); // 2 sets, 4-way
         let mut addr_keyed = SetAssocCache::new(cfg);
-        let mut compiled = CompiledCache::new(cfg.num_sets(), cfg.associativity);
+        let mut compiled = CompiledCache::new(cfg.num_sets(), cfg.associativity, 13);
         // Line id i <-> line address i * 64; set = i % 2.
         let mut state = 0x2545_F491_4F6C_DD1Du64;
         for _ in 0..4096 {
@@ -418,5 +535,63 @@ mod tests {
         }
         assert_eq!(*addr_keyed.stats(), *compiled.stats());
         assert_eq!(addr_keyed.resident_lines(), compiled.resident_lines());
+    }
+
+    /// Every way of a maximal set is reachable through its `u8` hint, and
+    /// the 257th line evicts the LRU one.
+    #[test]
+    fn max_associativity_set_holds_every_way() {
+        let ways = CompiledCache::MAX_ASSOCIATIVITY;
+        let mut c = CompiledCache::new(1, ways, 2 * ways as usize);
+        for id in 0..ways {
+            assert!(!c.access_compiled(0, line_tag(id), id % 2 == 0));
+        }
+        for id in 0..ways {
+            assert!(c.contains_compiled(0, line_tag(id)), "line {id} lost");
+        }
+        assert_eq!(c.resident_lines(), ways as usize);
+        // Re-touch all but line 0, which becomes LRU (and is dirty).
+        for id in 1..ways {
+            assert!(c.access_compiled(0, line_tag(id), false));
+        }
+        assert!(!c.access_compiled(0, line_tag(ways), false));
+        assert!(!c.contains_compiled(0, line_tag(0)));
+        assert_eq!(c.stats().evictions, 1);
+        assert_eq!(c.stats().writebacks, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "257 ways exceed")]
+    fn more_ways_than_a_hint_can_name_are_rejected() {
+        CompiledCache::new(1, CompiledCache::MAX_ASSOCIATIVITY + 1, 16);
+    }
+
+    /// Hint memory grows with the ids a cache touches, not with its
+    /// line-id bound: probing one id range allocates that range's pages
+    /// only, reads allocate nothing, and `heap_bytes` counts the pages.
+    #[test]
+    fn hint_pages_grow_with_the_lines_touched() {
+        const BOUND: usize = 1 << 24;
+        let mut c = CompiledCache::new(4, 4, BOUND);
+        let cold = c.heap_bytes();
+        assert_eq!(c.hints.pages(), 0);
+        // Ids 5.5 to 7.5 pages in: touches pages 5, 6 and 7.
+        let lo = (5 * HINT_PAGE + HINT_PAGE / 2) as u32;
+        for id in lo..lo + 2 * HINT_PAGE as u32 {
+            c.access_compiled(id % 4, line_tag(id), id % 3 == 0);
+        }
+        // Probes of never-touched ids read the zero page.
+        for id in [0, 1 << 20, BOUND as u32 - 1] {
+            assert!(!c.contains_compiled(id % 4, line_tag(id)));
+            assert!(!c.invalidate_compiled(id % 4, line_tag(id)));
+        }
+        assert_eq!(c.hints.pages(), 3);
+        let mapped: Vec<usize> = (0..c.hints.page_of.len())
+            .filter(|&p| c.hints.page_of[p] != 0)
+            .collect();
+        assert_eq!(mapped, [5, 6, 7]);
+        assert!(c.heap_bytes() >= cold + 3 * HINT_PAGE as u64);
+        // Far below one hint byte per id of the bound.
+        assert!(c.heap_bytes() < BOUND as u64 / 64);
     }
 }

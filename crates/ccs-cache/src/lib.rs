@@ -9,7 +9,8 @@
 //! * [`SetAssocCache`] — set-associative, true-LRU, write-back cache used for
 //!   private L1s and the shared L2;
 //! * [`CompiledCache`] — the id-native twin of `SetAssocCache`, probed by
-//!   `(set, u32 tag)` pairs precompiled from dense line ids — the form the
+//!   `(set, u32 tag)` pairs precompiled from dense line ids in `O(1)` per
+//!   probe (per-line way hints, per-set recency lists) — the form the
 //!   simulator's hot loop uses so it never touches an address;
 //! * [`IdealCache`] — fully-associative LRU cache used by the analytical
 //!   results (Theorem 3.1) and the profiler;

@@ -16,7 +16,7 @@
 //! every table constructor is the paper's topology: one shared L2
 //! (`clusters == 1`) and no L3.
 
-use ccs_cache::{CacheConfig, MemoryConfig};
+use ccs_cache::{CacheConfig, CompiledCache, MemoryConfig};
 
 use crate::area::{self, Technology};
 
@@ -220,6 +220,54 @@ impl CmpConfig {
     pub fn peak_ipc(&self) -> u64 {
         self.num_cores as u64
     }
+
+    /// Check that the simulator can run this design point: at least one
+    /// core, split into equal clusters; every cache geometry consistent
+    /// ([`CacheConfig::validate`]) with the L2's line size; and no cache
+    /// with more ways per set than the production cache model can name
+    /// ([`CompiledCache::MAX_ASSOCIATIVITY`]).  Every engine checks this
+    /// before it runs.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.num_cores == 0 {
+            return Err("need at least one core".into());
+        }
+        if self.clusters == 0 || !self.num_cores.is_multiple_of(self.clusters) {
+            return Err(format!(
+                "{} cores cannot be split into {} equal clusters",
+                self.num_cores, self.clusters
+            ));
+        }
+        let levels = [
+            ("L1", Some(&self.l1)),
+            ("L2", Some(&self.l2)),
+            ("L3", self.l3.as_ref()),
+        ];
+        for (level, cache) in levels {
+            let Some(cache) = cache else { continue };
+            cache.validate().map_err(|e| format!("{level}: {e}"))?;
+            if cache.line_size != self.l2.line_size {
+                return Err(format!(
+                    "{level} line size {} differs from the L2's {}",
+                    cache.line_size, self.l2.line_size
+                ));
+            }
+            if cache.associativity > CompiledCache::MAX_ASSOCIATIVITY {
+                return Err(format!(
+                    "{level}: {} ways exceed the simulator's limit of {} per set",
+                    cache.associativity,
+                    CompiledCache::MAX_ASSOCIATIVITY
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// [`CmpConfig::validate`], panicking with the configuration's name.
+    pub(crate) fn assert_valid(&self) {
+        if let Err(e) = self.validate() {
+            panic!("invalid CMP configuration {}: {e}", self.name);
+        }
+    }
 }
 
 impl std::fmt::Display for CmpConfig {
@@ -252,6 +300,63 @@ impl std::fmt::Display for CmpConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ccs_workloads::mergesort::{self, MergesortParams};
+
+    #[test]
+    fn every_shipped_config_validates() {
+        let shipped = CmpConfig::default_configs()
+            .into_iter()
+            .chain(CmpConfig::single_tech_45nm())
+            .chain([64, 256, 1024].map(CmpConfig::many_core));
+        for cfg in shipped {
+            for divisor in [1, 64, 1024] {
+                let scaled = cfg.scaled(divisor).with_l3_mb(2);
+                assert_eq!(scaled.validate(), Ok(()), "{scaled}");
+            }
+        }
+    }
+
+    #[test]
+    fn invalid_configs_are_rejected_with_the_reason() {
+        let base = CmpConfig::default_with_cores(8).expect("paper config");
+        let mut wide = base.clone();
+        // 512 lines in one fully associative set: twice the ways a `u8`
+        // way hint can name.
+        wide.l2 = CacheConfig::new(512 * 128, 128, 512, 13);
+        let err = wide.validate().unwrap_err();
+        assert!(err.contains("L2: 512 ways exceed"), "{err}");
+        let mut limit = base.clone();
+        limit.l2 = CacheConfig::new(256 * 128, 128, CompiledCache::MAX_ASSOCIATIVITY, 13);
+        assert_eq!(limit.validate(), Ok(()));
+
+        let mut l1_wide = base.clone();
+        l1_wide.l1 = CacheConfig::fully_associative(64 * 1024, 128, 1);
+        assert!(l1_wide.validate().unwrap_err().starts_with("L1: 512 ways"));
+
+        let mut clusters = base.clone();
+        clusters.clusters = 3;
+        assert!(clusters
+            .validate()
+            .unwrap_err()
+            .contains("3 equal clusters"));
+
+        let mut lines = base.clone();
+        lines.l1 = CacheConfig::new(64 * 1024, 64, 4, 1);
+        assert!(lines.validate().unwrap_err().contains("L1 line size 64"));
+
+        let mut bad_l2 = base;
+        bad_l2.l2.associativity = 3;
+        assert!(bad_l2.validate().unwrap_err().starts_with("L2: "));
+    }
+
+    #[test]
+    #[should_panic(expected = "512 ways exceed")]
+    fn simulating_an_over_wide_cache_fails_before_the_run() {
+        let mut cfg = CmpConfig::default_with_cores(1).expect("paper config");
+        cfg.l2 = CacheConfig::new(512 * 128, 128, 512, 13);
+        let comp = mergesort::build(&MergesortParams::new(256));
+        crate::simulate(&comp, &cfg, "pdf");
+    }
 
     #[test]
     fn default_configs_match_table2() {

@@ -44,7 +44,11 @@
 //!   the stream map each line id straight to its L1/L2 set index, line ids
 //!   double as `u32` cache tags, and the L1s/L2 are
 //!   [`CompiledCache`]s probed by `(set, tag)` — the hot loop never
-//!   materialises an address (DESIGN.md §9);
+//!   materialises an address.  Each probe is `O(1)` at any associativity:
+//!   the line's way hint (a map from line id to way, its pages allocated
+//!   as the cache touches them, bounded by the stream's `num_lines`) is
+//!   confirmed by one tag compare, and LRU order is a per-set recency
+//!   list whose head is the MRU way the filter relies on (DESIGN.md §9);
 //! * the **reference** cycle-stepper (`reference` module): the seed loop,
 //!   one heap round-trip per micro-step and a broadcast per store, retained
 //!   as the executable specification (it reads per-task [`TaskTrace`]s
@@ -356,21 +360,13 @@ fn event_loop<R: Record, const HAS_L3: bool>(
     sched: &mut dyn Scheduler,
     rec: &mut R,
 ) -> SimResult {
+    config.assert_valid();
     let p = config.num_cores;
-    assert!(p > 0, "need at least one core");
     debug_assert_eq!(config.l3.is_some(), HAS_L3);
     let clusters = config.clusters;
-    assert!(
-        clusters >= 1 && p.is_multiple_of(clusters),
-        "{p} cores cannot be split into {clusters} equal clusters"
-    );
     let cores_per_cluster = p / clusters;
     let n = comp.num_tasks();
     let line_size = config.l2.line_size;
-    assert_eq!(
-        config.l1.line_size, line_size,
-        "L1 and L2 must use the same line size"
-    );
     // Resolve addresses to dense line ids once per (computation, line
     // size); every simulation of this sweep point shares the compiled
     // stream through the computation's cache.
@@ -390,10 +386,6 @@ fn event_loop<R: Record, const HAS_L3: bool>(
     let l2_geometry = CacheGeometry::new(line_size, config.l2.num_sets());
     let (pair_lanes, triple_lanes) = if HAS_L3 {
         let l3_cfg = config.l3.as_ref().expect("HAS_L3 implies an L3 config");
-        assert_eq!(
-            l3_cfg.line_size, line_size,
-            "L3 must use the same line size as the L2"
-        );
         let triple = stream.geometry_triple(
             l1_geometry,
             l2_geometry,
@@ -427,18 +419,17 @@ fn event_loop<R: Record, const HAS_L3: bool>(
     let l1_hit_latency = config.l1.hit_latency;
     let l2_hit_latency = config.l2.hit_latency;
     let l3_hit_latency = config.l3.as_ref().map_or(0, |c| c.hit_latency);
-    let mut l1s: Vec<CompiledCache> = (0..p)
-        .map(|_| CompiledCache::new(config.l1.num_sets(), config.l1.associativity))
-        .collect();
+    // Every cache is probed by the stream's line ids, so the id count
+    // bounds its way-hint map (pages of which it allocates as it touches
+    // them).
+    let new_cache = |c: &ccs_cache::CacheConfig| {
+        CompiledCache::new(c.num_sets(), c.associativity, stream.num_lines())
+    };
+    let mut l1s: Vec<CompiledCache> = (0..p).map(|_| new_cache(&config.l1)).collect();
     // One L2 per cluster (`clusters == 1` is the paper's single shared L2);
     // a core probes the L2 of cluster `core_id / cores_per_cluster`.
-    let mut l2s: Vec<CompiledCache> = (0..clusters)
-        .map(|_| CompiledCache::new(config.l2.num_sets(), config.l2.associativity))
-        .collect();
-    let mut l3 = config
-        .l3
-        .as_ref()
-        .map(|c| CompiledCache::new(c.num_sets(), c.associativity));
+    let mut l2s: Vec<CompiledCache> = (0..clusters).map(|_| new_cache(&config.l2)).collect();
+    let mut l3 = config.l3.as_ref().map(new_cache);
     let mut memory = MainMemory::new(config.memory);
     // Line-ownership directory: stores invalidate only the L1s that may
     // hold a copy (`O(sharers)`), instead of broadcasting to all `p`.  With

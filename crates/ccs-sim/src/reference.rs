@@ -233,20 +233,12 @@ pub(crate) fn simulate_reference(
     config: &CmpConfig,
     sched: &mut dyn Scheduler,
 ) -> SimResult {
+    config.assert_valid();
     let p = config.num_cores;
-    assert!(p > 0, "need at least one core");
     let n = comp.num_tasks();
     let line_size = config.l2.line_size;
-    assert_eq!(
-        config.l1.line_size, line_size,
-        "L1 and L2 must use the same line size"
-    );
 
     let clusters = config.clusters;
-    assert!(
-        clusters >= 1 && p.is_multiple_of(clusters),
-        "{p} cores cannot be split into {clusters} equal clusters"
-    );
     let cores_per_cluster = p / clusters;
 
     let mut l1s: Vec<RefCache> = (0..p).map(|_| RefCache::new(config.l1)).collect();
@@ -255,12 +247,6 @@ pub(crate) fn simulate_reference(
     let mut l2s: Vec<RefCache> = (0..clusters).map(|_| RefCache::new(config.l2)).collect();
     // The optional chip-wide L3 sits between the L2s and memory.
     let mut l3 = config.l3.map(RefCache::new);
-    if let Some(l3_cfg) = &config.l3 {
-        assert_eq!(
-            l3_cfg.line_size, line_size,
-            "L3 must use the same line size as the L2"
-        );
-    }
     let mut memory = MainMemory::new(config.memory);
 
     // Thin adapter over the pooled trace arena: materialise each task's
@@ -499,5 +485,110 @@ pub(crate) fn simulate_reference(
         core_busy: cores.iter().map(|c| c.busy).collect(),
         tasks: n,
         l2_line_size: line_size,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ccs_cache::{line_tag, CompiledCache};
+
+    /// xorshift64*: deterministic and dependency-free.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() >> 33) as usize % n
+        }
+    }
+
+    /// The production [`CompiledCache`] in random lockstep with the seed
+    /// [`RefCache`]: probes, fills, invalidates and `contains` over every
+    /// associativity the paper's configurations reach (and a few past
+    /// them) × several set counts must agree on every answer and every
+    /// counter.  Line id `i` stands for line address `i * 64`, so both
+    /// models put it in set `i % sets`.
+    ///
+    /// The working set is about twice the capacity, so lines are evicted
+    /// and invalidated and their ways reused by other lines: a re-probe of
+    /// such a line reads a stale way hint, which must still miss.  Its ids
+    /// are multiples of 3 that straddle the first 1 Ki-id hint-page
+    /// boundary (up to twelve pages at the largest capacity).  Ids off the
+    /// working set — `2 mod 3` ids in its pages, and ids in pages never
+    /// touched — must never be resident.
+    #[test]
+    fn compiled_cache_matches_ref_cache_in_lockstep() {
+        const LINE: u64 = 64;
+        const ID_BOUND: u32 = 16 * 1024;
+        let mut rng = Rng(0x9E37_79B9_7F4A_7C15);
+        for assoc in [1u32, 2, 4, 16, 20, 32] {
+            for sets in [1u64, 2, 8, 64] {
+                let config = CacheConfig::new(sets * assoc as u64 * LINE, LINE, assoc, 1);
+                let mut oracle = RefCache::new(config);
+                let mut compiled = CompiledCache::new(sets, assoc, ID_BOUND as usize);
+                let capacity = (sets * assoc as u64) as usize;
+                let first = 1026u32.saturating_sub(3 * capacity as u32);
+                let working: Vec<u32> = (0..2 * capacity as u32 + 3)
+                    .map(|k| first + 3 * k)
+                    .collect();
+                let hot = capacity / 2 + 1;
+                // Ids ever installed: a miss on one is a stale-hint probe.
+                let mut installed = vec![false; ID_BOUND as usize];
+                let mut stale_probes = 0;
+                for _ in 0..20_000 {
+                    let r = rng.next();
+                    let id = match r % 16 {
+                        // Never in the working set: 2 mod 3 ids share its
+                        // pages; the top pages are never allocated.
+                        0 => 3 * rng.below(ID_BOUND as usize / 3) as u32 + 2,
+                        1 => ID_BOUND - 1 - rng.below(2048) as u32,
+                        2..=8 => working[rng.below(hot.min(working.len()))],
+                        _ => working[rng.below(working.len())],
+                    };
+                    let (set, tag, line) =
+                        ((id as u64 % sets) as u32, line_tag(id), id as u64 * LINE);
+                    let resident = oracle.sets[set as usize].iter().any(|w| w.line == line);
+                    assert_eq!(
+                        compiled.contains_compiled(set, tag),
+                        resident,
+                        "{assoc}-way, {sets} sets, id {id}"
+                    );
+                    let write = r & (1 << 40) != 0;
+                    match (r >> 41) % 8 {
+                        0..=4 => {
+                            let kind = if write {
+                                AccessKind::Write
+                            } else {
+                                AccessKind::Read
+                            };
+                            let hit = oracle.access_line(line, kind).hit;
+                            assert_eq!(compiled.access_compiled(set, tag, write), hit);
+                            stale_probes += (installed[id as usize] && !hit) as usize;
+                            installed[id as usize] = true;
+                        }
+                        5 | 6 => {
+                            oracle.fill_line(line, write);
+                            compiled.fill_compiled(set, tag, write);
+                            installed[id as usize] = true;
+                        }
+                        _ => {
+                            let dirty = oracle.invalidate_line(line);
+                            assert_eq!(compiled.invalidate_compiled(set, tag), dirty);
+                        }
+                    }
+                }
+                assert_eq!(oracle.stats(), compiled.stats(), "{assoc}-way, {sets} sets");
+                let resident: usize = oracle.sets.iter().map(Vec::len).sum();
+                assert_eq!(compiled.resident_lines(), resident);
+                assert!(stale_probes > 100, "only {stale_probes} stale-hint probes");
+            }
+        }
     }
 }

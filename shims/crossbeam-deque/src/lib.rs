@@ -1057,6 +1057,13 @@ mod tests {
         assert_each_claimed_once(&claims);
     }
 
+    /// Growth must happen with thieves live, on any host: until the ring
+    /// has grown, the thieves share a budget of `INITIAL_CAP` steal
+    /// attempts.  The owner pops one push in three, so after `n` pushes at
+    /// least `2n/3 - INITIAL_CAP` items are queued, which passes the
+    /// initial capacity well inside the first thousand pushes however the
+    /// threads are scheduled.  Once the owner sees the bigger ring it lifts
+    /// the budget and the thieves steal freely for the rest of the run.
     #[test]
     fn ring_grows_past_initial_capacity_while_four_thieves_steal() {
         const ITEMS: usize = 200 * INITIAL_CAP;
@@ -1064,9 +1071,20 @@ mod tests {
         let worker: Worker<Box<usize>> = Worker::new_lifo();
         let stealer = worker.stealer();
         let done = AtomicBool::new(false);
+        let budget = AtomicUsize::new(INITIAL_CAP);
+        let lifted = AtomicBool::new(false);
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 scope.spawn(|| loop {
+                    if !lifted.load(Ordering::Acquire)
+                        && budget
+                            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |b| b.checked_sub(1))
+                            .is_err()
+                    {
+                        // Out of budget: leave the CPU to the owner.
+                        std::thread::yield_now();
+                        continue;
+                    }
                     // Boxed ids: a stale or doubled read would be a
                     // use-after-free or double free, not just a bad count.
                     match stealer.steal() {
@@ -1085,7 +1103,13 @@ mod tests {
                         claims[*id].fetch_add(1, Ordering::Relaxed);
                     }
                 }
+                if !lifted.load(Ordering::Relaxed) && ring_shape(&worker).0 > INITIAL_CAP {
+                    lifted.store(true, Ordering::Release);
+                }
             }
+            // Lifted by now unless the ring never grew; lift it anyway so
+            // the thieves drain and stop, and the assert below reports it.
+            lifted.store(true, Ordering::Release);
             done.store(true, Ordering::Release);
         });
         while let Some(id) = worker.pop() {
