@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the LRU stack-distance structures (the data structure
 //! behind the Section 6.1 LruTree profiler).
 
-use ccs_cache::{FenwickStack, NaiveLruStack, OrderStatStack, StackDistanceModel};
+use ccs_cache::{NaiveLruStack, OrderStatStack, StackDistanceModel};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 fn make_trace(len: usize, distinct: u64) -> Vec<u64> {
@@ -24,17 +24,6 @@ fn bench_stack_distance(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("order_stat_treap", trace.len()), |b| {
         b.iter(|| {
             let mut s = OrderStatStack::new();
-            let mut sum = 0u64;
-            for &l in &trace {
-                sum = sum.wrapping_add(s.access(l).unwrap_or(0));
-            }
-            sum
-        })
-    });
-
-    group.bench_function(BenchmarkId::new("fenwick", trace.len()), |b| {
-        b.iter(|| {
-            let mut s = FenwickStack::new();
             let mut sum = 0u64;
             for &l in &trace {
                 sum = sum.wrapping_add(s.access(l).unwrap_or(0));

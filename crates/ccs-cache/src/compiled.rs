@@ -33,21 +33,20 @@
 //!   it reads as the miss it is.  There is no tag scan, and stale hints
 //!   never need clearing.
 //!
-//! Replacement is **identical** to the positional true LRU of
-//! [`SetAssocCache`] (each set kept MRU→LRU in one array, victim = last
-//! way, empties as the suffix): the list order *is* the positional order,
-//! and empty ways stay at the tail end in both, so every hit, miss,
-//! eviction and write-back matches probe for probe.  The unit tests below
-//! pin the two in random lockstep, `ccs-sim`'s reference module pins this
-//! cache against the seed `RefCache` across geometries, and the
-//! engine-equivalence suites pin whole simulations.
+//! Replacement is true LRU with write-back and write-allocate: a hit
+//! moves its line to the MRU position, a miss fills an empty way if the
+//! set has one and otherwise evicts the LRU line (a write-back if it is
+//! dirty), and an invalidation keeps the other lines' order.  The unit
+//! tests below pin the list mechanics and run this cache in random
+//! lockstep against a naive per-set recency-list model, `ccs-sim`'s
+//! reference module pins
+//! this cache in random lockstep against the seed `RefCache` across
+//! geometries, and the engine-equivalence suites pin whole simulations.
 //!
 //! Hint memory grows with the lines a cache touches, not with the line-id
 //! bound: a private L1 of a many-core run allocates only the pages of the
 //! ids its own core touched, and [`CompiledCache::heap_bytes`] counts
 //! them.
-//!
-//! [`SetAssocCache`]: crate::SetAssocCache
 
 use crate::stats::CacheStats;
 
@@ -151,8 +150,7 @@ impl WayHints {
 }
 
 /// A set-associative, true-LRU, write-back cache probed by `(set, u32
-/// tag)` instead of by address — the id-native twin of
-/// [`SetAssocCache`](crate::SetAssocCache) (see the module docs).
+/// tag)` instead of by address (see the module docs).
 ///
 /// A line id must always be probed with the same set: its way hint is a
 /// way index within that set.
@@ -313,10 +311,9 @@ impl CompiledCache {
         self.heads[set] = victim;
     }
 
-    /// Probe the cache: returns whether the line was resident, touching
-    /// LRU state, the folded dirty bit and the statistics exactly as
-    /// [`SetAssocCache::access_line`](crate::SetAssocCache::access_line)
-    /// does for the same line.  On a miss the line is allocated
+    /// Probe the cache: returns whether the line was resident, and
+    /// records the probe in the statistics.  A hit makes the line MRU and
+    /// a write sets its dirty bit.  On a miss the line is allocated
     /// (write-allocate), evicting — and recording — the LRU way of a full
     /// set.
     #[inline(always)]
@@ -398,13 +395,8 @@ impl CompiledCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::CacheConfig;
-    use crate::setassoc::SetAssocCache;
-    use ccs_dag::AccessKind;
 
-    /// 2 sets × 2 ways, mirroring `setassoc::tests::small_cache` (4 lines
-    /// of 64 B): line id `i` stands for line address `i * 64`, so id and
-    /// set mappings coincide with the address-keyed tests.
+    /// 2 sets × 2 ways; line id `i` lives in set `i % 2`.
     fn small() -> CompiledCache {
         CompiledCache::new(2, 2, 16)
     }
@@ -488,53 +480,137 @@ mod tests {
         assert_eq!(c.stats().misses, before.misses);
     }
 
-    /// Statistics lockstep with the address-keyed model: a mixed random
-    /// probe/fill/invalidate sequence over a shared geometry must leave
-    /// identical counters in both caches.
     #[test]
-    fn lockstep_with_setassoc() {
-        let cfg = CacheConfig::new(8 * 64, 64, 4, 1); // 2 sets, 4-way
-        let mut addr_keyed = SetAssocCache::new(cfg);
-        let mut compiled = CompiledCache::new(cfg.num_sets(), cfg.associativity, 13);
-        // Line id i <-> line address i * 64; set = i % 2.
-        let mut state = 0x2545_F491_4F6C_DD1Du64;
-        for _ in 0..4096 {
-            // xorshift64* keeps the sequence deterministic and shim-free.
-            state ^= state >> 12;
-            state ^= state << 25;
-            state ^= state >> 27;
-            let r = state.wrapping_mul(0x2545_F491_4F6C_DD1D);
-            let id = (r % 13) as u32;
-            let line = id as u64 * 64;
-            let (set, tag) = ((id % 2), line_tag(id));
-            match (r >> 32) % 4 {
-                0 => {
-                    let kind = if r & 1 == 0 {
-                        AccessKind::Read
-                    } else {
-                        AccessKind::Write
-                    };
-                    let hit = addr_keyed.access_line(line, kind).hit;
-                    assert_eq!(compiled.access_compiled(set, tag, r & 1 != 0), hit);
+    fn different_sets_do_not_interfere() {
+        let mut c = small();
+        for id in 0..4 {
+            assert!(!c.access_compiled(id % 2, line_tag(id), false));
+        }
+        // Two lines per set: all four fit, nothing is evicted.
+        assert_eq!(c.stats().evictions, 0);
+        assert_eq!(c.resident_lines(), 4);
+        for id in 0..4 {
+            assert!(c.contains_compiled(id % 2, line_tag(id)), "line {id} lost");
+        }
+    }
+
+    #[test]
+    fn fully_associative_behaves_as_lru() {
+        let mut c = CompiledCache::new(1, 4, 16);
+        for id in 0..4 {
+            c.access_compiled(0, line_tag(id), false);
+        }
+        // Re-touch line 0, then bring in a 5th line: the victim is line 1.
+        c.access_compiled(0, line_tag(0), false);
+        assert!(!c.access_compiled(0, line_tag(4), false));
+        assert!(!c.contains_compiled(0, line_tag(1)));
+        for id in [0, 2, 3, 4] {
+            assert!(c.contains_compiled(0, line_tag(id)), "line {id} lost");
+        }
+    }
+
+    /// A naive set-associative true-LRU model: one recency list per set,
+    /// MRU first, each entry `(id, dirty)`.
+    struct NaiveSetAssoc {
+        ways: usize,
+        sets: Vec<Vec<(u32, bool)>>,
+        stats: CacheStats,
+    }
+
+    impl NaiveSetAssoc {
+        fn new(num_sets: usize, ways: usize) -> Self {
+            Self {
+                ways,
+                sets: vec![Vec::new(); num_sets],
+                stats: CacheStats::default(),
+            }
+        }
+
+        /// Move `id` to the MRU position, installing it (and evicting the
+        /// LRU entry of a full set) on a miss; returns whether it hit.
+        fn touch(&mut self, set: usize, id: u32, dirty: bool) -> bool {
+            let list = &mut self.sets[set];
+            match list.iter().position(|&(i, _)| i == id) {
+                Some(pos) => {
+                    let (_, was_dirty) = list.remove(pos);
+                    list.insert(0, (id, was_dirty || dirty));
+                    true
                 }
-                1 => {
-                    addr_keyed.fill_line(line, r & 2 != 0);
-                    compiled.fill_compiled(set, tag, r & 2 != 0);
-                }
-                2 => {
-                    let dirty = addr_keyed.invalidate_line(line);
-                    assert_eq!(compiled.invalidate_compiled(set, tag), dirty);
-                }
-                _ => {
-                    assert_eq!(
-                        addr_keyed.contains_line(line),
-                        compiled.contains_compiled(set, tag)
-                    );
+                None => {
+                    if list.len() == self.ways {
+                        let (_, victim_dirty) = list.pop().unwrap();
+                        self.stats.record_eviction(victim_dirty);
+                    }
+                    list.insert(0, (id, dirty));
+                    false
                 }
             }
         }
-        assert_eq!(*addr_keyed.stats(), *compiled.stats());
-        assert_eq!(addr_keyed.resident_lines(), compiled.resident_lines());
+
+        fn access(&mut self, set: usize, id: u32, is_write: bool) -> bool {
+            let hit = self.touch(set, id, is_write);
+            self.stats.record(hit, is_write);
+            hit
+        }
+
+        fn invalidate(&mut self, set: usize, id: u32) -> bool {
+            let list = &mut self.sets[set];
+            match list.iter().position(|&(i, _)| i == id) {
+                Some(pos) => list.remove(pos).1,
+                None => false,
+            }
+        }
+
+        fn contains(&self, set: usize, id: u32) -> bool {
+            self.sets[set].iter().any(|&(i, _)| i == id)
+        }
+
+        fn resident_lines(&self) -> usize {
+            self.sets.iter().map(Vec::len).sum()
+        }
+    }
+
+    /// Random access / fill / invalidate / contains streams give the same
+    /// answers, statistics and residency as the naive set-associative model.
+    #[test]
+    fn lockstep_with_setassoc() {
+        const IDS: u32 = 13;
+        for (num_sets, ways) in [(2u32, 4u32), (1, 8), (4, 2), (3, 1)] {
+            let mut naive = NaiveSetAssoc::new(num_sets as usize, ways as usize);
+            let mut compiled = CompiledCache::new(num_sets as u64, ways, IDS as usize);
+            let mut state = 0x2545_F491_4F6C_DD1Du64;
+            for _ in 0..4096 {
+                // xorshift64* keeps the sequence deterministic and shim-free.
+                state ^= state >> 12;
+                state ^= state << 25;
+                state ^= state >> 27;
+                let r = state.wrapping_mul(0x2545_F491_4F6C_DD1D);
+                let id = (r % IDS as u64) as u32;
+                let (set, tag) = (id % num_sets, line_tag(id));
+                match (r >> 32) % 4 {
+                    0 => {
+                        let hit = naive.access(set as usize, id, r & 1 != 0);
+                        assert_eq!(compiled.access_compiled(set, tag, r & 1 != 0), hit);
+                    }
+                    1 => {
+                        naive.touch(set as usize, id, r & 2 != 0);
+                        compiled.fill_compiled(set, tag, r & 2 != 0);
+                    }
+                    2 => {
+                        let dirty = naive.invalidate(set as usize, id);
+                        assert_eq!(compiled.invalidate_compiled(set, tag), dirty);
+                    }
+                    _ => {
+                        assert_eq!(
+                            compiled.contains_compiled(set, tag),
+                            naive.contains(set as usize, id)
+                        );
+                    }
+                }
+            }
+            assert_eq!(*compiled.stats(), naive.stats, "{num_sets} sets x {ways}");
+            assert_eq!(compiled.resident_lines(), naive.resident_lines());
+        }
     }
 
     /// Every way of a maximal set is reachable through its `u8` hint, and

@@ -48,10 +48,10 @@ impl CacheConfig {
 
     /// Check internal consistency.
     pub fn validate(&self) -> Result<(), String> {
-        // Minimum 4: the cache models fold the dirty flag into tag bit 0
-        // and mark empty ways with the all-ones sentinel, which is
-        // collision-free exactly when aligned line addresses have (at
-        // least) the two low bits clear (see `ccs-cache::setassoc`).
+        // Minimum 4: the kernels' elements are 4- and 8-byte words
+        // (quicksort keys, LU and matmul doubles), and a line narrower
+        // than a word would split one element over two lines, a geometry
+        // no modelled CMP has (Table 1's lines are 128 B).
         if !self.line_size.is_power_of_two() || self.line_size < 4 {
             return Err(format!(
                 "line size {} must be a power of two >= 4",

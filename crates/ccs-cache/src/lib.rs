@@ -6,46 +6,45 @@
 //! profiler ([`ccs-profile`](../ccs_profile/index.html)):
 //!
 //! * [`CacheConfig`] / [`MemoryConfig`] — geometry and timing (Table 1);
-//! * [`SetAssocCache`] — set-associative, true-LRU, write-back cache used for
-//!   private L1s and the shared L2;
-//! * [`CompiledCache`] — the id-native twin of `SetAssocCache`, probed by
-//!   `(set, u32 tag)` pairs precompiled from dense line ids in `O(1)` per
-//!   probe (per-line way hints, per-set recency lists) — the form the
-//!   simulator's hot loop uses so it never touches an address;
+//! * [`CompiledCache`] — the set-associative, true-LRU, write-back cache
+//!   of the private L1s and the shared L2, probed by `(set, u32 tag)`
+//!   pairs precompiled from dense line ids in `O(1)` per probe (per-line
+//!   way hints, per-set recency lists), so the simulator's hot loop never
+//!   touches an address;
 //! * [`IdealCache`] — fully-associative LRU cache used by the analytical
 //!   results (Theorem 3.1) and the profiler;
-//! * [`OrderStatStack`], [`FenwickStack`], [`NaiveLruStack`] — LRU
-//!   stack-distance models; `OrderStatStack` is the paper's *LruTree*
-//!   structure with `O(log n)` per-reference cost;
-//! * [`MainMemory`] — off-chip latency + bounded-bandwidth model;
-//! * [`LineDirectory`] — per-line sharer tracking so the simulator's
-//!   write-invalidation costs `O(sharers)` instead of a broadcast over all
-//!   cores; one mask word up to 64 cores, hierarchical summary-plus-core
-//!   words up to 4096 (DESIGN.md §12).
+//! * [`OrderStatStack`], [`NaiveLruStack`] — LRU stack-distance models;
+//!   `OrderStatStack` is the paper's *LruTree* structure with `O(log n)`
+//!   per-reference cost, `NaiveLruStack` its `O(n)` test oracle;
+//! * [`MainMemory`] — off-chip latency + bounded-bandwidth model.
 //!
 //! # Example
 //!
-//! A direct-mapped-style probe sequence on the set-associative model, and
-//! sharer tracking on a machine wider than one mask word:
+//! A conflict in one set of a 2-way compiled cache, and the same line
+//! sequence on a fully-associative ideal cache of the same capacity:
 //!
 //! ```
-//! use ccs_cache::{CacheConfig, LineDirectory, SetAssocCache};
+//! use ccs_cache::{line_tag, CacheConfig, CompiledCache, IdealCache};
 //! use ccs_dag::AccessKind;
 //!
-//! // 4 KB, 2-way, 64 B lines: 32 sets.
-//! let mut l1 = SetAssocCache::new(CacheConfig::new(4 * 1024, 64, 2, 1));
-//! assert!(!l1.access_addr(0x0000, AccessKind::Read).hit); // cold miss
-//! assert!(l1.access_addr(0x0000, AccessKind::Read).hit);
-//! assert!(!l1.access_addr(0x1000, AccessKind::Write).hit); // same set, new tag
-//! assert_eq!(l1.stats().misses, 2);
+//! // 4 KB, 2-way, 64 B lines: 32 sets.  Line id `i` lives in set `i % 32`.
+//! let config = CacheConfig::new(4 * 1024, 64, 2, 1);
+//! let mut l1 = CompiledCache::new(config.num_sets(), config.associativity, 128);
+//! let ids = [0u32, 0, 32, 64, 0];
+//! let hits: Vec<bool> = ids
+//!     .iter()
+//!     .map(|&id| l1.access_compiled(id % 32, line_tag(id), false))
+//!     .collect();
+//! // Ids 0, 32 and 64 share set 0: the third evicts the LRU line 0.
+//! assert_eq!(hits, [false, true, false, false, false]);
+//! assert_eq!((l1.stats().misses, l1.stats().evictions), (4, 2));
 //!
-//! // 96 cores: past the 64-bit mask, the directory switches to
-//! // hierarchical masks and stays O(sharers) per store.
-//! let mut dir = LineDirectory::new(96);
-//! dir.insert(7, 3);
-//! dir.insert(7, 90);
-//! let sharers: Vec<usize> = dir.sharers_except(7, 3).collect();
-//! assert_eq!(sharers, vec![90]);
+//! // The ideal cache holds all 64 lines, so only cold misses remain.
+//! let mut ideal = IdealCache::with_bytes(4 * 1024, 64);
+//! for id in ids {
+//!     ideal.access_line(id as u64 * 64, AccessKind::Read);
+//! }
+//! assert_eq!(ideal.stats().misses, 3);
 //! ```
 
 #![warn(missing_docs)]
@@ -53,18 +52,14 @@
 
 pub mod compiled;
 pub mod config;
-pub mod directory;
 pub mod ideal;
 pub mod memory;
-pub mod setassoc;
 pub mod stack;
 pub mod stats;
 
 pub use compiled::{line_tag, CompiledCache};
 pub use config::{CacheConfig, MemoryConfig};
-pub use directory::LineDirectory;
 pub use ideal::IdealCache;
 pub use memory::{MainMemory, MemoryStats};
-pub use setassoc::{AccessOutcome, SetAssocCache};
-pub use stack::{FenwickStack, NaiveLruStack, OrderStatStack, StackDistanceModel};
+pub use stack::{NaiveLruStack, OrderStatStack, StackDistanceModel};
 pub use stats::CacheStats;

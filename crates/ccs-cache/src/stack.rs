@@ -7,16 +7,14 @@
 //! so one pass over a trace yields the miss counts for *every* cache size at
 //! once.
 //!
-//! Three implementations are provided:
+//! Two implementations are provided:
 //!
-//! * [`NaiveLruStack`] — a `Vec`-backed stack with `O(n)` accesses, used as the
-//!   reference model in tests;
 //! * [`OrderStatStack`] — the paper's `LruTree` structure: the LRU stack with a
 //!   counted search tree on top so that distance queries and moves-to-front
 //!   cost `O(log n)`.  We use a treap with parent pointers in place of the
 //!   paper's B-tree; the asymptotics and the one-pass property are identical;
-//! * [`FenwickStack`] — the classic Bennett–Kruskal algorithm: a Fenwick tree
-//!   over access timestamps with periodic compaction, also `O(log n)`.
+//! * [`NaiveLruStack`] — a `Vec`-backed stack with `O(n)` accesses, the
+//!   oracle `OrderStatStack` is tested against.
 
 use std::collections::HashMap;
 
@@ -343,125 +341,6 @@ impl StackDistanceModel for OrderStatStack {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Bennett–Kruskal Fenwick-tree implementation
-// ---------------------------------------------------------------------------
-
-/// Bennett–Kruskal stack-distance algorithm: a Fenwick (binary indexed) tree
-/// over access timestamps.  Each live line owns the slot of its most recent
-/// access; the stack distance of a reference is the number of occupied slots
-/// after the line's previous timestamp.  Timestamps are compacted when the
-/// slot array fills up.
-#[derive(Clone, Debug)]
-pub struct FenwickStack {
-    /// Fenwick tree (1-based) over slots; `bit[i]` stores partial sums of
-    /// occupancy.
-    bit: Vec<i64>,
-    /// slot -> line occupying it (0 = free).  Slot 0 is unused.
-    slot_line: Vec<u64>,
-    /// line -> slot of its most recent access.
-    last_slot: HashMap<u64, usize>,
-    /// Next slot to assign.
-    next_slot: usize,
-}
-
-impl Default for FenwickStack {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl FenwickStack {
-    /// An empty model with a small initial slot capacity.
-    pub fn new() -> Self {
-        Self::with_slot_capacity(1 << 12)
-    }
-
-    /// An empty model with the given initial number of timestamp slots.
-    pub fn with_slot_capacity(slots: usize) -> Self {
-        let slots = slots.max(16);
-        FenwickStack {
-            bit: vec![0; slots + 1],
-            slot_line: vec![0; slots + 1],
-            last_slot: HashMap::new(),
-            next_slot: 1,
-        }
-    }
-
-    fn capacity(&self) -> usize {
-        self.bit.len() - 1
-    }
-
-    fn add(&mut self, mut i: usize, delta: i64) {
-        while i < self.bit.len() {
-            self.bit[i] += delta;
-            i += i & i.wrapping_neg();
-        }
-    }
-
-    fn prefix(&self, mut i: usize) -> i64 {
-        let mut s = 0;
-        while i > 0 {
-            s += self.bit[i];
-            i -= i & i.wrapping_neg();
-        }
-        s
-    }
-
-    /// Re-number live lines 1..=n in stack order (oldest first) and rebuild
-    /// the Fenwick tree.  Called when the slot array is exhausted.
-    fn compact(&mut self) {
-        let mut live: Vec<(usize, u64)> = self
-            .last_slot
-            .iter()
-            .map(|(&line, &slot)| (slot, line))
-            .collect();
-        live.sort_unstable();
-        let needed = live.len() * 2 + 16;
-        let new_cap = self.capacity().max(needed);
-        self.bit = vec![0; new_cap + 1];
-        self.slot_line = vec![0; new_cap + 1];
-        self.last_slot.clear();
-        self.next_slot = 1;
-        for (_, line) in live {
-            let slot = self.next_slot;
-            self.next_slot += 1;
-            self.last_slot.insert(line, slot);
-            self.slot_line[slot] = line;
-            self.add(slot, 1);
-        }
-    }
-}
-
-impl StackDistanceModel for FenwickStack {
-    fn access(&mut self, line: u64) -> Option<u64> {
-        if self.next_slot > self.capacity() {
-            self.compact();
-        }
-        let new_slot = self.next_slot;
-        self.next_slot += 1;
-        let result = if let Some(&old) = self.last_slot.get(&line) {
-            // Number of occupied slots strictly after `old`.
-            let total = self.prefix(self.capacity());
-            let upto = self.prefix(old);
-            let distance = (total - upto) as u64;
-            self.add(old, -1);
-            self.slot_line[old] = 0;
-            Some(distance)
-        } else {
-            None
-        };
-        self.last_slot.insert(line, new_slot);
-        self.slot_line[new_slot] = line;
-        self.add(new_slot, 1);
-        result
-    }
-
-    fn num_lines(&self) -> usize {
-        self.last_slot.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -490,14 +369,6 @@ mod tests {
     }
 
     #[test]
-    fn fenwick_matches_naive_on_known_sequence() {
-        let trace = [1u64, 2, 3, 1, 2, 2, 3, 4, 1, 4, 3, 2, 1];
-        let mut naive = NaiveLruStack::new();
-        let mut fen = FenwickStack::with_slot_capacity(16); // force compactions
-        assert_eq!(distances(&mut naive, &trace), distances(&mut fen, &trace));
-    }
-
-    #[test]
     fn all_models_agree_on_pseudorandom_trace() {
         // Deterministic pseudo-random trace with a skewed reuse pattern.
         let mut x: u64 = 12345;
@@ -510,14 +381,8 @@ mod tests {
         }
         let mut naive = NaiveLruStack::new();
         let mut treap = OrderStatStack::new();
-        let mut fen = FenwickStack::with_slot_capacity(64);
-        let dn = distances(&mut naive, &trace);
-        let dt = distances(&mut treap, &trace);
-        let df = distances(&mut fen, &trace);
-        assert_eq!(dn, dt);
-        assert_eq!(dn, df);
+        assert_eq!(distances(&mut naive, &trace), distances(&mut treap, &trace));
         assert_eq!(naive.num_lines(), treap.num_lines());
-        assert_eq!(naive.num_lines(), fen.num_lines());
     }
 
     #[test]
@@ -561,11 +426,11 @@ mod tests {
 
     #[test]
     fn streaming_scan_has_no_reuse() {
-        let mut fen = FenwickStack::new();
+        let mut treap = OrderStatStack::new();
         for l in 0..10_000u64 {
-            assert_eq!(fen.access(l), None);
+            assert_eq!(treap.access(l), None);
         }
-        assert_eq!(fen.num_lines(), 10_000);
+        assert_eq!(treap.num_lines(), 10_000);
     }
 
     #[test]
@@ -573,12 +438,12 @@ mod tests {
         // Scanning N lines cyclically gives distance N-1 after the first lap.
         let n = 64u64;
         let mut treap = OrderStatStack::new();
-        let mut fen = FenwickStack::with_slot_capacity(32);
+        let mut naive = NaiveLruStack::new();
         for lap in 0..4 {
             for l in 0..n {
                 let expect = if lap == 0 { None } else { Some(n - 1) };
                 assert_eq!(treap.access(l), expect);
-                assert_eq!(fen.access(l), expect);
+                assert_eq!(naive.access(l), expect);
             }
         }
     }

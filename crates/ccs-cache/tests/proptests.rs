@@ -1,8 +1,7 @@
 //! Property-based tests for the cache substrate.
 
 use ccs_cache::{
-    CacheConfig, FenwickStack, IdealCache, NaiveLruStack, OrderStatStack, SetAssocCache,
-    StackDistanceModel,
+    line_tag, CompiledCache, IdealCache, NaiveLruStack, OrderStatStack, StackDistanceModel,
 };
 use ccs_dag::AccessKind;
 use proptest::prelude::*;
@@ -13,25 +12,25 @@ fn trace_strategy(max_len: usize, distinct: u64) -> impl Strategy<Value = Vec<u6
     prop::collection::vec(0..distinct, 1..max_len)
 }
 
+/// Read-probe a [`CompiledCache`] of `sets` sets with trace value `id` as
+/// the line id, in set `id % sets`; returns whether it hit.
+fn probe(cache: &mut CompiledCache, sets: u64, id: u64) -> bool {
+    cache.access_compiled((id % sets) as u32, line_tag(id as u32), false)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The O(log n) stack-distance structures agree with the naive stack on
-    /// arbitrary traces.
+    /// The O(log n) LruTree agrees with the naive stack on arbitrary
+    /// traces.
     #[test]
     fn stack_models_agree(trace in trace_strategy(400, 64)) {
         let mut naive = NaiveLruStack::new();
         let mut treap = OrderStatStack::new();
-        let mut fen = FenwickStack::with_slot_capacity(32);
         for &line in &trace {
-            let d0 = naive.access(line);
-            let d1 = treap.access(line);
-            let d2 = fen.access(line);
-            prop_assert_eq!(d0, d1);
-            prop_assert_eq!(d0, d2);
+            prop_assert_eq!(naive.access(line), treap.access(line));
         }
         prop_assert_eq!(naive.num_lines(), treap.num_lines());
-        prop_assert_eq!(naive.num_lines(), fen.num_lines());
     }
 
     /// An ideal cache of capacity K hits exactly when the naive stack distance
@@ -64,17 +63,16 @@ proptest! {
         prop_assert!(c32.stats().misses <= c8.stats().misses);
     }
 
-    /// A fully-associative set-associative cache is equivalent to the ideal
-    /// LRU cache of the same capacity.
+    /// A fully-associative compiled cache (one set of `lines` ways) is
+    /// equivalent to the ideal LRU cache of the same capacity.
     #[test]
     fn fully_assoc_setassoc_equals_ideal(trace in trace_strategy(300, 80)) {
         let lines = 16u64;
-        let cfg = CacheConfig::fully_associative(lines * 64, 64, 1);
-        let mut sa = SetAssocCache::new(cfg);
+        let mut compiled = CompiledCache::new(1, lines as u32, 80);
         let mut ideal = IdealCache::new(lines, 64);
-        for &line in &trace {
-            let h1 = sa.access_line(line * 64, AccessKind::Read).hit;
-            let h2 = ideal.access_line(line * 64, AccessKind::Read);
+        for &id in &trace {
+            let h1 = probe(&mut compiled, 1, id);
+            let h2 = ideal.access_line(id * 64, AccessKind::Read);
             prop_assert_eq!(h1, h2);
         }
     }
@@ -90,24 +88,15 @@ proptest! {
     ) {
         let assoc = 1 << assoc_pow;
         let sets = 1u64 << sets_pow;
-        let cfg = CacheConfig::new(sets * assoc as u64 * 64, 64, assoc, 1);
-        let mut c = SetAssocCache::new(cfg);
-        let mut evictions = 0u64;
-        for &line in &trace {
-            let out = c.access_line(line * 64, AccessKind::Read);
-            if out.evicted.is_some() {
-                evictions += 1;
-            }
-            prop_assert!(c.resident_lines() as u64 <= cfg.num_lines());
+        let mut c = CompiledCache::new(sets, assoc, 200);
+        for &id in &trace {
+            probe(&mut c, sets, id);
+            prop_assert!(c.resident_lines() as u64 <= sets * assoc as u64);
         }
         let s = c.stats();
         prop_assert_eq!(s.accesses, trace.len() as u64);
         prop_assert_eq!(s.hits + s.misses, s.accesses);
-        prop_assert_eq!(s.evictions, evictions);
-        prop_assert_eq!(
-            s.misses,
-            evictions + c.resident_lines() as u64
-        );
+        prop_assert_eq!(s.misses, s.evictions + c.resident_lines() as u64);
     }
 
     /// Doubling associativity at fixed capacity never increases misses for
@@ -116,14 +105,12 @@ proptest! {
     /// set-associative cache of the same capacity.
     #[test]
     fn full_assoc_no_worse_than_set_assoc(trace in trace_strategy(300, 60)) {
-        let capacity = 16 * 64u64;
-        let sa_cfg = CacheConfig::new(capacity, 64, 2, 1);
-        let fa_cfg = CacheConfig::fully_associative(capacity, 64, 1);
-        let mut sa = SetAssocCache::new(sa_cfg);
-        let mut fa = SetAssocCache::new(fa_cfg);
-        for &line in &trace {
-            sa.access_line(line * 64, AccessKind::Read);
-            fa.access_line(line * 64, AccessKind::Read);
+        // 16 lines: 8 sets × 2 ways against one set of 16 ways.
+        let mut sa = CompiledCache::new(8, 2, 60);
+        let mut fa = CompiledCache::new(1, 16, 60);
+        for &id in &trace {
+            probe(&mut sa, 8, id);
+            probe(&mut fa, 1, id);
         }
         // Belady anomaly does not apply to LRU with full associativity vs
         // set-partitioned LRU *in general*, but for uniformly random traces

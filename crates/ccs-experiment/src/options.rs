@@ -529,10 +529,11 @@ mod tests {
             assert_eq!(err, OptionsError::Help);
         }
         // The help text documents the directory's broadcast-fallback
-        // threshold so users know why >4096-core runs slow down.
+        // threshold so users know why wider runs slow down.
         let help = Options::help_text();
         assert!(help.contains("--cores"), "{help}");
-        assert!(help.contains("4096"), "{help}");
+        let threshold = format!("up to {} cores", ccs_sim::MAX_DIRECTORY_CORES);
+        assert!(help.contains(&threshold), "{help}");
         assert!(help.contains("broadcast"), "{help}");
         assert_eq!(OptionsError::Help.to_string(), help);
     }

@@ -381,3 +381,74 @@ pub fn run_with_retry(
 fn protocol_error(message: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, message.into())
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn result(id: &str, seq: usize) -> Frame {
+        Frame::Result {
+            id: id.to_string(),
+            seq,
+            total: 3,
+            cached: false,
+            record: RunRecord {
+                workload: "mergesort".into(),
+                config: "default-2/1024".into(),
+                cores: 2,
+                clusters: 1,
+                scheduler: "pdf".into(),
+                seed: None,
+                cycles: 100 + seq as u64,
+                instructions: 50,
+                tasks: 3,
+                l1_accesses: 10,
+                l1_misses: 4,
+                l2_accesses: 4,
+                l2_misses: 2,
+                l2_mpki: 40.0,
+                l3_accesses: 0,
+                l3_misses: 0,
+                bandwidth_utilization: 0.5,
+                off_chip_bytes: 256,
+                trace_bytes: 0,
+                peak_alloc_estimate: 0,
+                compile_ms: 0.0,
+                batch_width: 0,
+                speedup_over_seq: None,
+            },
+        }
+    }
+
+    /// `cancel_after` sends exactly one `cancel`, once the threshold's
+    /// record has streamed, and still collects to the terminal status.
+    #[test]
+    fn cancel_after_sends_one_cancel_at_the_threshold() {
+        let frames = [
+            Frame::hello(),
+            Frame::Accepted {
+                id: "c".into(),
+                name: "e2e".into(),
+                scale: 1024,
+                points: 3,
+                total: 3,
+            },
+            result("c", 1),
+            result("c", 0),
+            Frame::Status {
+                id: "c".into(),
+                state: RequestState::Cancelled,
+                completed: 2,
+                total: 3,
+            },
+        ];
+        let input: String = frames.iter().map(|f| f.to_line() + "\n").collect();
+        let mut client = Client::new(io::Cursor::new(input), Vec::new()).unwrap();
+        let run = client.collect_cancelling_after("c", Some(1)).unwrap();
+        assert_eq!(run.state, RequestState::Cancelled);
+        assert_eq!((run.records.len(), run.total), (2, 3));
+        assert_eq!(run.records[0].seq, 0, "records come back in report order");
+        let sent = String::from_utf8(client.writer).unwrap();
+        assert_eq!(sent, Frame::Cancel { id: "c".into() }.to_line() + "\n");
+    }
+}

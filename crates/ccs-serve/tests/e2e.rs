@@ -8,7 +8,7 @@ use std::io::BufReader;
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::Duration;
 
@@ -75,8 +75,35 @@ fn direct_report(workloads: &[&str], cores: &[usize], schedulers: &[&str]) -> St
         .to_json()
 }
 
+/// The gate `e2e-gated` builds wait on: closed until [`GateOpener`] drops.
+static GATE: (Mutex<bool>, Condvar) = (Mutex::new(false), Condvar::new());
+
+/// Opens [`GATE`] for good when dropped, so a failing assertion cannot
+/// leave pool threads blocked in a gated build.
+struct GateOpener;
+
+impl Drop for GateOpener {
+    fn drop(&mut self) {
+        *GATE.0.lock().unwrap_or_else(|e| e.into_inner()) = true;
+        GATE.1.notify_all();
+    }
+}
+
 #[test]
 fn concurrent_clients_memoised_repeat_and_mid_sweep_cancel() {
+    // A workload whose build blocks until the gate opens: a point of it
+    // that reaches a pool thread stays in flight until then.
+    ccs_workloads::WorkloadRegistry::global().register_fn(
+        "e2e-gated",
+        "blocks in its factory until the test opens a gate (cancel test)",
+        |_ctx| {
+            let mut open = GATE.0.lock().unwrap_or_else(|e| e.into_inner());
+            while !*open {
+                open = GATE.1.wait(open).unwrap_or_else(|e| e.into_inner());
+            }
+            tiny_computation()
+        },
+    );
     let dir = unique_dir("concurrent");
     let server = Arc::new(
         Server::start(ServiceConfig {
@@ -124,15 +151,36 @@ fn concurrent_clients_memoised_repeat_and_mid_sweep_cancel() {
 
     // Client 2, concurrently: a six-point sweep cancelled after the first
     // streamed record.  In-flight points finish, queued points are dropped,
-    // and the terminal status says so.
+    // and the terminal status says so.  The order is forced, not raced:
+    // the first record is a store hit, streamed before any point reaches
+    // the pool, and the three `e2e-gated` points block in their build
+    // until the daemon has applied the cancel (the session answers the
+    // ping after it), so with two pool threads at most two of them are in
+    // flight and at least one is dropped.
     let cancel = {
         let server = Arc::clone(&server);
         thread::spawn(move || {
+            let gate = GateOpener;
             let (mut client, session) = connect(&server);
             client
-                .submit(submit("c1", &["mergesort", "lu"], &[2, 4, 8], &["pdf"]))
+                .submit(submit("c0", &["mergesort"], &[8], &["pdf"]))
                 .unwrap();
-            let run = client.collect_cancelling_after("c1", Some(1)).unwrap();
+            assert_eq!(client.collect("c0").unwrap().state, RequestState::Done);
+            client
+                .submit(submit(
+                    "c1",
+                    &["mergesort", "e2e-gated"],
+                    &[2, 4, 8],
+                    &["pdf"],
+                ))
+                .unwrap();
+            while client.query_progress("c1").unwrap().0 == 0 {
+                thread::sleep(Duration::from_millis(1));
+            }
+            client.cancel("c1").unwrap();
+            client.ping().unwrap();
+            drop(gate);
+            let run = client.collect("c1").unwrap();
             assert_eq!(run.state, RequestState::Cancelled);
             assert_eq!(run.total, 6);
             assert!(!run.records.is_empty(), "cancelled mid-sweep, not before");

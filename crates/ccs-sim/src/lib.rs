@@ -25,7 +25,7 @@
 //!   [`CmpConfig::many_core`] scale points, [`CmpConfig::clustered`]
 //!   per-cluster L2 slices and [`CmpConfig::with_l3_mb`] for a shared L3,
 //!   with hierarchical sharer masks keeping store invalidation
-//!   `O(sharers)` up to 4096 cores.
+//!   `O(sharers)` up to [`MAX_DIRECTORY_CORES`] = 4096 cores.
 //!
 //! # Example
 //!
@@ -86,5 +86,7 @@ mod reference;
 pub use area::Technology;
 pub use batch::{simulate_batch, BatchRun};
 pub use config::CmpConfig;
-pub use machine::{simulate, simulate_engine, simulate_with, simulate_with_engine, SimEngine};
+pub use machine::{
+    simulate, simulate_engine, simulate_with, simulate_with_engine, SimEngine, MAX_DIRECTORY_CORES,
+};
 pub use metrics::SimResult;

@@ -192,6 +192,11 @@ enum Phase {
     MemFill { id: u32, is_write: bool },
 }
 
+/// The widest machine the event engine tracks sharers for: the
+/// hierarchical mask's one 64-bit summary word over 64 core words covers
+/// 64 × 64 = 4096 cores.  Wider machines broadcast every store.
+pub const MAX_DIRECTORY_CORES: usize = 64 * 64;
+
 /// The event engine's sharer-tracking structure, picked by core count (see
 /// DESIGN.md §8 and §12).  All variants maintain the same one-directional
 /// invariant — core `c`'s L1 holds a line ⇒ the line's mask has `c`'s bit —
@@ -203,11 +208,11 @@ enum Directory {
     Single,
     /// 2–64 cores: one sharer word per line id, indexed flat.
     Flat(Vec<u64>),
-    /// 65–[`ccs_cache::directory::MAX_DIRECTORY_CORES`] cores: per line id,
-    /// a *summary word* (bit `w` = "core word `w` is non-zero") followed by
-    /// `ceil(p/64)` core words.  A store walks only the set summary bits
-    /// and the set core bits, keeping invalidation `O(sharers)` instead of
-    /// the former `O(p)` broadcast.
+    /// 65–[`MAX_DIRECTORY_CORES`] cores: per line id, a *summary word*
+    /// (bit `w` = "core word `w` is non-zero") followed by `ceil(p/64)`
+    /// core words.  A store walks only the set summary bits and the set
+    /// core bits, keeping invalidation `O(sharers)` instead of the former
+    /// `O(p)` broadcast.
     Hier {
         /// Words per line: `1 + ceil(p/64)`.
         stride: usize,
@@ -448,7 +453,7 @@ fn event_loop<R: Record, const HAS_L3: bool>(
         Directory::Single
     } else if p <= 64 {
         Directory::Flat(vec![0u64; stream.num_lines()])
-    } else if p <= ccs_cache::directory::MAX_DIRECTORY_CORES {
+    } else if p <= MAX_DIRECTORY_CORES {
         let stride = 1 + p.div_ceil(64);
         Directory::Hier {
             stride,

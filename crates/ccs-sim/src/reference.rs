@@ -32,7 +32,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use ccs_cache::{AccessOutcome, CacheConfig, CacheStats, MainMemory};
+use ccs_cache::{CacheConfig, CacheStats, MainMemory};
 use ccs_dag::{AccessKind, Computation, Dag, TaskId};
 use ccs_sched::Scheduler;
 
@@ -41,8 +41,9 @@ use crate::metrics::SimResult;
 
 /// The seed's set-associative cache, retained verbatim: per-set `Vec`s of
 /// ways, true-LRU via a monotonic clock, write-back/write-allocate.  Hit,
-/// miss, eviction and write-back decisions are definitionally identical to
-/// [`ccs_cache::SetAssocCache`] (pinned by the engine-equivalence tests).
+/// miss, eviction and write-back decisions are those of the production
+/// [`ccs_cache::CompiledCache`] (pinned in random lockstep by
+/// `tests::compiled_cache_matches_ref_cache_in_lockstep`).
 struct RefCache {
     config: CacheConfig,
     sets: Vec<Vec<RefWay>>,
@@ -75,7 +76,8 @@ impl RefCache {
         &self.stats
     }
 
-    fn access_line(&mut self, line: u64, kind: AccessKind) -> AccessOutcome {
+    /// Probe the cache with one line; returns whether it was resident.
+    fn access_line(&mut self, line: u64, kind: AccessKind) -> bool {
         debug_assert_eq!(
             line % self.config.line_size,
             0,
@@ -92,20 +94,11 @@ impl RefCache {
             way.last_used = clock;
             way.dirty |= is_write;
             self.stats.record(true, is_write);
-            return AccessOutcome {
-                hit: true,
-                evicted: None,
-                writeback: false,
-            };
+            return true;
         }
 
         // Miss: allocate, evicting the LRU way if the set is full.
         self.stats.record(false, is_write);
-        let mut outcome = AccessOutcome {
-            hit: false,
-            evicted: None,
-            writeback: false,
-        };
         if set.len() == assoc {
             let victim_idx = set
                 .iter()
@@ -115,15 +108,13 @@ impl RefCache {
                 .expect("non-empty set");
             let victim = set.swap_remove(victim_idx);
             self.stats.record_eviction(victim.dirty);
-            outcome.evicted = Some(victim.line);
-            outcome.writeback = victim.dirty;
         }
         set.push(RefWay {
             line,
             dirty: is_write,
             last_used: clock,
         });
-        outcome
+        false
     }
 
     fn fill_line(&mut self, line: u64, dirty: bool) {
@@ -351,7 +342,7 @@ pub(crate) fn simulate_reference(
                     let is_write = op.mem.kind.is_write();
                     // L1 probe (always pays the L1 hit latency).
                     core.time += config.l1.hit_latency;
-                    let l1_hit = l1s[core_id].access_line(line, op.mem.kind).hit;
+                    let l1_hit = l1s[core_id].access_line(line, op.mem.kind);
                     if is_write {
                         // Write-invalidate the line in every other L1.
                         for (other, l1) in l1s.iter_mut().enumerate() {
@@ -410,7 +401,7 @@ pub(crate) fn simulate_reference(
                 } else {
                     AccessKind::Read
                 };
-                let hit = l2s[core_id / cores_per_cluster].access_line(line, kind).hit;
+                let hit = l2s[core_id / cores_per_cluster].access_line(line, kind);
                 if hit {
                     l1s[core_id].fill_line(line, is_write);
                     core.advance_line(trace, line_size);
@@ -436,8 +427,7 @@ pub(crate) fn simulate_reference(
                 let hit = l3
                     .as_mut()
                     .expect("L3 probe without an L3")
-                    .access_line(line, kind)
-                    .hit;
+                    .access_line(line, kind);
                 if hit {
                     l1s[core_id].fill_line(line, is_write);
                     core.advance_line(trace, line_size);
@@ -511,33 +501,42 @@ mod tests {
 
     /// The production [`CompiledCache`] in random lockstep with the seed
     /// [`RefCache`]: probes, fills, invalidates and `contains` over every
-    /// associativity the paper's configurations reach (and a few past
-    /// them) × several set counts must agree on every answer and every
-    /// counter.  Line id `i` stands for line address `i * 64`, so both
-    /// models put it in set `i % sets`.
+    /// associativity the paper's configurations reach, a few past them
+    /// and the widest set a hint can name
+    /// ([`CompiledCache::MAX_ASSOCIATIVITY`]) × several set counts must
+    /// agree on every answer and every counter.  Line id `i` stands for
+    /// line address `i * 64`, so both models put it in set `i % sets`.
     ///
     /// The working set is about twice the capacity, so lines are evicted
     /// and invalidated and their ways reused by other lines: a re-probe of
     /// such a line reads a stale way hint, which must still miss.  Its ids
     /// are multiples of 3 that straddle the first 1 Ki-id hint-page
     /// boundary (up to twelve pages at the largest capacity).  Ids off the
-    /// working set — `2 mod 3` ids in its pages, and ids in pages never
-    /// touched — must never be resident.
+    /// working set — `2 mod 3` ids in its pages, and ids in the top
+    /// `UNTOUCHED` ids, whose pages are never touched — must never be
+    /// resident.  A geometry whose working set would reach those top ids
+    /// is skipped.
     #[test]
     fn compiled_cache_matches_ref_cache_in_lockstep() {
         const LINE: u64 = 64;
         const ID_BOUND: u32 = 16 * 1024;
+        const UNTOUCHED: usize = 2048;
         let mut rng = Rng(0x9E37_79B9_7F4A_7C15);
-        for assoc in [1u32, 2, 4, 16, 20, 32] {
+        let mut geometries = 0;
+        for assoc in [1u32, 2, 4, 16, 20, 32, CompiledCache::MAX_ASSOCIATIVITY] {
             for sets in [1u64, 2, 8, 64] {
-                let config = CacheConfig::new(sets * assoc as u64 * LINE, LINE, assoc, 1);
-                let mut oracle = RefCache::new(config);
-                let mut compiled = CompiledCache::new(sets, assoc, ID_BOUND as usize);
                 let capacity = (sets * assoc as u64) as usize;
                 let first = 1026u32.saturating_sub(3 * capacity as u32);
                 let working: Vec<u32> = (0..2 * capacity as u32 + 3)
                     .map(|k| first + 3 * k)
                     .collect();
+                if working[working.len() - 1] as usize >= ID_BOUND as usize - UNTOUCHED {
+                    continue;
+                }
+                geometries += 1;
+                let config = CacheConfig::new(capacity as u64 * LINE, LINE, assoc, 1);
+                let mut oracle = RefCache::new(config);
+                let mut compiled = CompiledCache::new(sets, assoc, ID_BOUND as usize);
                 let hot = capacity / 2 + 1;
                 // Ids ever installed: a miss on one is a stale-hint probe.
                 let mut installed = vec![false; ID_BOUND as usize];
@@ -548,7 +547,7 @@ mod tests {
                         // Never in the working set: 2 mod 3 ids share its
                         // pages; the top pages are never allocated.
                         0 => 3 * rng.below(ID_BOUND as usize / 3) as u32 + 2,
-                        1 => ID_BOUND - 1 - rng.below(2048) as u32,
+                        1 => ID_BOUND - 1 - rng.below(UNTOUCHED) as u32,
                         2..=8 => working[rng.below(hot.min(working.len()))],
                         _ => working[rng.below(working.len())],
                     };
@@ -568,7 +567,7 @@ mod tests {
                             } else {
                                 AccessKind::Read
                             };
-                            let hit = oracle.access_line(line, kind).hit;
+                            let hit = oracle.access_line(line, kind);
                             assert_eq!(compiled.access_compiled(set, tag, write), hit);
                             stale_probes += (installed[id as usize] && !hit) as usize;
                             installed[id as usize] = true;
@@ -590,5 +589,7 @@ mod tests {
                 assert!(stale_probes > 100, "only {stale_probes} stale-hint probes");
             }
         }
+        // 6 associativities × 4 set counts, and 256 ways × {1, 2, 8} sets.
+        assert_eq!(geometries, 27);
     }
 }

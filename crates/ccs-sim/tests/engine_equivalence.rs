@@ -87,14 +87,14 @@ proptest! {
 
 /// A deterministic sweep over the same cross-product, so failures reproduce
 /// without proptest shrinking and CI always covers every (scheduler, cores)
-/// cell even if the random sampler doesn't.  The core counts hit all three
+/// cell even if the random sampler doesn't.  The core counts hit three
 /// coherence paths of the event engine: `p == 1` (no directory, fills
-/// skipped unconditionally), `1 < p ≤ MAX_DIRECTORY_CORES` (flat sharer-
-/// mask directory), and `p > MAX_DIRECTORY_CORES` (the broadcast
-/// fallback, exercised with 65 cores — one past the 64-bit mask).
+/// skipped unconditionally), `1 < p ≤ 64` (flat sharer-mask directory),
+/// and `p > MAX_DIRECTORY_CORES` (the broadcast fallback, exercised one
+/// core past the hierarchical mask's reach).
 #[test]
 fn engines_agree_across_seeds_schedulers_and_cores() {
-    use ccs_cache::directory::MAX_DIRECTORY_CORES;
+    use ccs_sim::MAX_DIRECTORY_CORES;
 
     let params = synth_params();
     let wide = MAX_DIRECTORY_CORES + 1;
@@ -122,8 +122,8 @@ fn engines_agree_across_seeds_schedulers_and_cores() {
 /// machine wider than the directory supports.
 #[test]
 fn broadcast_fallback_matches_reference_past_directory_width() {
-    use ccs_cache::directory::MAX_DIRECTORY_CORES;
     use ccs_dag::{AddressSpace, ComputationBuilder, GroupMeta};
+    use ccs_sim::MAX_DIRECTORY_CORES;
 
     let mut b = ComputationBuilder::new(128);
     let mut space = AddressSpace::new();

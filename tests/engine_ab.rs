@@ -19,10 +19,9 @@
 //! the cells across its threads; [`BUILT_IN`] lists the workloads and a
 //! test pins it to the registry, so a new workload cannot go uncovered.
 
-use ccs_cache::directory::MAX_DIRECTORY_CORES;
 use ccs_dag::{Computation, Dag};
 use ccs_sched::SchedulerSpec;
-use ccs_sim::{simulate_batch, simulate_engine, CmpConfig, SimEngine};
+use ccs_sim::{simulate_batch, simulate_engine, CmpConfig, SimEngine, MAX_DIRECTORY_CORES};
 use ccs_workloads::{BuildCtx, WorkloadRegistry};
 
 /// The registered workloads, each with its own tests below.
