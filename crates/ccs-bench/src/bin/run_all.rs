@@ -29,9 +29,11 @@
 //! `--app NAME` restricts the figure sweeps to one paper workload.
 //! `--workloads <spec,...>` replaces the figure sweeps with exactly the
 //! requested registry workloads (`--workloads quicksort,matmul:n=512`) on
-//! the `--cores` default configurations (8 cores when none are given), and
-//! `--parallel N` fans every sweep across `N` threads of the `ccs-runtime`
-//! pool — the merged JSON is byte-identical to a sequential run.
+//! the `--cores` default configurations (8 cores when none are given).
+//! Every sweep fans across one `ccs-runtime` pool thread per host core by
+//! default; `--parallel N` picks `N` threads and `--parallel 1` runs
+//! sequentially — the merged JSON is byte-identical either way.  The
+//! `--bench` harness times its sweep records sequentially.
 
 use std::path::PathBuf;
 use std::process::Command;

@@ -20,8 +20,8 @@
 //!   write pushes it over, least-recently-used entries (by mtime) are
 //!   evicted until it fits (default: unbounded);
 //! * `--socket PATH` — listen on a Unix socket (default: one stdio session);
-//! * `--parallel N` — threads of the shared simulation pool (0 = one per
-//!   available core);
+//! * `--parallel N` — threads of the shared simulation pool (default and
+//!   0: one per host core);
 //! * `--queue N` — accepted-but-not-running request capacity (default 32);
 //! * `--workers N` — concurrently running requests (default 2);
 //! * `--fault-plan SPEC` — install a deterministic fault-injection plan

@@ -9,7 +9,9 @@
 //!
 //! * `macro/<sweep>` — one per figure sweep (fig2–fig6, the §5.4
 //!   comparison and the latency profile), timing the production
-//!   (event-driven) engine on the selected options;
+//!   (event-driven) engine on the selected options.  The sweep records
+//!   (`macro/*`) are timed sequentially (`parallel = 1`) whatever the
+//!   host's core count, so they compare with `bench/baseline.json`;
 //! * `macro/<sweep>_batch` — the latency-style sweeps (fig4, fig5 and the
 //!   latency profile) re-timed on the *batch* engine (quick options), after
 //!   asserting the batched report is byte-identical to an event-engine run;
@@ -552,9 +554,11 @@ pub fn run(opts: &Options) -> (BenchReport, Report) {
     let trials = opts.trials.unwrap_or(if opts.quick { 3 } else { 1 });
 
     // Phase 1: the figure sweeps as selected (quick or full), production
-    // engine — the trajectory every future PR extends.
+    // engine — the trajectory every future PR extends.  Sequential, so the
+    // sweep records compare with `bench/baseline.json` on any host.
     let mut event_opts = opts.clone();
     event_opts.engine = SimEngine::EventDriven;
+    event_opts.parallel = 1;
     let (merged, mut records, macro_ms) = best_sweep_pass(&event_opts, "macro", trials);
 
     // Phase 2: engine comparison on the *quick* sweep (bounded even when

@@ -24,9 +24,13 @@
 //! identity inside each run.  The cache is bounded by the estimated heap
 //! footprint of its entries ([`BUDGET_BYTES`]); full-scale sweeps evict
 //! oldest-used entries instead of accumulating gigabytes.
+//!
+//! Lookups are single-flight: when concurrent sweep groups or daemon
+//! requests ask for the same key, one of them builds it and the others
+//! wait for that build rather than building duplicates.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::collections::{HashMap, HashSet};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 
 use ccs_dag::{Computation, Dag};
 
@@ -54,47 +58,72 @@ type Key = (String, u64, u64, usize);
 #[derive(Default)]
 struct BuildCache {
     entries: HashMap<Key, Entry>,
+    /// Keys some thread is building right now: a later caller of one of
+    /// them waits on [`BUILD_DONE`] instead of building a duplicate.
+    in_flight: HashSet<Key>,
     tick: u64,
 }
 
-fn cache() -> &'static Mutex<BuildCache> {
+/// Signalled whenever an in-flight build ends, however it ends.
+static BUILD_DONE: Condvar = Condvar::new();
+
+fn lock() -> MutexGuard<'static, BuildCache> {
     static CACHE: OnceLock<Mutex<BuildCache>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(BuildCache::default()))
+    CACHE
+        .get_or_init(|| Mutex::new(BuildCache::default()))
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+}
+
+/// A thread's claim on building one key.  Dropping it — after the entry is
+/// inserted, or while a panicking builder unwinds — releases the key and
+/// wakes its waiters; after a panic one of them finds the key unclaimed
+/// and retries the build.
+struct Claim<'a>(&'a Key);
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        lock().in_flight.remove(self.0);
+        BUILD_DONE.notify_all();
+    }
 }
 
 /// Fetch the shared build for `key`, building it with `build` on a miss.
 ///
-/// The builder runs *outside* the cache lock, so concurrent sweep points
-/// (`Experiment::parallelism`) never serialise on each other's builds; if
-/// two threads race on the same key the first inserted entry wins and the
-/// loser's duplicate is dropped (builders are pure, so both are
-/// identical).
+/// Builds are single-flight: the builder runs *outside* the cache lock, so
+/// concurrent sweep groups never serialise on each other's builds, but a
+/// caller whose key is already being built waits for that build instead
+/// of running a duplicate.  If the builder panics, its waiters wake and
+/// one of them builds again.  A builder must therefore not itself wait on
+/// sweep work that may be blocked in this function (registry builders are
+/// plain sequential functions).
 pub(crate) fn get_or_build(
     key: Key,
     build: impl FnOnce() -> (Arc<Computation>, Arc<Dag>),
 ) -> Arc<(Arc<Computation>, Arc<Dag>)> {
-    {
-        let mut cache = cache().lock().unwrap_or_else(|e| e.into_inner());
+    let mut cache = lock();
+    loop {
         cache.tick += 1;
         let tick = cache.tick;
         if let Some(entry) = cache.entries.get_mut(&key) {
             entry.last_used = tick;
             return Arc::clone(&entry.built);
         }
+        if cache.in_flight.insert(key.clone()) {
+            break;
+        }
+        cache = BUILD_DONE.wait(cache).unwrap_or_else(|e| e.into_inner());
     }
+    drop(cache);
+    let _claim = Claim(&key);
     let (comp, dag) = build();
     let bytes = comp.trace_arena_bytes() + dag.heap_bytes();
     let built = Arc::new((comp, dag));
-    let mut cache = cache().lock().unwrap_or_else(|e| e.into_inner());
+    let mut cache = lock();
     cache.tick += 1;
     let tick = cache.tick;
-    if let Some(entry) = cache.entries.get_mut(&key) {
-        // Lost a build race: share the winner.
-        entry.last_used = tick;
-        return Arc::clone(&entry.built);
-    }
     cache.entries.insert(
-        key,
+        key.clone(),
         Entry {
             built: Arc::clone(&built),
             bytes,
@@ -119,25 +148,19 @@ pub(crate) fn get_or_build(
             None => break,
         }
     }
+    // Unlock before `_claim` drops: releasing the claim takes the lock.
+    drop(cache);
     built
 }
 
 /// Number of builds currently cached (diagnostics/tests).
 pub fn cached_builds() -> usize {
-    cache()
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .entries
-        .len()
+    lock().entries.len()
 }
 
 /// Drop every cached build (tests, or to release memory mid-process).
 pub fn clear() {
-    cache()
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .entries
-        .clear();
+    lock().entries.clear();
 }
 
 #[cfg(test)]
@@ -173,6 +196,80 @@ mod tests {
         });
         assert_eq!(calls.load(Ordering::SeqCst), 1, "second lookup is a hit");
         assert!(Arc::ptr_eq(&a, &b));
+    }
+
+    #[test]
+    fn racing_callers_share_one_build() {
+        let calls = AtomicUsize::new(0);
+        let start = std::sync::Barrier::new(8);
+        let key = ("bc-test-race".to_string(), 1, 1024, 2);
+        let built: Vec<_> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        get_or_build(key.clone(), || {
+                            calls.fetch_add(1, Ordering::SeqCst);
+                            // Long enough that the others arrive mid-build.
+                            std::thread::sleep(std::time::Duration::from_millis(20));
+                            tiny(5)
+                        })
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(calls.load(Ordering::SeqCst), 1, "one build, no duplicates");
+        assert!(built.iter().all(|b| Arc::ptr_eq(b, &built[0])));
+    }
+
+    #[test]
+    fn a_panicking_build_wakes_its_waiters_and_one_retries() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let key = ("bc-test-panic".to_string(), 1, 1024, 2);
+        let retries = Arc::new(AtomicUsize::new(0));
+        let (claimed_tx, claimed_rx) = mpsc::channel();
+        let doomed = {
+            let key = key.clone();
+            std::thread::spawn(move || {
+                get_or_build(key, || {
+                    claimed_tx.send(()).unwrap();
+                    // Let the waiters queue up behind this build.
+                    std::thread::sleep(Duration::from_millis(50));
+                    panic!("builder fails");
+                })
+            })
+        };
+        claimed_rx.recv().unwrap();
+        let (done_tx, done_rx) = mpsc::channel();
+        for _ in 0..4 {
+            let (key, retries, done_tx) = (key.clone(), Arc::clone(&retries), done_tx.clone());
+            std::thread::spawn(move || {
+                let built = get_or_build(key, || {
+                    retries.fetch_add(1, Ordering::SeqCst);
+                    tiny(5)
+                });
+                done_tx.send(built).unwrap();
+            });
+        }
+        assert!(
+            doomed.join().is_err(),
+            "the builder's panic reaches its caller"
+        );
+        let built: Vec<_> = (0..4)
+            .map(|_| {
+                done_rx
+                    .recv_timeout(Duration::from_secs(30))
+                    .expect("a waiter stayed blocked after the builder panicked")
+            })
+            .collect();
+        assert_eq!(
+            retries.load(Ordering::SeqCst),
+            1,
+            "exactly one retry builds"
+        );
+        assert!(built.iter().all(|b| Arc::ptr_eq(b, &built[0])));
     }
 
     #[test]

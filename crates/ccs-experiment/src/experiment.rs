@@ -35,6 +35,19 @@ pub fn effective_scale(scale: u64, quick: bool) -> u64 {
     }
 }
 
+/// The host's core count (`std::thread::available_parallelism`, 1 when
+/// unknown): the default sweep parallelism of [`Experiment`] and of
+/// [`Options`](crate::Options).  Read once per process: on Linux the query
+/// parses cgroup files, tens of microseconds that a daemon resolving
+/// cached requests would otherwise pay per request.  An [`Experiment`]
+/// reads it only when it runs, so defining and planning a sweep never
+/// pays it.
+pub(crate) fn host_cores() -> usize {
+    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *CORES
+        .get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
+}
+
 /// Geometry prebuild for one (already scaled) design point: compile the
 /// packed set lanes the event engine will look up — the (L1, L2) pair
 /// word, or the (L1, L2, L3) triple word when the point has a shared L3
@@ -333,7 +346,8 @@ pub struct Experiment {
     scale: u64,
     quick: bool,
     baseline: bool,
-    parallelism: usize,
+    /// `None` = one thread per host core.
+    parallelism: Option<usize>,
     engine: SimEngine,
 }
 
@@ -342,17 +356,7 @@ impl Experiment {
     /// [`Experiment::workload`]).
     pub fn new(workload: impl Into<WorkloadSpec>) -> Experiment {
         let workload = workload.into();
-        Experiment {
-            name: workload.name().to_string(),
-            workloads: vec![workload],
-            schedulers: Vec::new(),
-            configs: Vec::new(),
-            scale: 1,
-            quick: false,
-            baseline: true,
-            parallelism: 1,
-            engine: SimEngine::default(),
-        }
+        Experiment::named(workload.name()).workload(workload)
     }
 
     /// An experiment with no workloads yet, named for its report.
@@ -365,7 +369,7 @@ impl Experiment {
             scale: 1,
             quick: false,
             baseline: true,
-            parallelism: 1,
+            parallelism: None,
             engine: SimEngine::default(),
         }
     }
@@ -458,18 +462,22 @@ impl Experiment {
     }
 
     /// Fan the groups of [`Experiment::plan`] (builds and simulations) across
-    /// `n` worker threads of a `ccs-runtime` fork-join pool (our own
+    /// up to `n` worker threads of a `ccs-runtime` fork-join pool (our own
     /// work-stealing runtime — the harness dogfoods the system it studies).
-    /// The default (1) runs sequentially on the calling thread.
+    /// The default is the host's core count
+    /// (`std::thread::available_parallelism`); `1` runs sequentially on the
+    /// calling thread.
     ///
     /// Record order — and therefore the report's JSON — is byte-identical to
     /// a sequential run: every run is deterministic and records are placed
     /// by cross-product position, not completion order.
     ///
-    /// Must be called from outside any `ccs-runtime` pool: a parallel `run`
-    /// installs onto its own private pool, and nesting installs deadlocks.
+    /// [`Experiment::run`] may be called from anywhere, including from a job
+    /// already running on a `ccs-runtime` pool: off a pool it runs on a
+    /// private pool of `min(n, groups)` threads, on a pool worker it forks
+    /// onto the caller's pool instead of installing a second one.
     pub fn parallelism(mut self, n: usize) -> Experiment {
-        self.parallelism = n.max(1);
+        self.parallelism = Some(n.max(1));
         self
     }
 
@@ -483,6 +491,12 @@ impl Experiment {
     pub fn engine(mut self, engine: SimEngine) -> Experiment {
         self.engine = engine;
         self
+    }
+
+    /// The pool size a run fans out over: [`Experiment::parallelism`], or
+    /// the host's core count when it was not set.
+    fn threads(&self) -> usize {
+        self.parallelism.unwrap_or_else(host_cores)
     }
 
     /// The scale divisor runs will actually use (after `quick` clamping).
@@ -775,10 +789,12 @@ impl Experiment {
     ///
     /// Defaults when a dimension was left unset: schedulers = PDF and WS;
     /// configs = the paper's 8-core default.  The sweep runs as
-    /// [`Experiment::plan`] → [`Experiment::run_group`] per group (fanned
-    /// across the pool under [`Experiment::parallelism`]), and each point's
-    /// records are placed by [`SweepPoint::index`], so the report is
-    /// byte-identical for every engine and every parallelism.
+    /// [`Experiment::plan`] → [`Experiment::run_group`] per group, forked
+    /// across a pool under [`Experiment::parallelism`] (by default one
+    /// thread per host core), and each point's records are placed by
+    /// [`SweepPoint::index`], so the report is byte-identical for every
+    /// engine and every parallelism.  Safe to call from inside a
+    /// `ccs-runtime` pool: the groups then fork onto the caller's pool.
     ///
     /// # Panics
     /// Panics if no workload was added, or if a scheduler or workload name
@@ -789,21 +805,22 @@ impl Experiment {
         // are placed by position to keep the report deterministic.
         let groups = self.plan();
         let run_group = |group: &Vec<SweepPoint>| self.run_group(group);
-        let threads = self.parallelism.min(groups.len());
-        let per_group: Vec<Vec<Vec<RunRecord>>> = if threads <= 1 {
-            groups.iter().map(run_group).collect()
+        let threads = self.threads().min(groups.len());
+        let mut per_group: Vec<Option<Vec<Vec<RunRecord>>>> = groups.iter().map(|_| None).collect();
+        if threads <= 1 {
+            per_group = groups.iter().map(|group| Some(run_group(group))).collect();
+        } else if ccs_runtime::current_thread_index().is_some() {
+            // Already on a worker: fork onto the caller's pool rather than
+            // block this worker on a second pool's `install`.
+            fan_out(&groups, &mut per_group, &run_group);
         } else {
-            let mut slots: Vec<Option<Vec<Vec<RunRecord>>>> = groups.iter().map(|_| None).collect();
-            let pool = ThreadPool::new(threads, Policy::WorkStealing);
-            pool.install(|| fan_out(&groups, &mut slots, &run_group));
-            slots
-                .into_iter()
-                .map(|slot| slot.expect("every group produces records"))
-                .collect()
-        };
+            ThreadPool::new(threads, Policy::WorkStealing)
+                .install(|| fan_out(&groups, &mut per_group, &run_group));
+        }
         let total_points: usize = groups.iter().map(Vec::len).sum();
         let mut slots: Vec<Option<Vec<RunRecord>>> = (0..total_points).map(|_| None).collect();
         for (group, results) in groups.iter().zip(per_group) {
+            let results = results.expect("every group produces records");
             for (point, records) in group.iter().zip(results) {
                 slots[point.index] = Some(records);
             }
@@ -1010,16 +1027,66 @@ mod tests {
     }
 
     #[test]
-    fn parallel_run_matches_sequential_byte_for_byte() {
-        let base = Experiment::named("par-check")
+    fn default_parallelism_is_the_host_core_count() {
+        let host = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        assert_eq!(Experiment::new("mergesort").threads(), host);
+        assert_eq!(Experiment::named("empty").threads(), host);
+        assert_eq!(Experiment::named("pinned").parallelism(1).threads(), 1);
+    }
+
+    /// Two workloads × two latency variants of a 1-core point and a 2-core
+    /// point: six groups on the event and reference engines, four on the
+    /// batch engine.
+    fn multi_group_sweep() -> Experiment {
+        let one_core = CmpConfig::default_with_cores(1).unwrap();
+        Experiment::named("par-check")
             .workloads(["mergesort", "quicksort"])
-            .cores([2, 4])
+            .configs([
+                one_core.clone().with_l2_hit_latency(7),
+                one_core.with_l2_hit_latency(19),
+                CmpConfig::default_with_cores(2).unwrap(),
+            ])
             .scale(1024)
-            .schedulers(["pdf", "ws"]);
-        let sequential = base.clone().run();
-        let parallel = base.clone().parallelism(8).run();
-        assert_eq!(parallel, sequential);
-        assert_eq!(parallel.to_json(), sequential.to_json());
+            .schedulers(["pdf", "ws"])
+    }
+
+    #[test]
+    fn parallel_run_matches_sequential_byte_for_byte() {
+        // The default (one thread per host core) and an oversubscribed
+        // 8 threads, each against a sequential run, on every engine.
+        for engine in [
+            SimEngine::EventDriven,
+            SimEngine::Batch,
+            SimEngine::Reference,
+        ] {
+            let exp = multi_group_sweep().engine(engine);
+            assert!(exp.plan().len() >= 3, "{engine:?}: a multi-group plan");
+            let sequential = exp.clone().parallelism(1).run();
+            for parallel in [exp.run(), exp.clone().parallelism(8).run()] {
+                assert_eq!(parallel, sequential, "{engine:?}");
+                assert_eq!(parallel.to_json(), sequential.to_json(), "{engine:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn run_inside_a_pool_forks_onto_the_callers_pool() {
+        let exp = multi_group_sweep().engine(SimEngine::Batch);
+        let sequential = exp.clone().parallelism(1).run();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let pool = ThreadPool::new(2, Policy::WorkStealing);
+            let nested = pool.install(|| {
+                // One run per side of a join, each fanning out again.
+                join(|| exp.run(), || exp.clone().parallelism(8).run())
+            });
+            tx.send(nested).unwrap();
+        });
+        let (a, b) = rx
+            .recv_timeout(std::time::Duration::from_secs(120))
+            .expect("a run nested in a pool finishes");
+        assert_eq!(a.to_json(), sequential.to_json());
+        assert_eq!(b.to_json(), sequential.to_json());
     }
 
     #[test]

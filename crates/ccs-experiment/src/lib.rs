@@ -8,8 +8,9 @@
 //! * [`Experiment`] — a builder describing a sweep (workloads × schedulers ×
 //!   configurations, plus a scale divisor), whose [`Experiment::run`] fans
 //!   the cross-product into measurements — across the `ccs-runtime`
-//!   fork-join pool when [`Experiment::parallelism`] is raised, with
-//!   deterministic record order either way;
+//!   fork-join pool, one thread per host core unless
+//!   [`Experiment::parallelism`] says otherwise, with deterministic record
+//!   order either way;
 //! * [`WorkloadSpec`] — a parseable "which workload" value
 //!   (`"mergesort"`, `"matmul:n=512"`,
 //!   `"heat:rows=1024,cols=1024,steps=8"`) resolved through the open
@@ -21,7 +22,7 @@
 //! * [`build_cache`] — the process-global, byte-bounded cache of built
 //!   registry computations (and, through their memoisation, of every
 //!   compiled line stream and geometry lane), shared across sweeps and
-//!   repeat trials;
+//!   repeat trials and built once per key even when groups race for it;
 //! * [`canon`] — canonical run-point keys and their stable FNV-1a hash:
 //!   the identity a [`RunRecord`] is a deterministic function of;
 //! * [`ResultStore`] — the durable on-disk record memo keyed by those

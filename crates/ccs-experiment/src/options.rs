@@ -31,8 +31,8 @@ use crate::{Experiment, WorkloadSpec};
 ///   ([`CmpConfig::default_with_cores`]: 1, 2, 4, 8, 16 or 32 cores) and is
 ///   rejected up front otherwise;
 /// * `--parallel N` — fan experiment sweeps across `N` threads of the
-///   `ccs-runtime` pool ([`Experiment::parallelism`]); `0` means one thread
-///   per available core, the default (1) is sequential;
+///   `ccs-runtime` pool ([`Experiment::parallelism`]); the default, and
+///   `0`, mean one thread per host core, and `1` runs sequentially;
 /// * `--json PATH` — additionally write the run's [`Report`](crate::Report)
 ///   as JSON to `PATH` (`-` for stdout);
 /// * `--store PATH` — root directory of the persistent result store (the
@@ -66,7 +66,8 @@ pub struct Options {
     /// Simulated core counts (`--cores N,...`, each 1, 2, 4, 8, 16 or 32);
     /// empty means the binary's default design points.
     pub cores: Vec<usize>,
-    /// Worker threads for sweep execution (`--parallel N`; 1 = sequential).
+    /// Worker threads for sweep execution (`--parallel N`; default: one per
+    /// host core; 1 = sequential).
     pub parallel: usize,
     /// Where to write the JSON report, if requested (`--json PATH`, `-` for
     /// stdout).
@@ -95,7 +96,7 @@ impl Default for Options {
             app: None,
             workloads: Vec::new(),
             cores: Vec::new(),
-            parallel: 1,
+            parallel: crate::experiment::host_cores(),
             json: None,
             store: None,
             engine: SimEngine::default(),
@@ -137,7 +138,8 @@ impl Options {
          \x20                    (CmpConfig::many_core): up to 4096 cores they use\n\
          \x20                    the O(sharers) hierarchical sharer-mask directory,\n\
          \x20                    beyond it broadcast invalidation (slower).\n\
-         \x20 --parallel N       sweep worker threads (0 = one per host core)\n\
+         \x20 --parallel N       sweep worker threads, and the serve daemon's pool size\n\
+         \x20                    (default and 0: one per host core; 1 = sequential)\n\
          \x20 --json PATH        write the JSON report to PATH ('-' = stdout)\n\
          \x20 --store PATH       persistent result-store directory\n\
          \x20 --engine E         event|reference|batch (default event)\n\
@@ -218,9 +220,7 @@ impl Options {
                     let v = value(&mut iter, "--parallel", "a value")?;
                     let n: usize = parse_int(&v, "--parallel")?;
                     opts.parallel = if n == 0 {
-                        std::thread::available_parallelism()
-                            .map(std::num::NonZeroUsize::get)
-                            .unwrap_or(1)
+                        crate::experiment::host_cores()
                     } else {
                         n
                     };
@@ -443,7 +443,12 @@ mod tests {
         assert_eq!(o.scale, 32);
         assert_eq!(o.benchmarks().len(), 3);
         assert_eq!(o.workload_specs().len(), 3);
-        assert_eq!(o.parallel, 1);
+        let host = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        assert_eq!(o.parallel, host, "sweeps use every host core by default");
+        let zero = Options::parse(["--parallel", "0"].into_iter().map(String::from));
+        assert_eq!(zero.parallel, host);
+        let one = Options::parse(["--parallel", "1"].into_iter().map(String::from));
+        assert_eq!(one.parallel, 1);
         assert_eq!(o.effective_scale(), 32);
         assert_eq!(o.json, None);
         assert_eq!(o.engine, SimEngine::EventDriven);

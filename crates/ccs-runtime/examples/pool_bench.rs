@@ -1,9 +1,12 @@
 //! Raw-runtime scaling probe: recursive fork-join `fib` and a spawn-heavy
 //! fan-out on a [`ccs_runtime::ThreadPool`] at every thread count from 1
 //! up to the host's available parallelism, printed as tasks/sec with the
-//! self-relative speedup over 1 thread.  The bench harness (`run_all
-//! --bench`) embeds the same kernels as gated `runtime/*` records; this
-//! example is the standalone A/B probe
+//! self-relative speedup over 1 thread.  The fan-out is also split into
+//! its halves: with every worker held in a blocker job, the time per
+//! `spawn_detached` push (push only), then, with the blockers released,
+//! the time per job to drain the queue (drain only).  The bench harness
+//! (`run_all --bench`) embeds the same kernels as gated `runtime/*`
+//! records; this example is the standalone A/B probe
 //! (`cargo run --release -p ccs-runtime --example pool_bench`).
 //!
 //! Flags: `--threads N` (the top of the curve; default: available
@@ -11,8 +14,8 @@
 //! `--spawns N` (default 50000), `--policy ws|pdf` (default ws),
 //! `--pinned`.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 use ccs_runtime::{join, Policy, ThreadPool};
@@ -43,6 +46,53 @@ fn best_secs(rounds: u32, mut op: impl FnMut()) -> f64 {
             start.elapsed().as_secs_f64()
         })
         .fold(f64::INFINITY, f64::min)
+}
+
+/// The spawn fan-out split in two: hold all `threads` workers in blocker
+/// jobs, time `spawns` detached pushes (nothing can run them), then release
+/// the blockers and time the drain.  Best-of-`rounds` nanoseconds per job,
+/// as (push, drain).
+fn push_drain_split(pool: &ThreadPool, threads: usize, spawns: u64, rounds: u32) -> (f64, f64) {
+    let mut best = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..rounds {
+        let gate = Arc::new((Mutex::new(false), Condvar::new()));
+        let held = Arc::new(AtomicUsize::new(0));
+        for _ in 0..threads {
+            let (gate, held) = (Arc::clone(&gate), Arc::clone(&held));
+            pool.spawn_detached(move || {
+                held.fetch_add(1, Ordering::SeqCst);
+                let (open, cv) = &*gate;
+                let mut open = open.lock().unwrap();
+                while !*open {
+                    open = cv.wait(open).unwrap();
+                }
+            });
+        }
+        while held.load(Ordering::SeqCst) != threads {
+            std::thread::yield_now();
+        }
+        let counter = Arc::new(AtomicU64::new(0));
+        let start = Instant::now();
+        for _ in 0..spawns {
+            let c = Arc::clone(&counter);
+            pool.spawn_detached(move || {
+                c.fetch_add(1, Ordering::Relaxed);
+            });
+        }
+        let push = start.elapsed().as_secs_f64();
+        let start = Instant::now();
+        *gate.0.lock().unwrap() = true;
+        gate.1.notify_all();
+        // Yield, not spin: on a host with `threads` cores this thread must
+        // not take a core from the drain it is timing.
+        while counter.load(Ordering::Relaxed) != spawns {
+            std::thread::yield_now();
+        }
+        let drain = start.elapsed().as_secs_f64();
+        best = (best.0.min(push), best.1.min(drain));
+    }
+    let per_job = 1e9 / spawns as f64;
+    (best.0 * per_job, best.1 * per_job)
 }
 
 fn main() {
@@ -77,7 +127,9 @@ fn main() {
 
     let nodes = fib_nodes(fib_n) as f64;
     let expected = naive_fib(fib_n);
-    println!("threads  fib({fib_n}) tasks/s  speedup  spawn jobs/s  speedup");
+    println!(
+        "threads  fib({fib_n}) tasks/s  speedup  spawn jobs/s  speedup  push ns/job  drain ns/job"
+    );
     let mut base: Option<(f64, f64)> = None;
     for t in 1..=threads.max(1) {
         let pool = ThreadPool::new(t, policy).pinned(pinned);
@@ -100,9 +152,10 @@ fn main() {
                     std::hint::spin_loop();
                 }
             });
+        let (push_ns, drain_ns) = push_drain_split(&pool, t, spawns, rounds);
         let (fib_1, spawn_1) = *base.get_or_insert((fib_rate, spawn_rate));
         println!(
-            "{t:>7}  {fib_rate:>15.0}  {:>7.2}  {spawn_rate:>12.0}  {:>7.2}",
+            "{t:>7}  {fib_rate:>15.0}  {:>7.2}  {spawn_rate:>12.0}  {:>7.2}  {push_ns:>11.1}  {drain_ns:>12.1}",
             fib_rate / fib_1,
             spawn_rate / spawn_1
         );

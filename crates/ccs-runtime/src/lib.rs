@@ -49,4 +49,4 @@ pub mod sleep;
 pub use cancel::CancelToken;
 pub use fault::{FaultKind, FaultPlan};
 pub use label::PdfLabel;
-pub use pool::{join, spawn, Policy, ThreadPool};
+pub use pool::{current_thread_index, join, spawn, Policy, ThreadPool};

@@ -700,6 +700,14 @@ where
     }
 }
 
+/// The index of the pool worker the caller runs on, or `None` outside every
+/// pool.  Code that may be reached either way uses it to decide whether to
+/// [`join`] onto the caller's pool or to [`ThreadPool::install`] onto one of
+/// its own (installing from inside a pool can deadlock).
+pub fn current_thread_index() -> Option<usize> {
+    CURRENT.with(|c| c.borrow().as_ref().map(|ctx| ctx.index))
+}
+
 /// Spawn a detached `'static` job from inside the pool, labelled as the next
 /// child of the current task.  Outside a pool the job runs inline.
 pub fn spawn(f: impl FnOnce() + Send + 'static) {
@@ -864,6 +872,19 @@ mod tests {
     fn join_outside_pool_is_sequential() {
         let (a, b) = join(|| 5, || 7);
         assert_eq!((a, b), (5, 7));
+    }
+
+    #[test]
+    fn current_thread_index_is_set_only_on_workers() {
+        assert_eq!(current_thread_index(), None);
+        for pool in pools() {
+            let n = pool.num_threads();
+            let index = pool.install(current_thread_index).expect("on a worker");
+            assert!(index < n);
+            let (a, b) = pool.install(|| join(current_thread_index, current_thread_index));
+            assert!(a.is_some_and(|i| i < n) && b.is_some_and(|i| i < n));
+        }
+        assert_eq!(current_thread_index(), None);
     }
 
     #[test]
