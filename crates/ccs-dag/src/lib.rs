@@ -13,8 +13,8 @@
 //!   arena every computation stores its ops in (module [`pool`]);
 //! * [`LineStream`] — precompiled line-granular access streams, one per
 //!   `(computation, line size)`, consumed by the simulator's event engine,
-//!   plus the [`CacheGeometry`]-keyed [`GeometryLanes`] mapping line ids
-//!   straight to cache-set indices (module [`stream`]);
+//!   plus the [`CacheGeometry`]-keyed [`SetLanes`] mapping line ids
+//!   straight to every cache level's set index (module [`stream`]);
 //! * [`Computation`] and [`ComputationBuilder`] — fork-join programs as
 //!   series-parallel trees (module [`sp`]);
 //! * [`Dag`] — the flattened dependency DAG with 1DF (sequential depth-first)
@@ -65,8 +65,5 @@ pub use dag::Dag;
 pub use group::{GroupId, GroupKind, TaskGroup, TaskGroupTree};
 pub use pool::{TracePool, TraceRange, TraceView};
 pub use sp::{CallSite, Computation, ComputationBuilder, GroupMeta, SpKind, SpNode, SpNodeId};
-pub use stream::{
-    CacheGeometry, GeometryLanes, LineStream, PairedSetLanes, TripleSetLanes, STEP_ID_MASK,
-    STEP_WRITE_BIT,
-};
+pub use stream::{CacheGeometry, LineStream, SetLanes, STEP_ID_MASK, STEP_WRITE_BIT};
 pub use task::{AccessKind, MemRef, Task, TaskId, TaskTrace, TraceBuilder, TraceOp};

@@ -19,16 +19,15 @@
 //! computation at the same line size shares one copy.
 //!
 //! On top of the stream sits the **geometry-compiled layer**: for the
-//! `(L1, L2)` cache-geometry pair a sweep simulates against,
-//! [`LineStream::geometry_pair`] compiles — once, memoised per
-//! [`CacheGeometry`] pair — a flat packed [`PairedSetLanes`] table mapping
-//! every line id to both set indices in one `u64` word
-//! ([`GeometryLanes`] is the single-geometry reference form the tests
-//! check it against).  Together with the id-as-tag convention (see
-//! [`GeometryLanes::tag_of`] and `ccs-cache::line_tag`) this removes the
-//! *remaining* address math from the simulator: a probe becomes one lane
-//! load plus a shift, and the `line_addr` table drops off the hot path
-//! entirely.
+//! machine shape a sweep simulates against — its `(L1, L2)` cache
+//! geometries, plus an L3's when it has one — [`LineStream::geometry_pair`]
+//! and [`LineStream::geometry_triple`] compile, once per shape and memoised
+//! on the stream, a flat packed [`SetLanes`] table mapping every line id
+//! to all its set indices in one `u64` word.  Together with the id-as-tag
+//! convention (`ccs-cache::line_tag`: dense ids are collision-free tags in
+//! every geometry) this removes the *remaining* address math from the
+//! simulator: a probe becomes one lane load plus a shift and a mask, and
+//! the `line_addr` table drops off the hot path entirely.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -156,8 +155,8 @@ impl Interner {
 }
 
 /// The set-indexing geometry of one cache level: everything the compiled
-/// lanes depend on.  Two caches with equal line size and set count share
-/// one [`GeometryLanes`] table regardless of associativity, capacity or
+/// lanes depend on.  Two caches with equal line size and set count map
+/// line ids to sets identically regardless of associativity, capacity or
 /// latency — associativity only shapes the *cache's* way arrays, never the
 /// id → set mapping.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -184,194 +183,35 @@ impl CacheGeometry {
     }
 }
 
-/// The compiled per-line lanes of one [`CacheGeometry`]: the pure function
-/// `(line id, geometry) → (set index, tag)` materialised as a flat table.
-/// This is the *reference form* of the derivation — the simulator consumes
-/// the packed two-level [`PairedSetLanes`] (memoised via
-/// [`LineStream::geometry_pair`]), whose correctness the tests check
-/// against this single-geometry compile.
+/// The packed set-index lanes of one machine shape: per line id, the L1,
+/// L2 and (when the machine has one) L3 set indices folded into a single
+/// `u64` word, `l1_set | l2_set << L1_BITS | l3_set << (L1_BITS +
+/// L2_BITS)`.  The L3 field is zero on machines without an L3.
 ///
-/// The *set-index lane* is stored flat (`id → set`); the *tag lane*
-/// degenerates to the identity on dense line ids — two distinct lines
-/// always have distinct ids, so the id is a collision-free tag in every
-/// geometry — and is therefore compiled down to the pure function
-/// [`GeometryLanes::tag_of`] (`id << 1`, pre-shifted for the cache's
-/// folded dirty bit) rather than materialised as an array the hot loop
-/// would have to stream for no information.
-#[derive(Debug)]
-pub struct GeometryLanes {
-    geometry: CacheGeometry,
-    /// Line id → set index in this geometry.
-    set_index: Vec<u32>,
-}
-
-impl GeometryLanes {
-    /// Compile the lanes for `geometry` over `stream`'s interned lines.
-    ///
-    /// # Panics
-    /// Panics if the geometry's line size differs from the stream's (set
-    /// indices would be meaningless) or if a set index would not fit the
-    /// `u32` lane.
-    pub fn compile(stream: &LineStream, geometry: CacheGeometry) -> GeometryLanes {
-        assert_eq!(
-            geometry.line_size,
-            stream.line_size(),
-            "geometry compiled against a stream of a different line size"
-        );
-        assert!(
-            geometry.num_sets <= u32::MAX as u64 + 1,
-            "set index exceeds the u32 lane"
-        );
-        let shift = geometry.line_size.trailing_zeros();
-        let set_index = stream
-            .line_addr()
-            .iter()
-            .map(|&line| ((line >> shift) % geometry.num_sets) as u32)
-            .collect();
-        GeometryLanes {
-            geometry,
-            set_index,
-        }
-    }
-
-    /// The geometry the lanes were compiled for.
-    #[inline]
-    pub fn geometry(&self) -> CacheGeometry {
-        self.geometry
-    }
-
-    /// The line-id → set-index lane.
-    #[inline]
-    pub fn set_index(&self) -> &[u32] {
-        &self.set_index
-    }
-
-    /// The tag lane, compiled to a pure function: the tag of line id `id`
-    /// in any geometry (dense ids are collision-free tags), pre-shifted
-    /// one bit for the cache's folded dirty flag.  Mirrors
-    /// `ccs-cache::line_tag`.
-    #[inline]
-    pub const fn tag_of(id: u32) -> u32 {
-        id << 1
-    }
-
-    /// Heap bytes held by the compiled lanes.
-    pub fn heap_bytes(&self) -> u64 {
-        (self.set_index.capacity() * std::mem::size_of::<u32>()) as u64
-    }
-}
-
-/// The packed set-index lanes of one *(L1 geometry, L2 geometry)* pair:
-/// per line id, the L1 set index in the low 32 bits and the L2 set index
-/// in the high 32 bits of a single `u64` word.
+/// The simulator probes the L2 only on an L1 miss (and the L3 only on an
+/// L2 miss), and the sweeps this engine exists for are miss-heavy — so a
+/// lower level's set index must not cost a second indexed load from a
+/// cold lane on the miss path.  Packing every level into one word makes
+/// the L1-hit path one 8-byte load (the same bandwidth as the old
+/// `line_addr` load it replaces, minus all the modulo math) and makes each
+/// deeper set a shift and a mask of the word already loaded.  Measured on
+/// the quick sweep, a split-lane variant of this table was ~7% *slower*
+/// than the address path; the packed form is what delivers the id-native
+/// win (DESIGN.md §9).
 ///
-/// The simulator probes the L2 only on an L1 miss, and the sweeps this
-/// engine exists for are miss-heavy — so the L2 set index must not cost a
-/// second indexed load from a cold lane on the miss path.  Packing both
-/// levels into one word makes the L1-hit path one 8-byte load (the same
-/// bandwidth as the old `line_addr` load it replaces, minus all the
-/// shift/mask/modulo math) and makes the L2 set a register shift on a
-/// miss.  Measured on the quick sweep, the split-lane variant of this
-/// table was ~7% *slower* than the address path; the packed form is what
-/// delivers the id-native win.
+/// The field widths cover 2 Mi sets per private level and 4 Mi in the L3
+/// (the paper's largest L2 has 16 Ki); `CmpConfig::validate` rejects a
+/// larger cache before a run, and the compile asserts the bound.
 #[derive(Debug)]
-pub struct PairedSetLanes {
+pub struct SetLanes {
     l1: CacheGeometry,
     l2: CacheGeometry,
-    /// Line id → `l1_set | (l2_set << 32)`.
-    packed: Vec<u64>,
-}
-
-impl PairedSetLanes {
-    /// Compile the packed lanes for an `(l1, l2)` geometry pair over
-    /// `stream`'s interned lines.
-    ///
-    /// # Panics
-    /// Panics if either geometry's line size differs from the stream's.
-    pub fn compile(stream: &LineStream, l1: CacheGeometry, l2: CacheGeometry) -> PairedSetLanes {
-        for geometry in [l1, l2] {
-            assert_eq!(
-                geometry.line_size,
-                stream.line_size(),
-                "geometry compiled against a stream of a different line size"
-            );
-            assert!(
-                geometry.num_sets <= u32::MAX as u64 + 1,
-                "set index exceeds the u32 lane"
-            );
-        }
-        let shift = stream.line_size().trailing_zeros();
-        let packed = stream
-            .line_addr()
-            .iter()
-            .map(|&line| {
-                let line_no = line >> shift;
-                (line_no % l1.num_sets) | ((line_no % l2.num_sets) << 32)
-            })
-            .collect();
-        PairedSetLanes { l1, l2, packed }
-    }
-
-    /// The L1 geometry of the pair.
-    pub fn l1_geometry(&self) -> CacheGeometry {
-        self.l1
-    }
-
-    /// The L2 geometry of the pair.
-    pub fn l2_geometry(&self) -> CacheGeometry {
-        self.l2
-    }
-
-    /// The packed lane: line id → `l1_set | (l2_set << 32)`.
-    #[inline]
-    pub fn packed(&self) -> &[u64] {
-        &self.packed
-    }
-
-    /// The L1 set index of a packed word.
-    #[inline]
-    pub const fn l1_set(word: u64) -> u32 {
-        word as u32
-    }
-
-    /// The L2 set index of a packed word.
-    #[inline]
-    pub const fn l2_set(word: u64) -> u32 {
-        (word >> 32) as u32
-    }
-
-    /// Heap bytes held by the packed lane.
-    pub fn heap_bytes(&self) -> u64 {
-        (self.packed.capacity() * std::mem::size_of::<u64>()) as u64
-    }
-}
-
-/// The packed set-index lanes of an *(L1, L2, L3)* geometry triple: all
-/// three set indices of a line id folded into a single `u64` word, with the
-/// bit budget re-cut to [`TripleSetLanes::L1_BITS`] + [`TripleSetLanes::L2_BITS`]
-/// + [`TripleSetLanes::L3_BITS`] bits.
-///
-/// This is the three-level form of [`PairedSetLanes`], and the same one-word
-/// argument applies (DESIGN.md §12): the L1-hit fast path still costs one
-/// 8-byte lane load, an L1 miss gets its L2 set as a register shift, and an
-/// L2 miss gets its L3 set from the *same already-loaded word* — the rare
-/// deep-miss path never touches a second cold lane.  21 bits per private
-/// level cover 2 M sets (the paper's largest L2 uses 16 K), so the narrower
-/// fields cost nothing in practice; the compile asserts them.
-///
-/// The two-level [`PairedSetLanes`] keeps its full 32-bit fields and its own
-/// memo ([`LineStream::geometry_pair`]) — machines without an L3 never pay
-/// for (or observe) the re-budgeted packing.
-#[derive(Debug)]
-pub struct TripleSetLanes {
-    l1: CacheGeometry,
-    l2: CacheGeometry,
-    l3: CacheGeometry,
+    l3: Option<CacheGeometry>,
     /// Line id → `l1_set | (l2_set << L1_BITS) | (l3_set << (L1_BITS + L2_BITS))`.
     packed: Vec<u64>,
 }
 
-impl TripleSetLanes {
+impl SetLanes {
     /// Bits of the L1 set field (low bits of the word).
     pub const L1_BITS: u32 = 21;
     /// Bits of the L2 set field.
@@ -379,23 +219,20 @@ impl TripleSetLanes {
     /// Bits of the L3 set field (high bits of the word).
     pub const L3_BITS: u32 = 64 - Self::L1_BITS - Self::L2_BITS;
 
-    /// Compile the packed lanes for an `(l1, l2, l3)` geometry triple over
+    /// Compile the packed lanes for an `(l1, l2, l3)` machine shape over
     /// `stream`'s interned lines.
     ///
     /// # Panics
-    /// Panics if any geometry's line size differs from the stream's, or if
-    /// a set count exceeds its bit field.
-    pub fn compile(
+    /// Panics if any geometry's line size differs from the stream's (set
+    /// indices would be meaningless), or if a set count exceeds its field.
+    fn compile(
         stream: &LineStream,
         l1: CacheGeometry,
         l2: CacheGeometry,
-        l3: CacheGeometry,
-    ) -> TripleSetLanes {
-        for (geometry, bits) in [
-            (l1, Self::L1_BITS),
-            (l2, Self::L2_BITS),
-            (l3, Self::L3_BITS),
-        ] {
+        l3: Option<CacheGeometry>,
+    ) -> SetLanes {
+        let levels = [(l1, Self::L1_BITS), (l2, Self::L2_BITS)];
+        for (geometry, bits) in levels.into_iter().chain(l3.map(|g| (g, Self::L3_BITS))) {
             assert_eq!(
                 geometry.line_size,
                 stream.line_size(),
@@ -403,7 +240,7 @@ impl TripleSetLanes {
             );
             assert!(
                 geometry.num_sets <= 1u64 << bits,
-                "set count {} exceeds the {bits}-bit triple-lane field",
+                "set count {} exceeds the {bits}-bit set-lane field",
                 geometry.num_sets
             );
         }
@@ -413,30 +250,31 @@ impl TripleSetLanes {
             .iter()
             .map(|&line| {
                 let line_no = line >> shift;
+                let l3_set = l3.map_or(0, |g| line_no % g.num_sets);
                 (line_no % l1.num_sets)
                     | ((line_no % l2.num_sets) << Self::L1_BITS)
-                    | ((line_no % l3.num_sets) << (Self::L1_BITS + Self::L2_BITS))
+                    | (l3_set << (Self::L1_BITS + Self::L2_BITS))
             })
             .collect();
-        TripleSetLanes { l1, l2, l3, packed }
+        SetLanes { l1, l2, l3, packed }
     }
 
-    /// The L1 geometry of the triple.
+    /// The L1 geometry of the lanes.
     pub fn l1_geometry(&self) -> CacheGeometry {
         self.l1
     }
 
-    /// The L2 geometry of the triple.
+    /// The L2 geometry of the lanes.
     pub fn l2_geometry(&self) -> CacheGeometry {
         self.l2
     }
 
-    /// The L3 geometry of the triple.
-    pub fn l3_geometry(&self) -> CacheGeometry {
+    /// The L3 geometry of the lanes (`None` on a two-level machine).
+    pub fn l3_geometry(&self) -> Option<CacheGeometry> {
         self.l3
     }
 
-    /// The packed lane: line id → all three set indices in one word.
+    /// The packed lane: line id → every set index in one word.
     #[inline]
     pub fn packed(&self) -> &[u64] {
         &self.packed
@@ -454,7 +292,7 @@ impl TripleSetLanes {
         ((word >> Self::L1_BITS) & ((1 << Self::L2_BITS) - 1)) as u32
     }
 
-    /// The L3 set index of a packed word.
+    /// The L3 set index of a packed word (0 on a two-level machine).
     #[inline]
     pub const fn l3_set(word: u64) -> u32 {
         (word >> (Self::L1_BITS + Self::L2_BITS)) as u32
@@ -483,27 +321,20 @@ pub struct LineStream {
     line_addr: Vec<u64>,
     /// Per-task step ranges: task `t` owns `packed[starts[t]..starts[t+1]]`.
     starts: Vec<u32>,
-    /// Memoised packed `(L1, L2)` pair lanes, one per distinct geometry
-    /// pair (typically one per sweep).
-    geom_pairs: Mutex<PairCache>,
-    /// Memoised packed `(L1, L2, L3)` triple lanes for three-level
-    /// hierarchies (empty unless a sweep point carries an L3).
-    geom_triples: Mutex<TripleCache>,
+    /// Memoised packed set lanes, one per distinct machine shape
+    /// (typically one per sweep).
+    set_lanes: Mutex<LaneMemo>,
     /// Memoised prefix sums of the pre-access compute lane
     /// ([`LineStream::pre_prefix`]): the batched engine's tape-walk cursor.
     pre_prefix: Mutex<Option<Arc<Vec<u64>>>>,
 }
 
-/// Memo storage of [`LineStream::geometry_pair`]: a short association list
-/// — sweeps see one or two distinct geometry pairs, so a linear scan beats
-/// any map.
-type PairCache = Vec<((CacheGeometry, CacheGeometry), Arc<PairedSetLanes>)>;
-
-/// Memo storage of [`LineStream::geometry_triple`]; same association-list
-/// reasoning as [`PairCache`].
-type TripleCache = Vec<(
-    (CacheGeometry, CacheGeometry, CacheGeometry),
-    Arc<TripleSetLanes>,
+/// Memo storage of the [`SetLanes`], keyed by `(l1, l2, l3)`: a short
+/// association list — sweeps see one or two distinct machine shapes, so a
+/// linear scan beats any map.
+type LaneMemo = Vec<(
+    (CacheGeometry, CacheGeometry, Option<CacheGeometry>),
+    Arc<SetLanes>,
 )>;
 
 impl LineStream {
@@ -555,42 +386,43 @@ impl LineStream {
             packed,
             line_addr,
             starts,
-            geom_pairs: Mutex::new(Vec::new()),
-            geom_triples: Mutex::new(Vec::new()),
+            set_lanes: Mutex::new(Vec::new()),
             pre_prefix: Mutex::new(None),
         }
     }
 
-    /// The packed [`PairedSetLanes`] of an `(L1, L2)` geometry pair,
-    /// compiled on first use and shared afterwards — the form the
-    /// simulator's hot loop consumes (one lane load serves both cache
-    /// levels; see the type docs).
-    pub fn geometry_pair(&self, l1: CacheGeometry, l2: CacheGeometry) -> Arc<PairedSetLanes> {
-        let mut cache = self.geom_pairs.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some((_, lanes)) = cache.iter().find(|(pair, _)| *pair == (l1, l2)) {
-            return Arc::clone(lanes);
-        }
-        let lanes = Arc::new(PairedSetLanes::compile(self, l1, l2));
-        cache.push(((l1, l2), Arc::clone(&lanes)));
-        lanes
+    /// The packed [`SetLanes`] of a two-level `(L1, L2)` machine, compiled
+    /// on first use and shared afterwards — the form the simulator's hot
+    /// loop consumes (one lane load serves every cache level; see the type
+    /// docs).
+    pub fn geometry_pair(&self, l1: CacheGeometry, l2: CacheGeometry) -> Arc<SetLanes> {
+        self.set_lanes(l1, l2, None)
     }
 
-    /// The packed [`TripleSetLanes`] of an `(L1, L2, L3)` geometry triple,
-    /// compiled on first use and shared afterwards — the three-level
-    /// counterpart of [`LineStream::geometry_pair`], consumed by the
-    /// simulator when a configuration carries a shared L3.
+    /// The packed [`SetLanes`] of an `(L1, L2, L3)` machine, compiled on
+    /// first use and shared afterwards from the same memo as
+    /// [`LineStream::geometry_pair`].
     pub fn geometry_triple(
         &self,
         l1: CacheGeometry,
         l2: CacheGeometry,
         l3: CacheGeometry,
-    ) -> Arc<TripleSetLanes> {
-        let mut cache = self.geom_triples.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some((_, lanes)) = cache.iter().find(|(triple, _)| *triple == (l1, l2, l3)) {
+    ) -> Arc<SetLanes> {
+        self.set_lanes(l1, l2, Some(l3))
+    }
+
+    fn set_lanes(
+        &self,
+        l1: CacheGeometry,
+        l2: CacheGeometry,
+        l3: Option<CacheGeometry>,
+    ) -> Arc<SetLanes> {
+        let mut memo = self.set_lanes.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some((_, lanes)) = memo.iter().find(|(key, _)| *key == (l1, l2, l3)) {
             return Arc::clone(lanes);
         }
-        let lanes = Arc::new(TripleSetLanes::compile(self, l1, l2, l3));
-        cache.push(((l1, l2, l3), Arc::clone(&lanes)));
+        let lanes = Arc::new(SetLanes::compile(self, l1, l2, l3));
+        memo.push(((l1, l2, l3), Arc::clone(&lanes)));
         lanes
     }
 
@@ -620,19 +452,10 @@ impl LineStream {
         prefix
     }
 
-    /// Number of distinct `(L1, L2)` geometry pairs compiled against this
-    /// stream so far (diagnostics/tests).
-    pub fn compiled_geometry_pairs(&self) -> usize {
-        self.geom_pairs
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .len()
-    }
-
-    /// Number of distinct `(L1, L2, L3)` geometry triples compiled against
-    /// this stream so far (diagnostics/tests).
-    pub fn compiled_geometry_triples(&self) -> usize {
-        self.geom_triples
+    /// Number of distinct machine shapes whose [`SetLanes`] were compiled
+    /// against this stream so far (diagnostics/tests).
+    pub fn compiled_set_lanes(&self) -> usize {
+        self.set_lanes
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .len()
@@ -782,24 +605,65 @@ mod tests {
         assert!(stream.heap_bytes() > 0);
     }
 
+    /// Asserts that every field of every packed word of `lanes` equals
+    /// `(line >> log2(line_size)) % num_sets` for its level's geometry,
+    /// computed straight from `stream.line_addr()`.
+    fn assert_lanes_match_address_math(stream: &LineStream, lanes: &SetLanes) {
+        assert_eq!(lanes.packed().len(), stream.num_lines());
+        assert!(lanes.heap_bytes() >= stream.num_lines() as u64 * 8);
+        let shift = stream.line_size().trailing_zeros();
+        let (l1, l2, l3) = (
+            lanes.l1_geometry(),
+            lanes.l2_geometry(),
+            lanes.l3_geometry(),
+        );
+        let set = |line: u64, g: CacheGeometry| ((line >> shift) % g.num_sets) as u32;
+        for (&line, &word) in stream.line_addr().iter().zip(lanes.packed()) {
+            let at = format!("line {line:#x} in {l1:?}, {l2:?}, {l3:?}");
+            assert_eq!(SetLanes::l1_set(word), set(line, l1), "L1 of {at}");
+            assert_eq!(SetLanes::l2_set(word), set(line, l2), "L2 of {at}");
+            let l3_set = l3.map_or(0, |g| set(line, g));
+            assert_eq!(SetLanes::l3_set(word), l3_set, "L3 of {at}");
+        }
+    }
+
+    /// The address math holds for power-of-two and non-power-of-two set
+    /// counts, machines with and without an L3, and each field at its
+    /// widest.
     #[test]
     fn geometry_lanes_match_address_math() {
-        let comp = sample();
-        let stream = LineStream::compile(&comp, 128);
-        // A power-of-two and a non-power-of-two set count.
-        for num_sets in [8u64, 6] {
-            let lanes = GeometryLanes::compile(&stream, CacheGeometry::new(128, num_sets));
-            assert_eq!(lanes.set_index().len(), stream.num_lines());
-            for (id, &line) in stream.line_addr().iter().enumerate() {
-                assert_eq!(
-                    lanes.set_index()[id] as u64,
-                    (line / 128) % num_sets,
-                    "set of line {line:#x} at {num_sets} sets"
-                );
-                assert_eq!(GeometryLanes::tag_of(id as u32), (id as u32) << 1);
-            }
-            assert_eq!(lanes.geometry().num_sets, num_sets);
-            assert!(lanes.heap_bytes() >= stream.num_lines() as u64 * 4);
+        let mut b = ComputationBuilder::new(128);
+        let low = b.strand_with(|t| {
+            t.read(0x1000, 4).read(0x10F8, 16); // 0x1000, 0x1080, 0x1100
+        });
+        // Line number 2^22 - 1: every bit of every field at the widest shape.
+        let high = b.strand_with(|t| {
+            t.write(((1 << 22) - 1) * 128, 8);
+        });
+        let root = b.seq(vec![low, high], GroupMeta::default());
+        let comp = b.finish(root);
+        let stream = comp.line_stream(128);
+        assert_eq!(stream.num_lines(), 4);
+
+        let g = |num_sets| CacheGeometry::new(128, num_sets);
+        // (L1 sets, L2 sets, L3 sets).
+        let shapes: [(u64, u64, Option<u64>); 6] = [
+            (8, 32, None),
+            (6, 20, None),
+            (8, 32, Some(96)),
+            (8, 32, Some(64)),
+            (3, 5, Some(7)),
+            (1 << 21, 1 << 21, Some(1 << 22)),
+        ];
+        for (l1, l2, l3) in shapes {
+            let lanes = match l3 {
+                Some(l3) => stream.geometry_triple(g(l1), g(l2), g(l3)),
+                None => stream.geometry_pair(g(l1), g(l2)),
+            };
+            assert_eq!(lanes.l1_geometry(), g(l1));
+            assert_eq!(lanes.l2_geometry(), g(l2));
+            assert_eq!(lanes.l3_geometry(), l3.map(g));
+            assert_lanes_match_address_math(&stream, &lanes);
         }
     }
 
@@ -807,71 +671,50 @@ mod tests {
     fn geometry_pairs_are_memoised_and_match_split_lanes() {
         let comp = sample();
         let stream = comp.line_stream(128);
-        assert_eq!(stream.compiled_geometry_pairs(), 0);
+        assert_eq!(stream.compiled_set_lanes(), 0);
         let l1 = CacheGeometry::new(128, 8);
         let l2 = CacheGeometry::new(128, 32);
         let pair = stream.geometry_pair(l1, l2);
         let again = stream.geometry_pair(l1, l2);
         assert!(Arc::ptr_eq(&pair, &again), "same pair shares one table");
-        assert!(!Arc::ptr_eq(&pair, &stream.geometry_pair(l2, l1)));
-        assert_eq!(stream.compiled_geometry_pairs(), 2);
-        // The packed words agree with the single-geometry reference form.
-        let l1_ref = GeometryLanes::compile(&stream, l1);
-        let l2_ref = GeometryLanes::compile(&stream, l2);
-        for (id, &word) in pair.packed().iter().enumerate() {
-            assert_eq!(PairedSetLanes::l1_set(word), l1_ref.set_index()[id]);
-            assert_eq!(PairedSetLanes::l2_set(word), l2_ref.set_index()[id]);
-        }
+        let swapped = stream.geometry_pair(l2, l1);
+        assert!(!Arc::ptr_eq(&pair, &swapped));
+        assert_eq!(stream.compiled_set_lanes(), 2);
+        assert_eq!(pair.l3_geometry(), None);
+        assert_lanes_match_address_math(&stream, &pair);
+        assert_lanes_match_address_math(&stream, &swapped);
     }
 
     #[test]
     fn geometry_triples_are_memoised_and_match_split_lanes() {
         let comp = sample();
         let stream = comp.line_stream(128);
-        assert_eq!(stream.compiled_geometry_triples(), 0);
         let l1 = CacheGeometry::new(128, 8);
         let l2 = CacheGeometry::new(128, 32);
         let l3 = CacheGeometry::new(128, 96); // non-power-of-two set count
         let triple = stream.geometry_triple(l1, l2, l3);
         let again = stream.geometry_triple(l1, l2, l3);
         assert!(Arc::ptr_eq(&triple, &again), "same triple shares one table");
-        assert_eq!(stream.compiled_geometry_triples(), 1);
-        assert_eq!(
-            stream.compiled_geometry_pairs(),
-            0,
-            "triples do not populate the pair memo"
-        );
-        // Each field of the packed word agrees with the single-geometry
-        // reference compile.
-        for (geometry, field) in [
-            (l1, TripleSetLanes::l1_set as fn(u64) -> u32),
-            (l2, TripleSetLanes::l2_set),
-            (l3, TripleSetLanes::l3_set),
-        ] {
-            let lanes = GeometryLanes::compile(&stream, geometry);
-            for (id, &word) in triple.packed().iter().enumerate() {
-                assert_eq!(
-                    field(word),
-                    lanes.set_index()[id],
-                    "line id {id} at {} sets",
-                    geometry.num_sets
-                );
-            }
-        }
-        assert!(triple.heap_bytes() >= stream.num_lines() as u64 * 8);
+        assert_eq!(stream.compiled_set_lanes(), 1);
+        // The pair with the same L1/L2 is its own memo entry, without an L3.
+        let pair = stream.geometry_pair(l1, l2);
+        assert!(!Arc::ptr_eq(&triple, &pair));
+        assert_eq!(stream.compiled_set_lanes(), 2);
         assert_eq!(triple.l1_geometry(), l1);
         assert_eq!(triple.l2_geometry(), l2);
-        assert_eq!(triple.l3_geometry(), l3);
+        assert_eq!(triple.l3_geometry(), Some(l3));
+        assert_eq!(pair.l3_geometry(), None);
+        assert_lanes_match_address_math(&stream, &triple);
     }
 
     #[test]
-    #[should_panic(expected = "triple-lane field")]
+    #[should_panic(expected = "set-lane field")]
     fn triple_lane_rejects_oversized_set_counts() {
         let comp = sample();
         let stream = LineStream::compile(&comp, 128);
         let huge = CacheGeometry::new(128, 1 << 22); // > 21-bit L1 field
         let small = CacheGeometry::new(128, 8);
-        let _ = TripleSetLanes::compile(&stream, huge, small, small);
+        let _ = stream.geometry_triple(huge, small, small);
     }
 
     #[test]
@@ -879,7 +722,7 @@ mod tests {
     fn geometry_line_size_must_match_stream() {
         let comp = sample();
         let stream = LineStream::compile(&comp, 128);
-        let _ = GeometryLanes::compile(&stream, CacheGeometry::new(64, 8));
+        let _ = stream.geometry_pair(CacheGeometry::new(64, 8), CacheGeometry::new(128, 8));
     }
 
     #[test]

@@ -49,10 +49,11 @@ pub(crate) fn host_cores() -> usize {
 }
 
 /// Geometry prebuild for one (already scaled) design point: compile the
-/// packed set lanes the event engine will look up — the (L1, L2) pair
-/// word, or the (L1, L2, L3) triple word when the point has a shared L3
-/// (DESIGN.md §9 and §12) — and return their heap footprint.  Both forms
-/// are memoised on the computation, so this is the incremental cost.
+/// packed [`SetLanes`](ccs_dag::SetLanes) the event engine will look up —
+/// one word per line holding its L1, L2 and (when the point has a shared
+/// L3) L3 set (DESIGN.md §9 and §12) — and return their heap footprint.
+/// The lanes are memoised on the line stream per machine shape, so this is
+/// the incremental cost.
 fn prebuild_lanes(stream: &ccs_dag::LineStream, config: &CmpConfig) -> u64 {
     let l1 = ccs_dag::CacheGeometry::new(config.l1.line_size, config.l1.num_sets());
     let l2 = ccs_dag::CacheGeometry::new(config.l2.line_size, config.l2.num_sets());

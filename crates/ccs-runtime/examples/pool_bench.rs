@@ -7,7 +7,9 @@
 //! the time per job to drain the queue (drain only).  The bench harness
 //! (`run_all --bench`) embeds the same kernels as gated `runtime/*`
 //! records; this example is the standalone A/B probe
-//! (`cargo run --release -p ccs-runtime --example pool_bench`).
+//! (`cargo run --release -p ccs-runtime --example pool_bench`).  Each
+//! fan-out job counts itself on its own worker's padded counter, so the
+//! probe adds no shared cache line to the drain it times.
 //!
 //! Flags: `--threads N` (the top of the curve; default: available
 //! parallelism), `--rounds N` (default 5, best-of), `--fib N` (default 24),
@@ -15,10 +17,10 @@
 //! `--pinned`.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Instant;
 
-use ccs_runtime::{join, Policy, ThreadPool};
+use ccs_runtime::{current_thread_index, join, Policy, ThreadPool};
 
 fn fib(n: u64) -> u64 {
     if n < 2 {
@@ -34,6 +36,37 @@ fn fib_nodes(n: u64) -> u64 {
         1
     } else {
         1 + fib_nodes(n - 1) + fib_nodes(n - 2)
+    }
+}
+
+/// A job counter alone on its 128-byte line (two 64-byte lines: adjacent
+/// lines are prefetched in pairs).
+#[repr(align(128))]
+struct PaddedCounter(AtomicU64);
+
+/// Completed fan-out jobs, one counter per worker, sized in `main`.  A
+/// fan-out job is [`count_job`]: it captures nothing (not even an `Arc`,
+/// whose count every worker would bump) and adds one to its own worker's
+/// counter, so the only line a job shares is the one the polling thread
+/// sums.
+static TALLY: OnceLock<Vec<PaddedCounter>> = OnceLock::new();
+
+fn tally() -> &'static [PaddedCounter] {
+    TALLY.get().expect("the tally is sized before any fan-out")
+}
+
+fn count_job() {
+    let worker = current_thread_index().expect("fan-out jobs run on pool workers");
+    tally()[worker].0.fetch_add(1, Ordering::Relaxed);
+}
+
+fn jobs_counted() -> u64 {
+    tally().iter().map(|c| c.0.load(Ordering::Relaxed)).sum()
+}
+
+fn reset_tally() {
+    for c in tally() {
+        c.0.store(0, Ordering::Relaxed);
     }
 }
 
@@ -71,13 +104,10 @@ fn push_drain_split(pool: &ThreadPool, threads: usize, spawns: u64, rounds: u32)
         while held.load(Ordering::SeqCst) != threads {
             std::thread::yield_now();
         }
-        let counter = Arc::new(AtomicU64::new(0));
+        reset_tally();
         let start = Instant::now();
         for _ in 0..spawns {
-            let c = Arc::clone(&counter);
-            pool.spawn_detached(move || {
-                c.fetch_add(1, Ordering::Relaxed);
-            });
+            pool.spawn_detached(count_job);
         }
         let push = start.elapsed().as_secs_f64();
         let start = Instant::now();
@@ -85,7 +115,7 @@ fn push_drain_split(pool: &ThreadPool, threads: usize, spawns: u64, rounds: u32)
         gate.1.notify_all();
         // Yield, not spin: on a host with `threads` cores this thread must
         // not take a core from the drain it is timing.
-        while counter.load(Ordering::Relaxed) != spawns {
+        while jobs_counted() != spawns {
             std::thread::yield_now();
         }
         let drain = start.elapsed().as_secs_f64();
@@ -125,13 +155,19 @@ fn main() {
         }
     }
 
+    let threads = threads.max(1);
+    let counters = (0..threads).map(|_| PaddedCounter(AtomicU64::new(0)));
+    assert!(
+        TALLY.set(counters.collect()).is_ok(),
+        "the tally is sized once"
+    );
     let nodes = fib_nodes(fib_n) as f64;
     let expected = naive_fib(fib_n);
     println!(
         "threads  fib({fib_n}) tasks/s  speedup  spawn jobs/s  speedup  push ns/job  drain ns/job"
     );
     let mut base: Option<(f64, f64)> = None;
-    for t in 1..=threads.max(1) {
+    for t in 1..=threads {
         let pool = ThreadPool::new(t, policy).pinned(pinned);
         // Fork-join: recursive binary join, one task per fib node.
         let fib_rate = nodes
@@ -141,14 +177,11 @@ fn main() {
         // Spawn-heavy fan-out: detached jobs racing the sleep/wake path.
         let spawn_rate = spawns as f64
             / best_secs(rounds, || {
-                let counter = Arc::new(AtomicU64::new(0));
+                reset_tally();
                 for _ in 0..spawns {
-                    let c = Arc::clone(&counter);
-                    pool.spawn_detached(move || {
-                        c.fetch_add(1, Ordering::Relaxed);
-                    });
+                    pool.spawn_detached(count_job);
                 }
-                while counter.load(Ordering::Relaxed) != spawns {
+                while jobs_counted() != spawns {
                     std::hint::spin_loop();
                 }
             });

@@ -17,6 +17,7 @@
 //! (`clusters == 1`) and no L3.
 
 use ccs_cache::{CacheConfig, CompiledCache, MemoryConfig};
+use ccs_dag::SetLanes;
 
 use crate::area::{self, Technology};
 
@@ -237,12 +238,14 @@ impl CmpConfig {
                 self.num_cores, self.clusters
             ));
         }
+        // Each level's set index must fit its field of the event engine's
+        // packed set-lane word.
         let levels = [
-            ("L1", Some(&self.l1)),
-            ("L2", Some(&self.l2)),
-            ("L3", self.l3.as_ref()),
+            ("L1", Some(&self.l1), SetLanes::L1_BITS),
+            ("L2", Some(&self.l2), SetLanes::L2_BITS),
+            ("L3", self.l3.as_ref(), SetLanes::L3_BITS),
         ];
-        for (level, cache) in levels {
+        for (level, cache, set_bits) in levels {
             let Some(cache) = cache else { continue };
             cache.validate().map_err(|e| format!("{level}: {e}"))?;
             if cache.line_size != self.l2.line_size {
@@ -256,6 +259,13 @@ impl CmpConfig {
                     "{level}: {} ways exceed the simulator's limit of {} per set",
                     cache.associativity,
                     CompiledCache::MAX_ASSOCIATIVITY
+                ));
+            }
+            if cache.num_sets() > 1 << set_bits {
+                return Err(format!(
+                    "{level}: {} sets exceed the simulator's limit of {} (2^{set_bits})",
+                    cache.num_sets(),
+                    1u64 << set_bits
                 ));
             }
         }
@@ -347,6 +357,33 @@ mod tests {
         let mut bad_l2 = base;
         bad_l2.l2.associativity = 3;
         assert!(bad_l2.validate().unwrap_err().starts_with("L2: "));
+    }
+
+    #[test]
+    fn set_counts_beyond_the_lane_fields_are_rejected() {
+        // 2^22 direct-mapped 128 B lines: one set more than the L1 field.
+        let l1_sets = 1u64 << 22;
+        let too_many = CacheConfig::new(l1_sets * 128, 128, 1, 1);
+        let two_level = CmpConfig::default_with_cores(8).expect("paper config");
+        let three_level = two_level.clone().with_l3_mb(64);
+        for base in [two_level, three_level] {
+            assert_eq!(base.validate(), Ok(()), "{base}");
+            let mut wide = base.clone();
+            wide.l1 = too_many;
+            let err = wide.validate().unwrap_err();
+            let limit = 1u64 << SetLanes::L1_BITS;
+            assert_eq!(
+                err,
+                format!("L1: {l1_sets} sets exceed the simulator's limit of {limit} (2^21)"),
+                "{base}"
+            );
+            let mut limit_l1 = base;
+            limit_l1.l1 = CacheConfig::new(limit * 128, 128, 1, 1);
+            assert_eq!(limit_l1.validate(), Ok(()));
+        }
+        // The largest shipped L2 stays far inside its field.
+        let many = CmpConfig::many_core(1024);
+        assert!(many.l2.num_sets() < 1 << SetLanes::L2_BITS);
     }
 
     #[test]

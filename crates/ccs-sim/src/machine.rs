@@ -40,8 +40,8 @@
 //!   filter** in front of each L1 (a read of the line a core touched last
 //!   is a guaranteed hit on the MRU way, a state no-op that only the
 //!   statistics need to see; see DESIGN.md §8).  The cache hierarchy
-//!   itself is **id-native**: per-geometry [`GeometryLanes`] compiled on
-//!   the stream map each line id straight to its L1/L2 set index, line ids
+//!   itself is **id-native**: per-machine-shape [`SetLanes`] compiled on
+//!   the stream map each line id straight to its L1/L2/L3 set index, line ids
 //!   double as `u32` cache tags, and the L1s/L2 are
 //!   [`CompiledCache`]s probed by `(set, tag)` — the hot loop never
 //!   materialises an address.  Each probe is `O(1)` at any associativity:
@@ -61,7 +61,7 @@
 //!   engine.
 //!
 //! [`LineStream`]: ccs_dag::LineStream
-//! [`GeometryLanes`]: ccs_dag::GeometryLanes
+//! [`SetLanes`]: ccs_dag::SetLanes
 //! [`CompiledCache`]: ccs_cache::CompiledCache
 //! [`TaskTrace`]: ccs_dag::TaskTrace
 //!
@@ -80,8 +80,9 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use ccs_cache::{line_tag, CompiledCache, MainMemory};
-use ccs_dag::stream::{PairedSetLanes, TripleSetLanes};
-use ccs_dag::{CacheGeometry, Computation, Dag, LineStream, TaskId, STEP_ID_MASK, STEP_WRITE_BIT};
+use ccs_dag::{
+    CacheGeometry, Computation, Dag, LineStream, SetLanes, TaskId, STEP_ID_MASK, STEP_WRITE_BIT,
+};
 use ccs_sched::{Scheduler, SchedulerSpec};
 
 use crate::config::CmpConfig;
@@ -379,47 +380,23 @@ fn event_loop<R: Record, const HAS_L3: bool>(
     let stream: &LineStream = &stream_arc;
     let stream_packed = stream.packed();
     // Geometry-compiled lanes: line id → packed set indices, one table per
-    // distinct geometry tuple, memoised on the stream so every scheduler ×
+    // distinct machine shape, memoised on the stream so every scheduler ×
     // core-count point of a sweep shares it.  Together with the id-as-tag
     // convention (`line_tag`) the hot loop below never touches a 64-bit
     // address: probes are (u32 set, u32 tag) pairs, and the lower-level
     // sets ride in the high bits of the word the L1 probe already loaded —
-    // an L1 (or L2) miss costs no extra lane traffic.  Two-level machines
-    // use the full-width [`PairedSetLanes`]; an L3 re-cuts the word into
-    // three fields ([`TripleSetLanes`], DESIGN.md §12).
+    // an L1 (or L2) miss costs no extra lane traffic (DESIGN.md §9, §12).
     let l1_geometry = CacheGeometry::new(line_size, config.l1.num_sets());
     let l2_geometry = CacheGeometry::new(line_size, config.l2.num_sets());
-    let (pair_lanes, triple_lanes) = if HAS_L3 {
-        let l3_cfg = config.l3.as_ref().expect("HAS_L3 implies an L3 config");
-        let triple = stream.geometry_triple(
+    let lanes = match &config.l3 {
+        Some(l3) => stream.geometry_triple(
             l1_geometry,
             l2_geometry,
-            CacheGeometry::new(line_size, l3_cfg.num_sets()),
-        );
-        (None, Some(triple))
-    } else {
-        (Some(stream.geometry_pair(l1_geometry, l2_geometry)), None)
+            CacheGeometry::new(line_size, l3.num_sets()),
+        ),
+        None => stream.geometry_pair(l1_geometry, l2_geometry),
     };
-    let set_lane: &[u64] = match (&pair_lanes, &triple_lanes) {
-        (Some(pair), None) => pair.packed(),
-        (None, Some(triple)) => triple.packed(),
-        _ => unreachable!(),
-    };
-    // Lane decoders, const-folded per monomorphisation.
-    let lane_l1_set = |word: u64| {
-        if HAS_L3 {
-            TripleSetLanes::l1_set(word)
-        } else {
-            PairedSetLanes::l1_set(word)
-        }
-    };
-    let lane_l2_set = |word: u64| {
-        if HAS_L3 {
-            TripleSetLanes::l2_set(word)
-        } else {
-            PairedSetLanes::l2_set(word)
-        }
-    };
+    let set_lane: &[u64] = lanes.packed();
 
     let l1_hit_latency = config.l1.hit_latency;
     let l2_hit_latency = config.l2.hit_latency;
@@ -649,7 +626,7 @@ fn event_loop<R: Record, const HAS_L3: bool>(
                         let slot = &mut dir[$id as usize];
                         if *slot & (1u64 << core_id) == 0 {
                             my_l1.fill_compiled(
-                                lane_l1_set(set_lane[$id as usize]),
+                                SetLanes::l1_set(set_lane[$id as usize]),
                                 line_tag($id),
                                 $is_write,
                             );
@@ -662,7 +639,7 @@ fn event_loop<R: Record, const HAS_L3: bool>(
                         let word = &mut words[base + 1 + core_id / 64];
                         if *word & bit == 0 {
                             my_l1.fill_compiled(
-                                lane_l1_set(set_lane[$id as usize]),
+                                SetLanes::l1_set(set_lane[$id as usize]),
                                 line_tag($id),
                                 $is_write,
                             );
@@ -672,7 +649,7 @@ fn event_loop<R: Record, const HAS_L3: bool>(
                     }
                     Directory::Broadcast => {
                         my_l1.fill_compiled(
-                            lane_l1_set(set_lane[$id as usize]),
+                            SetLanes::l1_set(set_lane[$id as usize]),
                             line_tag($id),
                             $is_write,
                         );
@@ -717,7 +694,7 @@ fn event_loop<R: Record, const HAS_L3: bool>(
                             // tag — no address is ever formed.
                             let tag = line_tag(id);
                             let sets = set_lane[id as usize];
-                            let l1_set = lane_l1_set(sets);
+                            let l1_set = SetLanes::l1_set(sets);
                             let hit = my_l1.access_compiled(l1_set, tag, is_write);
                             match &mut directory {
                                 Directory::Single => {}
@@ -835,7 +812,7 @@ fn event_loop<R: Record, const HAS_L3: bool>(
                                     break;
                                 }
                                 let l2_hit =
-                                    my_l2.access_compiled(lane_l2_set(sets), tag, is_write);
+                                    my_l2.access_compiled(SetLanes::l2_set(sets), tag, is_write);
                                 rec.l1_miss(core.step, l2_hit);
                                 if l2_hit {
                                     fill_and_advance!(id, is_write);
@@ -848,7 +825,7 @@ fn event_loop<R: Record, const HAS_L3: bool>(
                                         break;
                                     }
                                     let l3_hit = l3.as_mut().expect("HAS_L3").access_compiled(
-                                        TripleSetLanes::l3_set(sets),
+                                        SetLanes::l3_set(sets),
                                         tag,
                                         is_write,
                                     );
@@ -918,7 +895,7 @@ fn event_loop<R: Record, const HAS_L3: bool>(
                     }
                 }
                 Phase::L2Probe { id, is_write } => {
-                    let l2_set = lane_l2_set(set_lane[id as usize]);
+                    let l2_set = SetLanes::l2_set(set_lane[id as usize]);
                     let l2_hit = my_l2.access_compiled(l2_set, line_tag(id), is_write);
                     rec.l1_miss(core.step, l2_hit);
                     if l2_hit {
@@ -932,7 +909,7 @@ fn event_loop<R: Record, const HAS_L3: bool>(
                     }
                 }
                 Phase::L3Probe { id, is_write } => {
-                    let l3_set = TripleSetLanes::l3_set(set_lane[id as usize]);
+                    let l3_set = SetLanes::l3_set(set_lane[id as usize]);
                     let l3_hit = l3.as_mut().expect("HAS_L3").access_compiled(
                         l3_set,
                         line_tag(id),

@@ -154,10 +154,10 @@ fn broadcast_fallback_matches_reference_past_directory_width() {
     }
 }
 
-/// Geometry lanes are compiled once per sweep point and shared across
-/// every scheduler × core-count simulation of it: the computation's
-/// memoised line stream hands out the same `Arc`s, and only one packed
-/// (L1, L2) pair table exists no matter how many simulations ran.
+/// Set lanes are compiled once per sweep point and shared across every
+/// scheduler × core-count simulation of it: the computation's memoised
+/// line stream hands out the same `Arc`s, and only one packed lane table
+/// exists no matter how many simulations ran.
 #[test]
 fn geometry_lanes_compile_once_and_are_shared_across_runs() {
     use ccs_dag::CacheGeometry;
@@ -165,10 +165,10 @@ fn geometry_lanes_compile_once_and_are_shared_across_runs() {
 
     let comp = random_computation(7, &synth_params());
     let stream = comp.line_stream(128);
-    assert_eq!(stream.compiled_geometry_pairs(), 0, "nothing compiled yet");
+    assert_eq!(stream.compiled_set_lanes(), 0, "nothing compiled yet");
 
     // tiny_config uses the same L1/L2 geometry at every core count, so the
-    // whole schedulers × cores matrix of a sweep point shares one pair.
+    // whole schedulers × cores matrix of a sweep point shares one table.
     for cores in [1usize, 2, 4] {
         let cfg = tiny_config(cores);
         for kind in ["pdf", "ws"] {
@@ -180,9 +180,9 @@ fn geometry_lanes_compile_once_and_are_shared_across_runs() {
         "all runs reused the memoised stream"
     );
     assert_eq!(
-        stream.compiled_geometry_pairs(),
+        stream.compiled_set_lanes(),
         1,
-        "six simulations share one packed (L1, L2) lane table"
+        "six simulations share one packed lane table"
     );
 
     let cfg = tiny_config(2);
@@ -190,10 +190,12 @@ fn geometry_lanes_compile_once_and_are_shared_across_runs() {
     let l2 = CacheGeometry::new(128, cfg.l2.num_sets());
     let a = stream.geometry_pair(l1, l2);
     let b = stream.geometry_pair(l1, l2);
-    assert!(Arc::ptr_eq(&a, &b), "pair lookups share one compiled table");
+    assert!(Arc::ptr_eq(&a, &b), "lookups share one compiled table");
     assert_eq!(a.l1_geometry(), l1);
     assert_eq!(a.l2_geometry(), l2);
+    assert_eq!(a.l3_geometry(), None);
     assert_eq!(a.packed().len(), stream.num_lines());
+    assert_eq!(stream.compiled_set_lanes(), 1);
 }
 
 /// The pooled path's remaining special cases, hand-built because the synth
