@@ -33,11 +33,15 @@
 //!   with its result slot and latch.  Jobs from outside the pool enter
 //!   through the shim's lock-free block-list injector, which allocates one
 //!   block per 63 jobs.
+//! * **one worker record** — a worker's pool, index, deque, victim rng and
+//!   PDF label state live in one `WorkerThread` on its own stack, reached
+//!   through a single thread-local pointer.  Under WS a job runs with no
+//!   label bookkeeping at all: labels order only the PDF pool.
 //! * **batch stealing** — an out-of-work worker steals *batches* from the
-//!   injector and from victim deques (`steal_batch_and_pop`), amortising
-//!   the synchronisation cost of a steal over several jobs, and scans
-//!   victims in seeded-random order instead of a fixed ring, so thieves
-//!   don't convoy on the same victim.
+//!   injector (one CAS claims the whole batch) and from victim deques
+//!   (`steal_batch_and_pop`), amortising the synchronisation cost of a
+//!   steal over several jobs, and scans victims in seeded-random order
+//!   instead of a fixed ring, so thieves don't convoy on the same victim.
 //! * **spin → yield → park backoff** — an idle worker spins briefly
 //!   (winning the common race where fork-join work reappears within
 //!   nanoseconds), yields a few times, and only then parks on the futex
@@ -48,8 +52,9 @@
 //! core `i mod N` via raw `sched_setaffinity` on Linux (a no-op elsewhere),
 //! which removes migration jitter for latency-sensitive serving.
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::panic::{self, AssertUnwindSafe};
+use std::ptr;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -88,7 +93,8 @@ struct Registry {
     /// Monotonic tie-breaker for PDF jobs with equal labels.
     seq: AtomicUsize,
     shutdown: AtomicBool,
-    /// Detached-job panics caught at the pool boundary (see [`run_job_caught`]).
+    /// Detached-job panics caught at the pool boundary (see
+    /// [`WorkerThread::run_job`]).
     panics_caught: AtomicUsize,
     /// Sleep/wake machinery for idle workers: packed idle/sleepy/asleep
     /// counters, the event counter and one parking slot per worker.
@@ -104,22 +110,15 @@ impl Registry {
     /// The label orders the PDF pool only; WS ignores it.
     fn push_job(&self, label: PdfLabel, job: Job) {
         match self.policy {
-            Policy::WorkStealing => {
-                // Worker threads push onto their own deque — but only onto
-                // a deque owned by *this* pool; a worker of pool A pushing
-                // into pool B must use B's injector or the job would be
-                // queued (and run) on the wrong pool.
-                let leftover = LOCAL.with(|local| match &*local.borrow() {
-                    Some(slot) if std::ptr::eq(slot.owner, self) => {
-                        slot.deque.push(job);
-                        None
-                    }
-                    _ => Some(job),
-                });
-                if let Some(job) = leftover {
-                    self.injector.push(job);
-                }
-            }
+            // Worker threads push onto their own deque — but only onto a
+            // deque owned by *this* pool; a worker of pool A pushing into
+            // pool B must use B's injector or the job would be queued (and
+            // run) on the wrong pool.
+            // SAFETY: the record is used for this push only.
+            Policy::WorkStealing => match unsafe { WorkerThread::current() } {
+                Some(worker) if ptr::eq(&*worker.registry, self) => worker.deque.push(job),
+                _ => self.injector.push(job),
+            },
             Policy::Pdf => {
                 let seq = self.seq.fetch_add(1, Ordering::Relaxed) as u64;
                 self.pdf.lock().insert((label, seq), job);
@@ -129,85 +128,6 @@ impl Registry {
         // (`has_work`) scans every queue, so this fence-and-load is the
         // whole publish side of the wake protocol (see `crate::sleep`).
         self.sleep.notify_one();
-    }
-
-    /// Find a job for the worker with the given index: local LIFO pop,
-    /// then a batch steal from the injector, then batch steals from the
-    /// other workers in seeded-random order.
-    /// Under WS every job runs with the root label.
-    fn pop_job(&self, index: usize) -> Option<(PdfLabel, Job)> {
-        match self.policy {
-            Policy::WorkStealing => LOCAL
-                .with(|local| {
-                    let slot = local.borrow();
-                    let slot = slot.as_ref().filter(|s| std::ptr::eq(s.owner, self));
-                    match slot {
-                        Some(slot) => slot
-                            .deque
-                            .pop()
-                            .or_else(|| self.steal_into(&slot.deque, index)),
-                        // Not one of our workers (defensive; pops are only
-                        // issued from worker threads): take from the injector.
-                        None => loop {
-                            match self.injector.steal() {
-                                Steal::Success(j) => break Some(j),
-                                Steal::Empty => break None,
-                                Steal::Retry => continue,
-                            }
-                        },
-                    }
-                })
-                .map(|job| (PdfLabel::root(), job)),
-            Policy::Pdf => self
-                .pdf
-                .lock()
-                .pop_first()
-                .map(|((label, _), job)| (label, job)),
-        }
-    }
-
-    /// The WS steal path: batch-steal from the injector, then from victims
-    /// in seeded-random order.  Surplus jobs land in `local`, and one is
-    /// returned; if the batch left more behind, one sleeping peer is
-    /// notified so surplus doesn't strand on a single busy worker.
-    fn steal_into(&self, local: &Deque<Job>, index: usize) -> Option<Job> {
-        let stolen = self.try_steal_batches(local, index);
-        if stolen.is_some() && !local.is_empty() {
-            self.sleep.notify_one();
-        }
-        stolen
-    }
-
-    fn try_steal_batches(&self, local: &Deque<Job>, index: usize) -> Option<Job> {
-        loop {
-            match self.injector.steal_batch_and_pop(local) {
-                Steal::Success(job) => return Some(job),
-                Steal::Empty => break,
-                Steal::Retry => continue,
-            }
-        }
-        let n = self.stealers.len();
-        if n <= 1 {
-            return None;
-        }
-        // Seeded-random victim order: thieves start their scan at
-        // uncorrelated positions instead of convoying around a fixed ring.
-        let start = (steal_rng_next() % n as u64) as usize;
-        let mut retry = true;
-        while std::mem::take(&mut retry) {
-            for i in 0..n {
-                let victim = (start + i) % n;
-                if victim == index {
-                    continue;
-                }
-                match self.stealers[victim].steal_batch_and_pop(local) {
-                    Steal::Success(job) => return Some(job),
-                    Steal::Empty => {}
-                    Steal::Retry => retry = true,
-                }
-            }
-        }
-        None
     }
 
     /// Leave the idle state, passing on a wake that a publisher may have
@@ -232,82 +152,191 @@ impl Registry {
     }
 }
 
-/// A worker's thread-local queue slot: its deque plus the registry that
-/// owns it, so pushes can tell "my pool" from "some other pool".
-struct LocalSlot {
-    owner: *const Registry,
-    deque: Deque<Job>,
-}
-
 thread_local! {
-    /// The local work-stealing deque of the current worker thread (WS pools).
-    static LOCAL: RefCell<Option<LocalSlot>> = const { RefCell::new(None) };
-    /// The execution context of the current worker thread.
-    static CURRENT: RefCell<Option<WorkerContext>> = const { RefCell::new(None) };
+    /// The record of the worker running on this thread; null on every
+    /// thread outside a pool.  Set and cleared by `worker_loop`.
+    static WORKER: Cell<*const WorkerThread> = const { Cell::new(ptr::null()) };
     /// The latch `install` blocks this (outside) thread on.
     static LOCK_LATCH: LockLatch = LockLatch::new();
-    /// Per-thread xorshift state for the random victim order.
-    static STEAL_RNG: Cell<u64> = const { Cell::new(0x9e37_79b9_7f4a_7c15) };
 }
 
-/// Advance the thread-local xorshift64 state and return the next draw.
-fn steal_rng_next() -> u64 {
-    STEAL_RNG.with(|rng| {
-        let mut x = rng.get();
+/// A worker thread's record.  It lives on `worker_loop`'s frame, and
+/// [`WORKER`] points at it while that loop runs, so it outlives every job
+/// the thread runs.
+struct WorkerThread {
+    /// The worker's pool, kept alive for as long as the record exists.
+    registry: Arc<Registry>,
+    index: usize,
+    /// The worker's own deque (WS pools).
+    deque: Deque<Job>,
+    /// Xorshift64 state for the random victim order.
+    rng: Cell<u64>,
+    /// Label of the job currently executing on this worker (PDF only).
+    label: Cell<PdfLabel>,
+    /// Number of children the current job has spawned so far (PDF only).
+    children: Cell<u32>,
+}
+
+/// Clears [`WORKER`] when `worker_loop` exits, unwinding included, so the
+/// pointer never outlives the record.
+struct ClearWorker;
+
+impl Drop for ClearWorker {
+    fn drop(&mut self) {
+        WORKER.with(|w| w.set(ptr::null()));
+    }
+}
+
+impl WorkerThread {
+    fn new(registry: Arc<Registry>, index: usize, deque: Deque<Job>) -> Self {
+        // A splitmix64 scramble of the index seeds the victim order, so
+        // neighbouring workers draw uncorrelated sequences.
+        let mut z = (index as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^= z >> 31;
+        WorkerThread {
+            registry,
+            index,
+            deque,
+            rng: Cell::new(z | 1),
+            label: Cell::new(PdfLabel::root()),
+            children: Cell::new(0),
+        }
+    }
+
+    /// The calling thread's worker record, or `None` outside every pool.
+    ///
+    /// # Safety
+    /// The caller must not use the reference after the job it runs in has
+    /// returned: the record lives on `worker_loop`'s frame, which outlasts
+    /// every job run on this thread, but no longer.
+    unsafe fn current<'a>() -> Option<&'a WorkerThread> {
+        // SAFETY: non-null only while `worker_loop` holds the record (see
+        // `ClearWorker`), and only this thread reads it.
+        unsafe { WORKER.with(Cell::get).as_ref() }
+    }
+
+    /// Register the fork of a child task: the child's priority label.
+    ///
+    /// Child labels exist to order the PDF priority pool; under the WS
+    /// policy they are never consulted, so the (allocating) label
+    /// derivation and the child count are skipped and the root label
+    /// stands in.
+    fn next_child(&self) -> PdfLabel {
+        match self.registry.policy {
+            Policy::Pdf => {
+                let index = self.children.replace(self.children.get() + 1);
+                let label = self.label.take();
+                let child = label.child(index);
+                self.label.set(label);
+                child
+            }
+            Policy::WorkStealing => PdfLabel::root(),
+        }
+    }
+
+    /// Find a job: local LIFO pop, then a batch steal from the injector,
+    /// then batch steals from the other workers in seeded-random order.
+    /// Under WS every job runs with the root label.
+    fn pop_job(&self) -> Option<(PdfLabel, Job)> {
+        match self.registry.policy {
+            Policy::WorkStealing => self
+                .deque
+                .pop()
+                .or_else(|| self.steal())
+                .map(|job| (PdfLabel::root(), job)),
+            Policy::Pdf => self
+                .registry
+                .pdf
+                .lock()
+                .pop_first()
+                .map(|((label, _), job)| (label, job)),
+        }
+    }
+
+    /// The WS steal path: batch-steal from the injector, then from victims
+    /// in seeded-random order.  Surplus jobs land in the own deque, and one
+    /// is returned; if the batch left more behind, one sleeping peer is
+    /// notified so surplus doesn't strand on a single busy worker.
+    fn steal(&self) -> Option<Job> {
+        let stolen = self.try_steal_batches();
+        if stolen.is_some() && !self.deque.is_empty() {
+            self.registry.sleep.notify_one();
+        }
+        stolen
+    }
+
+    fn try_steal_batches(&self) -> Option<Job> {
+        let registry = &self.registry;
+        loop {
+            match registry.injector.steal_batch_and_pop(&self.deque) {
+                Steal::Success(job) => return Some(job),
+                Steal::Empty => break,
+                Steal::Retry => continue,
+            }
+        }
+        let n = registry.stealers.len();
+        if n <= 1 {
+            return None;
+        }
+        // Seeded-random victim order: thieves start their scan at
+        // uncorrelated positions instead of convoying around a fixed ring.
+        let start = (self.next_random() % n as u64) as usize;
+        let mut retry = true;
+        while std::mem::take(&mut retry) {
+            for i in 0..n {
+                let victim = (start + i) % n;
+                if victim == self.index {
+                    continue;
+                }
+                match registry.stealers[victim].steal_batch_and_pop(&self.deque) {
+                    Steal::Success(job) => return Some(job),
+                    Steal::Empty => {}
+                    Steal::Retry => retry = true,
+                }
+            }
+        }
+        None
+    }
+
+    /// Advance the xorshift64 state and return the next draw.
+    fn next_random(&self) -> u64 {
+        let mut x = self.rng.get();
         x ^= x << 13;
         x ^= x >> 7;
         x ^= x << 17;
-        rng.set(x);
+        self.rng.set(x);
         x
-    })
-}
+    }
 
-/// Seed the victim-order rng deterministically from the worker index (a
-/// splitmix64 scramble keeps neighbouring indices uncorrelated).
-fn seed_steal_rng(index: usize) {
-    let mut z = (index as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^= z >> 31;
-    STEAL_RNG.with(|rng| rng.set(z | 1));
-}
-
-struct WorkerContext {
-    /// The worker's pool.  `worker_loop` holds an `Arc` on it for as long
-    /// as this context exists, so the pointer stays valid.
-    registry: *const Registry,
-    index: usize,
-    /// Label of the job currently executing on this worker.
-    label: PdfLabel,
-    /// Number of children the current job has spawned so far.
-    children: u32,
-}
-
-/// Register the fork of a child task on the current worker: bump the
-/// current job's child counter and return the pool, the worker index, and
-/// the child's priority label.  `None` outside a pool.
-///
-/// The pool is handed out by pointer, not by `Arc`, so a fork moves no
-/// refcount.  The pointer is valid for the rest of the calling job: the
-/// registry outlives every worker (`worker_loop` holds an `Arc` until the
-/// thread ends), and `join`/`spawn` return before the job they run in.
-///
-/// Child labels exist to order the PDF priority pool; under the WS policy
-/// they are never consulted, so the (allocating) label derivation is
-/// skipped and the root label stands in.
-fn next_child() -> Option<(*const Registry, usize, PdfLabel)> {
-    CURRENT.with(|c| {
-        c.borrow_mut().as_mut().map(|ctx| {
-            let index = ctx.children;
-            ctx.children += 1;
-            // SAFETY: the worker's own context points at its live registry.
-            let label = match unsafe { (*ctx.registry).policy } {
-                Policy::Pdf => ctx.label.child(index),
-                Policy::WorkStealing => PdfLabel::root(),
-            };
-            (ctx.registry, ctx.index, label)
-        })
-    })
+    /// Execute a job with the pool-boundary panic guard.
+    ///
+    /// Under PDF the job's label becomes the current label for nested
+    /// spawns, and the caller's label and child count come back afterwards,
+    /// so a `join` help loop can run foreign jobs without corrupting its
+    /// own task's labelling.  Under WS labels are never read, so there is
+    /// nothing to save.
+    ///
+    /// A panicking *detached* job is caught and counted instead of killing
+    /// the worker (or unwinding into an innocent `join` caller helping while
+    /// it waits).  `install` and `join` closures catch internally and
+    /// re-raise at their call site, so their panic semantics are unchanged.
+    fn run_job(&self, label: PdfLabel, job: Job) {
+        let result = match self.registry.policy {
+            Policy::WorkStealing => panic::catch_unwind(AssertUnwindSafe(|| job.run())),
+            Policy::Pdf => {
+                let saved = (self.label.replace(label), self.children.replace(0));
+                let result = panic::catch_unwind(AssertUnwindSafe(|| job.run()));
+                self.label.set(saved.0);
+                self.children.set(saved.1);
+                result
+            }
+        };
+        if result.is_err() {
+            self.registry.panics_caught.fetch_add(1, Ordering::Relaxed);
+        }
+    }
 }
 
 /// A fork-join thread pool with a pluggable scheduling policy.
@@ -469,27 +498,16 @@ impl Drop for ThreadPool {
 }
 
 fn worker_loop(registry: Arc<Registry>, index: usize, deque: Deque<Job>) {
-    LOCAL.with(|local| {
-        *local.borrow_mut() = Some(LocalSlot {
-            owner: Arc::as_ptr(&registry),
-            deque,
-        })
-    });
-    CURRENT.with(|c| {
-        *c.borrow_mut() = Some(WorkerContext {
-            registry: Arc::as_ptr(&registry),
-            index,
-            label: PdfLabel::root(),
-            children: 0,
-        });
-    });
-    seed_steal_rng(index);
+    let worker = WorkerThread::new(registry, index, deque);
+    WORKER.with(|w| w.set(&worker));
+    let _clear = ClearWorker;
+    let registry = &worker.registry;
     let mut pinned = false;
 
     'main: loop {
-        maybe_pin(&registry, index, &mut pinned);
-        if let Some((label, job)) = registry.pop_job(index) {
-            run_job_caught(&registry, label, job);
+        maybe_pin(registry, index, &mut pinned);
+        if let Some((label, job)) = worker.pop_job() {
+            worker.run_job(label, job);
             continue;
         }
         if registry.shutdown.load(Ordering::SeqCst) {
@@ -502,10 +520,10 @@ fn worker_loop(registry: Arc<Registry>, index: usize, deque: Deque<Job>) {
         registry.sleep.start_idle();
         let mut round = 0u32;
         loop {
-            maybe_pin(&registry, index, &mut pinned);
-            if let Some((label, job)) = registry.pop_job(index) {
+            maybe_pin(registry, index, &mut pinned);
+            if let Some((label, job)) = worker.pop_job() {
                 registry.end_idle();
-                run_job_caught(&registry, label, job);
+                worker.run_job(label, job);
                 continue 'main;
             }
             if registry.shutdown.load(Ordering::SeqCst) {
@@ -534,8 +552,6 @@ fn worker_loop(registry: Arc<Registry>, index: usize, deque: Deque<Job>) {
             }
         }
     }
-    // The context's registry pointer must not outlive our `Arc`.
-    CURRENT.with(|c| c.borrow_mut().take());
 }
 
 /// Apply a pending CPU-pinning request to this worker (once).
@@ -613,37 +629,6 @@ unsafe fn raw_sched_setaffinity(pid: i32, len: usize, mask: *const u8) -> i64 {
     ret
 }
 
-/// Execute a job with the pool-boundary panic guard, making its label the
-/// current label for nested spawns (and restoring the caller's afterwards,
-/// so a `join` help loop can run foreign jobs without corrupting its own
-/// task's labelling).
-///
-/// A panicking *detached* job is caught and counted instead of killing the
-/// worker (or unwinding into an innocent `join` caller helping while it
-/// waits).  `install` and `join` closures catch internally and re-raise at
-/// their call site, so their panic semantics are unchanged.
-fn run_job_caught(registry: &Registry, label: PdfLabel, job: Job) {
-    let saved = CURRENT.with(|c| {
-        c.borrow_mut().as_mut().map(|ctx| {
-            let saved = (std::mem::replace(&mut ctx.label, label), ctx.children);
-            ctx.children = 0;
-            saved
-        })
-    });
-    let result = panic::catch_unwind(AssertUnwindSafe(|| job.run()));
-    if let Some((label, children)) = saved {
-        CURRENT.with(|c| {
-            if let Some(ctx) = c.borrow_mut().as_mut() {
-                ctx.label = label;
-                ctx.children = children;
-            }
-        });
-    }
-    if result.is_err() {
-        registry.panics_caught.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
 /// Fork-join: run `a` and `b`, potentially in parallel, and return both
 /// results.  Must be called from inside [`ThreadPool::install`] (or from a job
 /// spawned there); outside a pool the two closures simply run sequentially on
@@ -661,11 +646,12 @@ where
     RA: Send,
     RB: Send,
 {
-    let Some((registry, index, b_label)) = next_child() else {
+    // SAFETY: `join` returns before the job it runs in.
+    let Some(worker) = (unsafe { WorkerThread::current() }) else {
         return (a(), b());
     };
-    // SAFETY: valid until the calling job returns (see `next_child`).
-    let registry = unsafe { &*registry };
+    let registry = &worker.registry;
+    let b_label = worker.next_child();
 
     // `b`, its result slot and its completion flag live on *this* stack
     // frame, and the queued job is one pointer to them: a fork allocates
@@ -686,8 +672,8 @@ where
     // never park on the pool's sleep state: the event that frees us is the
     // *latch*, not new work, so we spin/yield between probes instead.
     while !b_job.latch.probe() {
-        if let Some((label, job)) = registry.pop_job(index) {
-            run_job_caught(registry, label, job);
+        if let Some((label, job)) = worker.pop_job() {
+            worker.run_job(label, job);
         } else {
             std::hint::spin_loop();
             thread::yield_now();
@@ -705,15 +691,16 @@ where
 /// [`join`] onto the caller's pool or to [`ThreadPool::install`] onto one of
 /// its own (installing from inside a pool can deadlock).
 pub fn current_thread_index() -> Option<usize> {
-    CURRENT.with(|c| c.borrow().as_ref().map(|ctx| ctx.index))
+    // SAFETY: the record is read once, here.
+    unsafe { WorkerThread::current() }.map(|worker| worker.index)
 }
 
 /// Spawn a detached `'static` job from inside the pool, labelled as the next
 /// child of the current task.  Outside a pool the job runs inline.
 pub fn spawn(f: impl FnOnce() + Send + 'static) {
-    match next_child() {
-        // SAFETY: valid until the calling job returns (see `next_child`).
-        Some((registry, _, label)) => unsafe { &*registry }.push_job(label, Job::new(f)),
+    // SAFETY: the record is used for this push only.
+    match unsafe { WorkerThread::current() } {
+        Some(worker) => worker.registry.push_job(worker.next_child(), Job::new(f)),
         None => f(),
     }
 }
@@ -885,6 +872,93 @@ mod tests {
             assert!(a.is_some_and(|i| i < n) && b.is_some_and(|i| i < n));
         }
         assert_eq!(current_thread_index(), None);
+    }
+
+    #[test]
+    fn current_thread_index_is_cleared_when_a_worker_exits() {
+        use std::sync::mpsc;
+
+        /// Reports, from its thread's TLS teardown (after `worker_loop`
+        /// has returned), the index the thread still claims.
+        struct ExitProbe(mpsc::Sender<Option<usize>>);
+        impl Drop for ExitProbe {
+            fn drop(&mut self) {
+                let _ = self.0.send(current_thread_index());
+            }
+        }
+        thread_local! {
+            static PROBE: Cell<Option<ExitProbe>> = const { Cell::new(None) };
+        }
+
+        let (tx, rx) = mpsc::channel();
+        for policy in [Policy::WorkStealing, Policy::Pdf] {
+            let pool = ThreadPool::new(1, policy);
+            let tx = tx.clone();
+            pool.install(move || PROBE.with(|p| p.set(Some(ExitProbe(tx)))));
+            drop(pool);
+            assert_eq!(rx.recv().unwrap(), None, "{policy:?}");
+            assert_eq!(current_thread_index(), None);
+        }
+    }
+
+    /// The PDF label of the job running on this worker.
+    fn current_label() -> Vec<u32> {
+        // SAFETY: read within the calling job.
+        let worker = unsafe { WorkerThread::current() }.expect("on a worker");
+        let label = worker.label.take();
+        let path = label.path().to_vec();
+        worker.label.set(label);
+        path
+    }
+
+    #[test]
+    fn pdf_runs_spawned_children_in_sequential_order() {
+        use std::sync::mpsc;
+
+        // One worker, held by a blocker while the parent is queued, so the
+        // run order is the priority order alone.
+        let pool = ThreadPool::new(1, Policy::Pdf);
+        let gate = Arc::new(AtomicBool::new(false));
+        {
+            let gate = Arc::clone(&gate);
+            pool.spawn_detached(move || {
+                while !gate.load(Ordering::Acquire) {
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                }
+            });
+        }
+        let (tx, rx) = mpsc::channel();
+        let log = move |name: &'static str| {
+            let tx = tx.clone();
+            move || tx.send((name, current_label())).unwrap()
+        };
+        pool.spawn_detached(move || {
+            let (a1, a2) = (log("A1"), log("A2"));
+            let a = log("A");
+            spawn(move || {
+                a();
+                spawn(a1);
+                spawn(a2);
+            });
+            // The help loop runs A, A1 and A2 (all before `b` in 1DF
+            // order) inside this job; the parent's label and child count
+            // must come back afterwards, so B and C are children 2 and 3.
+            join(|| (), || ());
+            spawn(log("B"));
+            spawn(log("C"));
+        });
+        gate.store(true, Ordering::Release);
+        let ran: Vec<_> = rx.iter().take(5).collect();
+        assert_eq!(
+            ran,
+            [
+                ("A", vec![0]),
+                ("A1", vec![0, 0]),
+                ("A2", vec![0, 1]),
+                ("B", vec![2]),
+                ("C", vec![3]),
+            ]
+        );
     }
 
     #[test]
