@@ -38,10 +38,10 @@
 //!   through a single thread-local pointer.  Under WS a job runs with no
 //!   label bookkeeping at all: labels order only the PDF pool.
 //! * **batch stealing** — an out-of-work worker steals *batches* from the
-//!   injector (one CAS claims the whole batch) and from victim deques
-//!   (`steal_batch_and_pop`), amortising the synchronisation cost of a
-//!   steal over several jobs, and scans victims in seeded-random order
-//!   instead of a fixed ring, so thieves don't convoy on the same victim.
+//!   injector and from victim deques (`steal_batch_and_pop`), amortising
+//!   the synchronisation cost of a steal over several jobs, and scans
+//!   victims in seeded-random order instead of a fixed ring, so thieves
+//!   don't convoy on the same victim.
 //! * **spin → yield → park backoff** — an idle worker spins briefly
 //!   (winning the common race where fork-join work reappears within
 //!   nanoseconds), yields a few times, and only then parks on the futex

@@ -40,11 +40,8 @@
 //! walks the other slots down from the top, and stops at the first one
 //! still being read, marking it `DESTROY`; that slot's reader, seeing the
 //! bit when it sets `READ`, carries on the walk.  Whoever reaches the
-//! bottom frees the block.  A batch steal claims its whole range with one
-//! CAS on the head index, as the real crate does: half the queue, rounded
-//! up and capped as for the deque, and never past the head block's last
-//! slot; a single steal is the range of one.  `len` and `is_empty` are
-//! two loads.
+//! bottom frees the block.  Batch steals claim one slot per CAS and keep
+//! the deque's batch sizes.  `len` and `is_empty` are two loads.
 
 #![warn(missing_docs)]
 
@@ -97,9 +94,8 @@ fn batch_len(len: usize, limit: usize) -> usize {
 
 /// Steal up to `want` items one claim at a time, handing each to `sink` in
 /// steal (FIFO) order.  Stops early when the source runs dry or a later
-/// claim loses a race.  The real crate does the same for LIFO deques; the
-/// injector claims a range of slots with one CAS instead (its
-/// [`BatchSource::steal_into`]).
+/// claim loses a race.  The real crate does the same for LIFO deques; its
+/// injector claims a range of slots with one CAS instead.
 fn steal_each<T>(
     want: usize,
     mut steal: impl FnMut() -> Steal<T>,
@@ -122,30 +118,25 @@ fn steal_each<T>(
     Steal::Success(())
 }
 
-/// A source of batch steals: a [`Stealer`] or an [`Injector`].
-trait BatchSource<T> {
-    /// Move up to half the source, rounded up and capped at `limit`, into
-    /// `sink` in steal (FIFO) order.  `Steal::Empty` when the source had
-    /// nothing, `Steal::Success(())` when at least one item moved.
-    fn steal_into(&self, limit: usize, sink: impl FnMut(T)) -> Steal<()>;
-}
-
-/// A batch steal of up to `MAX_BATCH` items pushed onto `dest` in steal
-/// (FIFO) order (the real crate's contract).
-fn steal_batch_into<T>(source: &impl BatchSource<T>, dest: &Worker<T>) -> Steal<()> {
-    source.steal_into(MAX_BATCH, |item| dest.push(item))
+/// A batch steal from a source holding `len` items: up to half of them,
+/// capped at `MAX_BATCH`, pushed onto `dest` in steal (FIFO) order.
+/// `Steal::Empty` when the source had nothing, `Steal::Success(())` when
+/// at least one item moved (the real crate's contract).
+fn steal_batch_into<T>(len: usize, steal: impl FnMut() -> Steal<T>, dest: &Worker<T>) -> Steal<()> {
+    steal_each(batch_len(len, MAX_BATCH), steal, |item| dest.push(item))
 }
 
 /// A batch steal that also pops one: the first stolen item is returned,
 /// the rest (up to `MAX_BATCH`) are pushed onto `dest` in steal order.
-fn steal_batch_and_pop_into<T>(source: &impl BatchSource<T>, dest: &Worker<T>) -> Steal<T> {
+fn steal_batch_and_pop_into<T>(
+    len: usize,
+    steal: impl FnMut() -> Steal<T>,
+    dest: &Worker<T>,
+) -> Steal<T> {
     let mut first = None;
-    let stolen = source.steal_into(MAX_BATCH + 1, |item| {
-        if first.is_none() {
-            first = Some(item);
-        } else {
-            dest.push(item);
-        }
+    let stolen = steal_each(batch_len(len, MAX_BATCH + 1), steal, |item| match first {
+        None => first = Some(item),
+        Some(_) => dest.push(item),
     });
     match (stolen, first) {
         (Steal::Success(()), Some(item)) => Steal::Success(item),
@@ -467,20 +458,14 @@ impl<T> Stealer<T> {
     /// nothing, `Steal::Success(())` when at least one item moved.  `dest`
     /// must not be the source deque (the real crate's contract).
     pub fn steal_batch(&self, dest: &Worker<T>) -> Steal<()> {
-        steal_batch_into(self, dest)
+        steal_batch_into(self.inner.len(), || self.steal(), dest)
     }
 
     /// Steal a batch of items and additionally pop one: the first stolen
     /// item is returned, the rest (up to `MAX_BATCH`) are pushed onto
     /// `dest` in steal order.  `dest` must not be the source deque.
     pub fn steal_batch_and_pop(&self, dest: &Worker<T>) -> Steal<T> {
-        steal_batch_and_pop_into(self, dest)
-    }
-}
-
-impl<T> BatchSource<T> for Stealer<T> {
-    fn steal_into(&self, limit: usize, sink: impl FnMut(T)) -> Steal<()> {
-        steal_each(batch_len(self.inner.len(), limit), || self.steal(), sink)
+        steal_batch_and_pop_into(self.inner.len(), || self.steal(), dest)
     }
 }
 
@@ -734,25 +719,74 @@ impl<T> Injector<T> {
 
     /// Steal the oldest item.
     pub fn steal(&self) -> Steal<T> {
-        let mut item = None;
-        match self.steal_into(1, |stolen| item = Some(stolen)) {
-            Steal::Success(()) => Steal::Success(item.expect("a claimed slot holds an item")),
-            Steal::Empty => Steal::Empty,
-            Steal::Retry => Steal::Retry,
+        let mut backoff = Backoff::new();
+        let (head, block, offset) = loop {
+            let head = self.head.index.load(Ordering::Acquire);
+            let block = self.head.block.load(Ordering::Acquire);
+            let offset = (head >> SHIFT) % LAP;
+            if offset != BLOCK_CAP {
+                break (head, block, offset);
+            }
+            // Another consumer took the last slot and is moving the head
+            // to the next block.
+            backoff.snooze();
+        };
+        let mut new_head = head.wrapping_add(1 << SHIFT);
+        if head & HAS_NEXT == 0 {
+            atomic::fence(Ordering::SeqCst);
+            let tail = self.tail.index.load(Ordering::Relaxed);
+            if head >> SHIFT == tail >> SHIFT {
+                return Steal::Empty;
+            }
+            if (head >> SHIFT) / LAP != (tail >> SHIFT) / LAP {
+                new_head |= HAS_NEXT;
+            }
+        }
+        if self
+            .head
+            .index
+            .compare_exchange(head, new_head, Ordering::SeqCst, Ordering::Acquire)
+            .is_err()
+        {
+            return Steal::Retry;
+        }
+        // SAFETY: the CAS claimed slot `offset` of `block` for this steal
+        // alone, and a block is freed only after each of its slots is read
+        // (`Block::destroy`), so `block` is live until this read is done.
+        unsafe {
+            if offset + 1 == BLOCK_CAP {
+                // The last slot: move the head on to the next block.
+                let next = (*block).wait_next();
+                let mut next_index = (new_head & !HAS_NEXT).wrapping_add(1 << SHIFT);
+                if !(*next).next.load(Ordering::Relaxed).is_null() {
+                    next_index |= HAS_NEXT;
+                }
+                self.head.block.store(next, Ordering::Release);
+                self.head.index.store(next_index, Ordering::Release);
+            }
+            let slot = &(*block).slots[offset];
+            slot.wait_write();
+            let item = slot.item.get().read().assume_init();
+            // The last slot's reader starts freeing the block; any other
+            // reader continues a destruction that reached its slot first.
+            if offset + 1 == BLOCK_CAP || slot.state.fetch_or(READ, Ordering::AcqRel) & DESTROY != 0
+            {
+                Block::destroy(block, offset);
+            }
+            Steal::Success(item)
         }
     }
 
     /// Steal a batch of items — up to half the queue, capped at
-    /// `MAX_BATCH` and at the end of the head block — and push them onto
-    /// `dest` in FIFO order.
+    /// `MAX_BATCH` — and push them onto `dest` in FIFO order.
     pub fn steal_batch(&self, dest: &Worker<T>) -> Steal<()> {
-        steal_batch_into(self, dest)
+        steal_batch_into(self.len(), || self.steal(), dest)
     }
 
     /// Steal a batch of items and pop one: the oldest queued item is
     /// returned, the rest of the batch lands on `dest` in FIFO order.
     pub fn steal_batch_and_pop(&self, dest: &Worker<T>) -> Steal<T> {
-        steal_batch_and_pop_into(self, dest)
+        steal_batch_and_pop_into(self.len(), || self.steal(), dest)
     }
 
     /// Whether the queue is currently empty.
@@ -766,98 +800,6 @@ impl<T> Injector<T> {
         let head = self.head.index.load(Ordering::SeqCst) >> SHIFT;
         let tail = self.tail.index.load(Ordering::SeqCst) >> SHIFT;
         slots_before(tail) - slots_before(head)
-    }
-}
-
-impl<T> BatchSource<T> for Injector<T> {
-    /// The range claim behind every injector steal: one CAS on the head
-    /// index takes the oldest `count` slots, where `count` is half the
-    /// queue rounded up, capped at `limit` and at the head block's last
-    /// slot.  The items are read out in FIFO order and the slots marked
-    /// `READ` afterwards, lowest first.
-    fn steal_into(&self, limit: usize, mut sink: impl FnMut(T)) -> Steal<()> {
-        let mut backoff = Backoff::new();
-        let (head, block, offset) = loop {
-            let head = self.head.index.load(Ordering::Acquire);
-            let block = self.head.block.load(Ordering::Acquire);
-            let offset = (head >> SHIFT) % LAP;
-            if offset != BLOCK_CAP {
-                break (head, block, offset);
-            }
-            // Another consumer took the last slot and is moving the head
-            // to the next block.
-            backoff.snooze();
-        };
-        let mut new_head = head;
-        // With `HAS_NEXT` set the head block is full to its last slot, so
-        // only a batch needs the tail, to size itself.
-        let tail = if head & HAS_NEXT == 0 {
-            atomic::fence(Ordering::SeqCst);
-            let tail = self.tail.index.load(Ordering::Relaxed);
-            if head >> SHIFT == tail >> SHIFT {
-                return Steal::Empty;
-            }
-            if (head >> SHIFT) / LAP != (tail >> SHIFT) / LAP {
-                new_head |= HAS_NEXT;
-            }
-            Some(tail)
-        } else if limit > 1 {
-            Some(self.tail.index.load(Ordering::Relaxed))
-        } else {
-            None
-        };
-        let count = tail.map_or(1, |tail| {
-            let len = slots_before(tail >> SHIFT).saturating_sub(slots_before(head >> SHIFT));
-            batch_len(len, limit).clamp(1, BLOCK_CAP - offset)
-        });
-        new_head = new_head.wrapping_add(count << SHIFT);
-        if self
-            .head
-            .index
-            .compare_exchange(head, new_head, Ordering::SeqCst, Ordering::Acquire)
-            .is_err()
-        {
-            return Steal::Retry;
-        }
-        let end = offset + count;
-        // SAFETY: the CAS claimed slots `offset..end` of `block` for this
-        // steal alone, every one of them already claimed by a producer
-        // (they lie below the tail, or the block has a successor), and a
-        // block is freed only after each of its slots is read
-        // (`Block::destroy`), so `block` is live until the reads are done.
-        unsafe {
-            if end == BLOCK_CAP {
-                // The last slot: move the head on to the next block.
-                let next = (*block).wait_next();
-                let mut next_index = (new_head & !HAS_NEXT).wrapping_add(1 << SHIFT);
-                if !(*next).next.load(Ordering::Relaxed).is_null() {
-                    next_index |= HAS_NEXT;
-                }
-                self.head.block.store(next, Ordering::Release);
-                self.head.index.store(next_index, Ordering::Release);
-            }
-            let slots = &(&(*block).slots)[offset..end];
-            for slot in slots {
-                slot.wait_write();
-                sink(slot.item.get().read().assume_init());
-            }
-            // The last slot's reader starts freeing the block.  Otherwise a
-            // destruction walking down stops at the highest slot not yet
-            // `READ`, and the slots are marked lowest first, so the slot
-            // that carries `DESTROY` is the last one marked: from there the
-            // walk goes on below `offset`.
-            if end == BLOCK_CAP {
-                Block::destroy(block, offset);
-            } else {
-                for slot in slots {
-                    if slot.state.fetch_or(READ, Ordering::AcqRel) & DESTROY != 0 {
-                        Block::destroy(block, offset);
-                        break;
-                    }
-                }
-            }
-        }
-        Steal::Success(())
     }
 }
 
@@ -1459,152 +1401,6 @@ mod tests {
         drop(inj);
         assert_eq!(drops.load(Ordering::Relaxed), pushed);
         assert_eq!(live_blocks(), base, "a block leaked");
-    }
-
-    /// The head index's position and its `HAS_NEXT` bit (test-only peek).
-    fn head_of<T>(inj: &Injector<T>) -> (usize, bool) {
-        let head = inj.head.index.load(Ordering::Relaxed);
-        (head >> SHIFT, head & HAS_NEXT != 0)
-    }
-
-    #[test]
-    fn injector_batch_ending_on_the_block_end_moves_the_head_to_the_next_block() {
-        let base = live_blocks();
-        {
-            let inj = Injector::new();
-            for i in 0..3 * BLOCK_CAP {
-                inj.push(i);
-            }
-            // Head at offset 30: a long queue's batch is 32 plus the popped
-            // one, exactly the 33 slots left in the head block.
-            for want in 0..30 {
-                assert_eq!(inj.steal(), Steal::Success(want));
-            }
-            assert_eq!(head_of(&inj), (30, true), "the tail is blocks ahead");
-            let dest = Worker::new_fifo();
-            assert_eq!(inj.steal_batch_and_pop(&dest), Steal::Success(30));
-            let moved: Vec<usize> = std::iter::from_fn(|| dest.pop()).collect();
-            assert_eq!(moved, (31..BLOCK_CAP).collect::<Vec<_>>());
-            // The head skipped the phantom position onto the next block,
-            // which has a successor too, and the read block is freed.
-            assert_eq!(head_of(&inj), (LAP, true));
-            assert_eq!(live_blocks() - base, 3);
-            assert_eq!(inj.len(), 2 * BLOCK_CAP);
-            assert_eq!(inj.steal(), Steal::Success(BLOCK_CAP));
-        }
-        assert_eq!(live_blocks(), base);
-    }
-
-    #[test]
-    fn injector_batch_starting_at_offset_62_takes_the_last_slot_alone() {
-        let base = live_blocks();
-        {
-            let inj = Injector::new();
-            for i in 0..3 * BLOCK_CAP {
-                inj.push(i);
-            }
-            let dest = Worker::new_fifo();
-            // The queue holds at least a block more each time.
-            for (batch, first) in [(false, 0), (true, BLOCK_CAP)] {
-                for want in first..first + BLOCK_CAP - 1 {
-                    assert_eq!(inj.steal(), Steal::Success(want));
-                }
-                assert_eq!(head_of(&inj).0 % LAP, BLOCK_CAP - 1);
-                // Half the queue would be more, but the block ends here.
-                if batch {
-                    assert_eq!(inj.steal_batch(&dest), Steal::Success(()));
-                    assert_eq!(dest.pop(), Some(first + BLOCK_CAP - 1));
-                } else {
-                    let popped = inj.steal_batch_and_pop(&dest);
-                    assert_eq!(popped, Steal::Success(first + BLOCK_CAP - 1));
-                }
-                assert!(dest.is_empty());
-                assert_eq!(head_of(&inj).0, (first / BLOCK_CAP + 1) * LAP);
-            }
-            assert_eq!(live_blocks() - base, 2, "both read blocks are freed");
-            assert_eq!(inj.len(), BLOCK_CAP);
-        }
-        assert_eq!(live_blocks(), base);
-    }
-
-    #[test]
-    fn injector_batch_from_a_short_queue_takes_half_rounded_up() {
-        let inj = Injector::new();
-        for i in 0..7 {
-            inj.push(i);
-        }
-        let dest = Worker::new_fifo();
-        // ceil(7/2) = 4 leave: one popped, three onto dest.  Head and tail
-        // share a block, so `HAS_NEXT` stays unset.
-        assert_eq!(inj.steal_batch_and_pop(&dest), Steal::Success(0));
-        assert_eq!(head_of(&inj), (4, false));
-        // ceil(3/2) = 2 more, all onto dest.
-        assert_eq!(inj.steal_batch(&dest), Steal::Success(()));
-        assert_eq!(head_of(&inj), (6, false));
-        let moved: Vec<i32> = std::iter::from_fn(|| dest.pop()).collect();
-        assert_eq!(moved, [1, 2, 3, 4, 5]);
-        // The last one alone.
-        assert_eq!(inj.steal_batch_and_pop(&dest), Steal::Success(6));
-        assert!(dest.is_empty());
-        assert_eq!(inj.steal_batch(&dest), Steal::Empty);
-        assert_eq!(head_of(&inj), (7, false));
-    }
-
-    #[test]
-    fn injector_four_producers_four_batch_consumers_take_each_item_once_in_order() {
-        const PRODUCERS: usize = 4;
-        const PER_PRODUCER: usize = 20_000;
-        const ITEMS: usize = PRODUCERS * PER_PRODUCER;
-        let base = live_blocks();
-        let claims = claims(ITEMS);
-        let taken = AtomicUsize::new(0);
-        let inj: Injector<Box<usize>> = Injector::new();
-        // Blocks are counted per thread: each thread returns its own
-        // balance of allocations (pushes) and frees (batch claims).
-        let balance: isize = std::thread::scope(|scope| {
-            let mut threads = Vec::new();
-            for p in 0..PRODUCERS {
-                let inj = &inj;
-                threads.push(scope.spawn(move || {
-                    for seq in 0..PER_PRODUCER {
-                        inj.push(Box::new(p * PER_PRODUCER + seq));
-                    }
-                    live_blocks()
-                }));
-            }
-            for c in 0..4 {
-                let (inj, claims, taken) = (&inj, &claims, &taken);
-                threads.push(scope.spawn(move || {
-                    let local = Worker::new_fifo();
-                    let mut last = [None::<usize>; PRODUCERS];
-                    let mut take = |tag: Box<usize>| {
-                        let (p, seq) = (*tag / PER_PRODUCER, *tag % PER_PRODUCER);
-                        assert!(last[p] < Some(seq), "producer {p} out of order");
-                        last[p] = Some(seq);
-                        claims[*tag].fetch_add(1, Ordering::Relaxed);
-                        taken.fetch_add(1, Ordering::Relaxed);
-                    };
-                    let mut round = c;
-                    while taken.load(Ordering::Relaxed) < ITEMS {
-                        round += 1;
-                        if round % 2 == 0 {
-                            let _ = inj.steal_batch(&local);
-                        } else if let Steal::Success(tag) = inj.steal_batch_and_pop(&local) {
-                            take(tag);
-                        }
-                        while let Some(tag) = local.pop() {
-                            take(tag);
-                        }
-                    }
-                    live_blocks()
-                }));
-            }
-            threads.into_iter().map(|t| t.join().unwrap()).sum()
-        });
-        assert_each_claimed_once(&claims);
-        assert!(inj.is_empty());
-        drop(inj);
-        assert_eq!(balance + live_blocks() - base, 0, "a block leaked");
     }
 
     #[test]
