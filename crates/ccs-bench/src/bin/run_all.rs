@@ -1,11 +1,12 @@
-//! Run the full experiment suite and emit one merged machine-readable
-//! report.
+//! Run the full experiment suite in one process and emit one merged
+//! machine-readable report.
 //!
-//! The figure sweeps (Figs. 2–6 and the Section 5.4 comparison) run
-//! *in-process* through the `Experiment` API and are merged into a single
-//! JSON trajectory; the non-sweep binaries (`tables_2_3`,
-//! `fig8_auto_coarsening`, `sec61_profiler_speed`) are invoked as
-//! subprocesses unless `--quick` is given.
+//! The figure sweeps (Figs. 2–6, the Section 5.4 comparison, the latency
+//! and scaling profiles, then Figure 8) run through the `Experiment` API
+//! and are merged into a single JSON trajectory.  The full (non-quick)
+//! suite then prints the two text sections that are not sweeps (the
+//! configuration tables and the Section 6.1 profiler timing, see
+//! [`ccs_bench::sections`]).
 //!
 //! ```text
 //! cargo run --release -p ccs-bench --bin run_all -- \
@@ -35,11 +36,12 @@
 //! sequentially — the merged JSON is byte-identical either way.  The
 //! `--bench` harness times its sweep records sequentially.
 
+use std::io::Write;
 use std::path::PathBuf;
-use std::process::Command;
 
 use ccs_bench::figs::Sweep;
-use ccs_bench::{figs, harness};
+use ccs_bench::sections::SECTIONS;
+use ccs_bench::{figs, harness, text_out};
 use ccs_experiment::{Options, Report};
 
 fn main() {
@@ -53,7 +55,10 @@ fn main() {
         // run exactly the requested registry specs.
         vec![("workloads", figs::workload_sweep)]
     } else {
+        // Figure 8 stays out of `figure_sweeps()`, which the bench harness
+        // also times.
         let mut sweeps = figs::figure_sweeps();
+        sweeps.push(("fig8_auto_coarsening", figs::fig8));
         // The full suite also covers the Section 5.5 secondary benchmarks
         // (skipped by `--quick` and by an `--app` paper-benchmark filter).
         if !opts.quick && opts.app.is_none() {
@@ -64,59 +69,21 @@ fn main() {
 
     // With `--json -` the tables move to stderr so stdout carries nothing
     // but the merged JSON document.
+    let mut out = text_out(&opts);
     let mut merged = Report::new("run_all", opts.effective_scale());
     for (name, run) in sweeps {
         let report = run(&opts);
-        if opts.json_to_stdout() {
-            eprintln!("\n===== {name} =====");
-            eprint!("{}", report.to_tsv());
-        } else {
-            println!("\n===== {name} =====");
-            print!("{}", report.to_tsv());
-        }
+        write!(out, "\n===== {name} =====\n{}", report.to_tsv()).expect("write the sweep table");
         merged.merge(report);
     }
 
     if !opts.quick && opts.workloads.is_empty() {
-        // The remaining binaries are not sweep-shaped (table regeneration,
-        // profiler timing); run them as subprocesses as before.
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let exe_dir = std::env::current_exe()
-            .expect("current exe")
-            .parent()
-            .expect("exe dir")
-            .to_path_buf();
-        for bin in ["tables_2_3", "fig8_auto_coarsening", "sec61_profiler_speed"] {
-            if opts.json_to_stdout() {
-                eprintln!("\n===== {bin} =====");
-            } else {
-                println!("\n===== {bin} =====");
-            }
-            let path = exe_dir.join(bin);
-            let mut command = if path.exists() {
-                Command::new(&path)
-            } else {
-                // Fall back to cargo run (slower, but works from any directory).
-                let mut c = Command::new("cargo");
-                c.args(["run", "--release", "-p", "ccs-bench", "--bin", bin, "--"]);
-                c
-            };
-            command.args(&args);
-            if opts.json_to_stdout() {
-                // Children inherit our stdout by default; with `--json -`
-                // that would interleave their tables with the JSON document,
-                // so forward their output to stderr instead.
-                let status = command.output().map(|out| {
-                    eprint!("{}", String::from_utf8_lossy(&out.stdout));
-                    eprint!("{}", String::from_utf8_lossy(&out.stderr));
-                    out.status
-                });
-                report_status(bin, status);
-            } else {
-                report_status(bin, command.status());
-            }
+        for (name, section) in SECTIONS {
+            writeln!(out, "\n===== {name} =====").expect("write the section header");
+            section(&opts, &mut out).unwrap_or_else(|e| panic!("write {name}: {e}"));
         }
     }
+    out.flush().expect("flush the tables");
 
     // Quick runs always leave a machine-readable trajectory behind.
     if opts.quick && opts.json.is_none() {
@@ -160,13 +127,5 @@ fn run_bench(mut opts: Options) {
     }
     if let Err(e) = opts.emit_json(&merged) {
         eprintln!("failed to write JSON report: {e}");
-    }
-}
-
-fn report_status(bin: &str, status: std::io::Result<std::process::ExitStatus>) {
-    match status {
-        Ok(s) if s.success() => {}
-        Ok(s) => eprintln!("{bin} exited with {s}"),
-        Err(e) => eprintln!("failed to run {bin}: {e}"),
     }
 }

@@ -1,70 +1,17 @@
 //! Regenerate Table 1 (common parameters), Table 2 (default configurations)
 //! and Table 3 (45 nm single-technology configurations), both as published
 //! and as derived by the area/latency model of `ccs_sim::area`, plus the
-//! workload roster: every kernel registered in the open
-//! [`WorkloadRegistry`] — the three paper benchmarks *and* the Section 5.5
-//! extras — with its description.
+//! registered workload roster (see [`ccs_bench::sections::tables_2_3`]).
+//!
+//! ```text
+//! cargo run --release -p ccs-bench --bin tables_2_3
+//! ```
 
-use ccs_sim::area::{self, Technology};
-use ccs_sim::CmpConfig;
-use ccs_workloads::WorkloadRegistry;
+use ccs_bench::sections::tables_2_3;
+use ccs_bench::text_out;
+use ccs_experiment::Options;
 
 fn main() {
-    println!("== Table 1: common parameters ==");
-    let l1 = ccs_cache::CacheConfig::paper_l1();
-    let mem = ccs_cache::MemoryConfig::paper_default();
-    println!(
-        "Private L1 cache : {} KB, {}-byte line, {}-way, {}-cycle hit",
-        l1.capacity / 1024,
-        l1.line_size,
-        l1.associativity,
-        l1.hit_latency
-    );
-    println!("Shared  L2 cache : 128-byte line, configuration-dependent");
-    println!(
-        "Main memory      : latency {} cycles, service rate {} cycles",
-        mem.latency, mem.service_interval
-    );
-    println!();
-
-    println!("== Table 2: default (scaling technology) configurations ==");
-    println!("cores\ttech\tL2_MB\tassoc\thit_cycles\tmodel_L2_MB");
-    for cfg in CmpConfig::default_configs() {
-        let model = area::l2_capacity_mb(cfg.technology, cfg.num_cores as u32)
-            .map(|m| m.to_string())
-            .unwrap_or_else(|| "-".into());
-        println!(
-            "{}\t{}\t{}\t{}\t{}\t{}",
-            cfg.num_cores,
-            cfg.technology,
-            cfg.l2.capacity >> 20,
-            cfg.l2.associativity,
-            cfg.l2.hit_latency,
-            model
-        );
-    }
-    println!();
-
-    println!("== Table 3: single technology (45 nm) configurations ==");
-    println!("cores\tL2_MB\tassoc\thit_cycles\tmodel_L2_MB\tmodel_hit");
-    for cfg in CmpConfig::single_tech_45nm() {
-        let model_mb = area::l2_capacity_mb(Technology::Nm45, cfg.num_cores as u32).unwrap_or(0);
-        println!(
-            "{}\t{}\t{}\t{}\t{}\t{}",
-            cfg.num_cores,
-            cfg.l2.capacity >> 20,
-            cfg.l2.associativity,
-            cfg.l2.hit_latency,
-            model_mb,
-            area::l2_hit_latency(cfg.l2.capacity >> 20)
-        );
-    }
-    println!();
-
-    println!("== Registered workloads (select with --workloads name:key=value,...) ==");
-    println!("name\tdescription");
-    let registry = WorkloadRegistry::global();
-    for name in registry.names() {
-        println!("{}\t{}", name, registry.describe(&name).unwrap_or_default());
-    }
+    let opts = Options::from_env();
+    tables_2_3(&opts, &mut text_out(&opts)).expect("write the tables");
 }

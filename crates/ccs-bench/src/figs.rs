@@ -1,18 +1,22 @@
 //! The paper's figure sweeps, described with the [`Experiment`] builder.
 //!
 //! Each function returns a serialisable [`Report`]; the binaries in
-//! `src/bin/` print it as TSV and optionally emit JSON.  `run_all` merges
-//! all of them into one machine-readable trajectory.
+//! `src/bin/` print it as TSV and optionally emit JSON.  `run_all` runs
+//! all of them in one process and merges them into one machine-readable
+//! trajectory.  Figures 2–6 and the Section 5.x sweeps compare PDF with
+//! WS; Figure 8 ([`fig8`]) compares three task granularities under PDF.
 
+use ccs_dag::TaskGroupTree;
 use ccs_experiment::{Experiment, Options, Report, WorkloadSpec};
+use ccs_profile::{apply_coarsening, coarsen, CoarsenTarget, WorkingSetProfile};
 use ccs_sim::CmpConfig;
 use ccs_workloads::{hashjoin, mergesort, HashJoinParams, MergesortParams};
 
-/// The experiment every sweep here starts from: the PDF-vs-WS pair every
-/// figure compares, on `opts`' scale, quick mode, parallelism and engine.
+/// The experiment every sweep here starts from: `opts`' scale, quick mode,
+/// parallelism and engine, with the [`Experiment`] default schedulers —
+/// the PDF-vs-WS pair every figure but Figure 8 compares.
 fn sweep(name: &str, opts: &Options) -> Experiment {
     Experiment::named(name)
-        .schedulers(["pdf", "ws"])
         .scale(opts.scale)
         .quick(opts.quick)
         .parallelism(opts.parallel)
@@ -197,6 +201,116 @@ pub fn coarse_vs_fine(opts: &Options) -> Report {
         .run()
 }
 
+/// What the Section 6 coarsening analysis chose for one [`fig8`] core
+/// count.
+#[derive(Clone, Copy, Debug)]
+pub struct Coarsened {
+    /// Cores of the default configuration the analysis targeted.
+    pub cores: usize,
+    /// Tasks of the finest-grained Mergesort the analysis starts from.
+    pub fine_tasks: usize,
+    /// Tasks after coarsening: the `mergesort/dag` workload's task count.
+    pub coarse_tasks: usize,
+    /// The per-child working-set budget `cache / (2 * cores)`, in bytes.
+    pub budget_bytes: u64,
+}
+
+impl Coarsened {
+    /// Whether the analysis merged any fine-grained tasks.
+    pub fn merged(&self) -> bool {
+        self.coarse_tasks < self.fine_tasks
+    }
+}
+
+/// Figure 8: the automatic task-selection (coarsening) scheme of Section 6
+/// on Mergesort, on the 32-, 16- and 8-core default configurations (8 only
+/// in quick mode), PDF only.  Three workloads per core count:
+///
+/// * `mergesort/previous` — the manually selected task size of Section 5;
+/// * `mergesort/dag` — the finest-grained trace profiled, coarsened to the
+///   `cache / (2 * cores)` budget and re-grouped (each coarse task still
+///   carries the fine tasks' parallel-code overheads);
+/// * `mergesort/actual` — the workload regenerated at the budget
+///   granularity.
+///
+/// The paper finds `actual` within 5% of the best of the three — check it
+/// with [`coarsening_within_best`].  Empty when the selection has no
+/// Mergesort.
+pub fn fig8(opts: &Options) -> Report {
+    fig8_coarsened(opts).0
+}
+
+/// [`fig8`] together with what the coarsening analysis chose at each core
+/// count.
+pub fn fig8_coarsened(opts: &Options) -> (Report, Vec<Coarsened>) {
+    let scale = opts.effective_scale();
+    let mut report = Report::new("fig8", scale);
+    let mut analyses = Vec::new();
+    if !opts.benchmarks().contains(&"mergesort") {
+        return (report, analyses);
+    }
+    let n_items = ((32u64 << 20) / scale).max(1 << 14);
+    let build =
+        |ws: u64| mergesort::build(&MergesortParams::new(n_items).with_task_working_set(ws));
+    let core_counts: &[usize] = if opts.quick { &[8] } else { &[32, 16, 8] };
+    for &cores in core_counts {
+        let cfg = CmpConfig::default_with_cores(cores).expect("default config");
+        let scaled_l2 = (cfg.l2.capacity / scale).max(16 * 1024);
+        // The manual selection used in Section 5.
+        let previous = build((scaled_l2 / 8).max(16 * 1024));
+        // The finest-grained version is the input to the automatic scheme.
+        let finest = build((scaled_l2 / 256).max(8 * 1024));
+        let tree = TaskGroupTree::from_computation(&finest);
+        let sizes: Vec<u64> = (12..=27).map(|p| 1u64 << p).collect();
+        let profile = WorkingSetProfile::collect(&finest, &sizes);
+        let target = CoarsenTarget {
+            cache_bytes: scaled_l2,
+            num_cores: cores,
+        };
+        let selection = coarsen(&profile, &tree, target);
+        let dag = apply_coarsening(&finest, &tree, &selection);
+        // The budget is the stop criterion's per-child working set.
+        let actual = build(target.budget_bytes().max(8 * 1024));
+        analyses.push(Coarsened {
+            cores,
+            fine_tasks: finest.num_tasks(),
+            coarse_tasks: selection.num_coarse_tasks(),
+            budget_bytes: target.budget_bytes(),
+        });
+        let exp = sweep("fig8", opts)
+            .scheduler("pdf")
+            .workload(WorkloadSpec::fixed("mergesort/previous", previous))
+            .workload(WorkloadSpec::fixed("mergesort/dag", dag))
+            .workload(WorkloadSpec::fixed("mergesort/actual", actual))
+            .cores(cores)
+            .sequential_baseline(false);
+        report.merge(exp.run());
+    }
+    (report, analyses)
+}
+
+/// The Section 6 check on a [`fig8`] report: for each core count (in
+/// report order), the `mergesort/actual` cycles over the best of the three
+/// schemes, and whether that ratio is within the paper's 5%.
+pub fn coarsening_within_best(report: &Report) -> Vec<(usize, f64, bool)> {
+    let mut cores: Vec<usize> = Vec::new();
+    for r in &report.records {
+        if !cores.contains(&r.cores) {
+            cores.push(r.cores);
+        }
+    }
+    cores
+        .into_iter()
+        .filter_map(|c| {
+            let at = || report.records.iter().filter(move |r| r.cores == c);
+            let actual = at().find(|r| r.workload == "mergesort/actual")?;
+            let best = at().map(|r| r.cycles).min()?.max(1);
+            let ratio = actual.cycles as f64 / best as f64;
+            Some((c, ratio, ratio <= 1.05))
+        })
+        .collect()
+}
+
 /// A dense single-core memory-latency profile (100–1100 cycles on the
 /// 1-core default configuration).  Every point shares one machine shape, so
 /// under `--engine batch` each workload runs a single event-driven pass and
@@ -273,6 +387,7 @@ pub fn workload_sweep(opts: &Options) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ccs_experiment::RunRecord;
 
     fn quick_opts(app: &'static str) -> Options {
         Options {
@@ -409,6 +524,100 @@ mod tests {
             .any(|r| r.cores == 256 && r.clusters == 1 && r.l3_misses == 0));
         // No sequential baseline at these core counts.
         assert!(report.records.iter().all(|r| r.speedup_over_seq.is_none()));
+    }
+
+    /// A hand-built Figure 8 report: one `mergesort/<scheme>` record per
+    /// `(cores, scheme, cycles)`.
+    fn fig8_report(points: &[(usize, &str, u64)]) -> Report {
+        let mut report = Report::new("fig8", 32);
+        for &(cores, scheme, cycles) in points {
+            report.records.push(RunRecord {
+                workload: format!("mergesort/{scheme}"),
+                config: format!("default-{cores}/32"),
+                cores,
+                clusters: 1,
+                scheduler: "pdf".into(),
+                seed: None,
+                cycles,
+                instructions: 1,
+                tasks: 1,
+                l1_accesses: 0,
+                l1_misses: 0,
+                l2_accesses: 0,
+                l2_misses: 0,
+                l2_mpki: 0.0,
+                l3_accesses: 0,
+                l3_misses: 0,
+                bandwidth_utilization: 0.0,
+                off_chip_bytes: 0,
+                trace_bytes: 0,
+                peak_alloc_estimate: 0,
+                compile_ms: 0.0,
+                batch_width: 0,
+                speedup_over_seq: None,
+            });
+        }
+        report
+    }
+
+    #[test]
+    fn coarsening_check_holds_within_five_percent_of_the_best() {
+        let report = fig8_report(&[
+            (32, "previous", 110),
+            (32, "dag", 120),
+            (32, "actual", 100),
+            (16, "previous", 100),
+            (16, "dag", 130),
+            (16, "actual", 105),
+        ]);
+        assert_eq!(
+            coarsening_within_best(&report),
+            vec![(32, 1.0, true), (16, 1.05, true)]
+        );
+
+        let report = fig8_report(&[(8, "previous", 100), (8, "dag", 90), (8, "actual", 106)]);
+        let checks = coarsening_within_best(&report);
+        assert_eq!(checks.len(), 1);
+        let (cores, ratio, within) = checks[0];
+        assert_eq!(cores, 8);
+        assert!((ratio - 106.0 / 90.0).abs() < 1e-12 && !within);
+
+        assert!(coarsening_within_best(&fig8_report(&[])).is_empty());
+        let report = fig8_report(&[(8, "previous", 100), (8, "actual", 106)]);
+        assert!(!coarsening_within_best(&report)[0].2, "1.06 × best fails");
+    }
+
+    #[test]
+    fn quick_fig8_runs_three_granularities_under_pdf_in_any_parallelism() {
+        let opts = Options {
+            quick: true,
+            ..Options::default()
+        };
+        let (report, analyses) = fig8_coarsened(&opts);
+        assert_eq!(
+            report.workloads(),
+            vec!["mergesort/actual", "mergesort/dag", "mergesort/previous"]
+        );
+        assert_eq!(report.len(), 3, "one 8-core point per scheme");
+        assert!(report
+            .records
+            .iter()
+            .all(|r| r.scheduler == "pdf" && r.cores == 8));
+        assert_eq!(analyses.len(), 1);
+        assert_eq!(coarsening_within_best(&report).len(), 1);
+
+        let sequential = fig8(&Options {
+            parallel: 1,
+            ..opts.clone()
+        });
+        assert_eq!(report.to_json(), sequential.to_json());
+    }
+
+    #[test]
+    fn fig8_is_empty_without_mergesort() {
+        let report = fig8(&quick_opts("hashjoin"));
+        assert!(report.is_empty());
+        assert_eq!(report.name, "fig8");
     }
 
     #[test]

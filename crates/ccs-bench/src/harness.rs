@@ -2,10 +2,8 @@
 //! sweeps and raw-simulator microbenches, emitted as a stable-schema
 //! `BENCH_sim.json` so every PR extends one perf trajectory.
 //!
-//! The criterion shim under `shims/` satisfies the `cargo bench` targets
-//! but measures nothing; this module is the real harness.  It is invoked by
-//! `run_all --bench` (usually together with `--quick`) and produces a
-//! [`BenchReport`] with three kinds of records:
+//! It is invoked by `run_all --bench` (usually together with `--quick`)
+//! and produces a [`BenchReport`] with three kinds of records:
 //!
 //! * `macro/<sweep>` — one per figure sweep (fig2–fig6, the §5.4
 //!   comparison and the latency profile), timing the production

@@ -6,37 +6,35 @@
 //! [`Experiment`](ccs_experiment::Experiment) builder from `ccs-experiment`
 //! — the per-figure functions in [`figs`] return a serialisable [`Report`],
 //! and the binaries are thin wrappers that print it as TSV and optionally
-//! emit JSON (`--json PATH`).
+//! emit JSON (`--json PATH`).  The two outputs that are not sweeps (the
+//! configuration tables and the Section 6.1 profiler timing) are text
+//! writers in [`sections`].
 //!
 //! All binaries accept the shared [`Options`] flags (`--scale`, `--quick`,
-//! `--app`, `--json`, `--engine`) plus binary-specific extras.  `run_all
-//! --bench` additionally runs the timed [`harness`] and emits the
-//! `BENCH_sim.json` perf trajectory that CI gates on (see the `bench_gate`
-//! binary).
+//! `--app`, `--json`, `--engine`) plus binary-specific extras.  `run_all`
+//! runs every figure and section in one process; `run_all --bench`
+//! additionally runs the timed [`harness`] and emits the `BENCH_sim.json`
+//! perf trajectory that CI gates on (see the `bench_gate` binary).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-use ccs_dag::Computation;
+use std::io::{self, Write};
+
 use ccs_experiment::{Options, Report};
-use ccs_sched::SchedulerSpec;
-use ccs_sim::{simulate_engine, CmpConfig, SimResult};
 
 pub mod figs;
 pub mod harness;
+pub mod sections;
 
-/// Simulate `comp` on the scaled version of `cfg` under the selected
-/// scheduler.  Used by the non-sweep binaries (`fig8_auto_coarsening`);
-/// sweep-shaped work goes through [`Experiment`](ccs_experiment::Experiment)
-/// instead.
-pub fn run_sim(
-    comp: &Computation,
-    cfg: &CmpConfig,
-    opts: &Options,
-    sched: impl Into<SchedulerSpec>,
-) -> SimResult {
-    let scaled = cfg.scaled(opts.effective_scale());
-    simulate_engine(comp, &scaled, sched, opts.engine)
+/// Where human-readable text goes: stdout, or stderr when `--json -`
+/// claims stdout for the JSON document.
+pub fn text_out(opts: &Options) -> Box<dyn Write> {
+    if opts.json_to_stdout() {
+        Box::new(io::stderr())
+    } else {
+        Box::new(io::stdout())
+    }
 }
 
 /// Print a report as the standard tab-separated table, preceded by a
@@ -52,11 +50,10 @@ pub fn print_report(title: &str, report: &Report, opts: &Options) {
              parameterised or non-paper specs only run through `run_all --workloads`)"
         );
     }
-    if opts.json_to_stdout() {
-        eprint!("{}", report.to_tsv());
-    } else {
-        print!("{}", report.to_tsv());
-    }
+    let mut out = text_out(opts);
+    out.write_all(report.to_tsv().as_bytes())
+        .and_then(|()| out.flush())
+        .expect("write the report table");
     if let Err(e) = opts.emit_json(report) {
         eprintln!("# failed to write JSON report: {e}");
     }

@@ -135,9 +135,8 @@ impl Options {
          \x20 --cores N,...      simulated core counts, each 1, 2, 4, 8, 16 or 32 (the\n\
          \x20                    paper's default configurations; e.g. 2,4,16).\n\
          \x20                    Larger machines are built in the library\n\
-         \x20                    (CmpConfig::many_core): up to 4096 cores they use\n\
-         \x20                    the O(sharers) hierarchical sharer-mask directory,\n\
-         \x20                    beyond it broadcast invalidation (slower).\n\
+         \x20                    (CmpConfig::many_core), up to 4096 cores: the\n\
+         \x20                    width of the hierarchical sharer-mask directory.\n\
          \x20 --parallel N       sweep worker threads, and the serve daemon's pool size\n\
          \x20                    (default and 0: one per host core; 1 = sequential)\n\
          \x20 --json PATH        write the JSON report to PATH ('-' = stdout)\n\
@@ -528,18 +527,18 @@ mod tests {
     }
 
     #[test]
-    fn help_flag_short_circuits_and_names_the_broadcast_threshold() {
+    fn help_flag_short_circuits_and_names_the_core_limit() {
         for flag in ["--help", "-h"] {
             let err = Options::try_parse([flag.to_string()]).unwrap_err();
             assert_eq!(err, OptionsError::Help);
         }
-        // The help text documents the directory's broadcast-fallback
-        // threshold so users know why wider runs slow down.
+        // The help text states the widest machine the simulator accepts
+        // (`CmpConfig::validate` rejects wider ones).
         let help = Options::help_text();
         assert!(help.contains("--cores"), "{help}");
-        let threshold = format!("up to {} cores", ccs_sim::MAX_DIRECTORY_CORES);
-        assert!(help.contains(&threshold), "{help}");
-        assert!(help.contains("broadcast"), "{help}");
+        let limit = format!("up to {} cores", ccs_sim::MAX_DIRECTORY_CORES);
+        assert!(help.contains(&limit), "{help}");
+        assert!(!help.contains("broadcast"), "{help}");
         assert_eq!(OptionsError::Help.to_string(), help);
     }
 

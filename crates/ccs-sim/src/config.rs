@@ -20,6 +20,7 @@ use ccs_cache::{CacheConfig, CompiledCache, MemoryConfig};
 use ccs_dag::SetLanes;
 
 use crate::area::{self, Technology};
+use crate::MAX_DIRECTORY_CORES;
 
 /// A complete CMP design point.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -222,8 +223,9 @@ impl CmpConfig {
         self.num_cores as u64
     }
 
-    /// Check that the simulator can run this design point: at least one
-    /// core, split into equal clusters; every cache geometry consistent
+    /// Check that the simulator can run this design point: one to
+    /// [`MAX_DIRECTORY_CORES`] cores, split into equal clusters; every
+    /// cache geometry consistent
     /// ([`CacheConfig::validate`]) with the L2's line size; and no cache
     /// with more ways per set than the production cache model can name
     /// ([`CompiledCache::MAX_ASSOCIATIVITY`]).  Every engine checks this
@@ -231,6 +233,12 @@ impl CmpConfig {
     pub fn validate(&self) -> Result<(), String> {
         if self.num_cores == 0 {
             return Err("need at least one core".into());
+        }
+        if self.num_cores > MAX_DIRECTORY_CORES {
+            return Err(format!(
+                "{} cores exceed the simulator's limit of {MAX_DIRECTORY_CORES}",
+                self.num_cores
+            ));
         }
         if self.clusters == 0 || !self.num_cores.is_multiple_of(self.clusters) {
             return Err(format!(
@@ -357,6 +365,17 @@ mod tests {
         let mut bad_l2 = base;
         bad_l2.l2.associativity = 3;
         assert!(bad_l2.validate().unwrap_err().starts_with("L2: "));
+    }
+
+    #[test]
+    fn core_counts_beyond_the_sharer_directory_are_rejected() {
+        let err = CmpConfig::many_core(MAX_DIRECTORY_CORES + 1)
+            .validate()
+            .unwrap_err();
+        assert_eq!(err, "4097 cores exceed the simulator's limit of 4096");
+        let widest = CmpConfig::many_core(MAX_DIRECTORY_CORES);
+        assert_eq!(widest.validate(), Ok(()));
+        assert_eq!(widest.clustered(64).validate(), Ok(()));
     }
 
     #[test]

@@ -25,7 +25,8 @@
 //!   [`CmpConfig::many_core`] scale points, [`CmpConfig::clustered`]
 //!   per-cluster L2 slices and [`CmpConfig::with_l3_mb`] for a shared L3,
 //!   with hierarchical sharer masks keeping store invalidation
-//!   `O(sharers)` up to [`MAX_DIRECTORY_CORES`] = 4096 cores.
+//!   `O(sharers)` up to [`MAX_DIRECTORY_CORES`] = 4096 cores, the widest
+//!   machine [`CmpConfig::validate`] accepts.
 //!
 //! # Example
 //!

@@ -193,9 +193,10 @@ enum Phase {
     MemFill { id: u32, is_write: bool },
 }
 
-/// The widest machine the event engine tracks sharers for: the
-/// hierarchical mask's one 64-bit summary word over 64 core words covers
-/// 64 × 64 = 4096 cores.  Wider machines broadcast every store.
+/// The widest machine the simulator accepts: the event engine's
+/// hierarchical sharer mask — one 64-bit summary word over 64 core words —
+/// covers 64 × 64 = 4096 cores, and `CmpConfig::validate` rejects wider
+/// machines.
 pub const MAX_DIRECTORY_CORES: usize = 64 * 64;
 
 /// The event engine's sharer-tracking structure, picked by core count (see
@@ -219,10 +220,6 @@ enum Directory {
         stride: usize,
         words: Vec<u64>,
     },
-    /// Wider than the hierarchical mask supports: broadcast every store to
-    /// all other L1s (the pre-§12 fallback, now effectively unreachable
-    /// below 4097 cores).
-    Broadcast,
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -424,20 +421,19 @@ fn event_loop<R: Record, const HAS_L3: bool>(
     // has no remote copies to invalidate; past 64 cores the mask goes
     // hierarchical — a summary word over `ceil(p/64)` core words per line
     // (DESIGN.md §12) — so invalidation stays `O(sharers)` all the way to
-    // `MAX_DIRECTORY_CORES`, beyond which the broadcast remains as a
-    // fallback.
+    // `MAX_DIRECTORY_CORES`, the widest machine `CmpConfig::validate`
+    // accepts.
     let mut directory = if p == 1 {
         Directory::Single
     } else if p <= 64 {
         Directory::Flat(vec![0u64; stream.num_lines()])
-    } else if p <= MAX_DIRECTORY_CORES {
+    } else {
+        debug_assert!(p <= MAX_DIRECTORY_CORES, "validated core count");
         let stride = 1 + p.div_ceil(64);
         Directory::Hier {
             stride,
             words: vec![0u64; stream.num_lines() * stride],
         }
-    } else {
-        Directory::Broadcast
     };
     // One-entry MRU filter per core: the line id this core's last completed
     // access left at the MRU position of its L1 (`NO_LINE` = unknown).  A
@@ -614,10 +610,8 @@ fn event_loop<R: Record, const HAS_L3: bool>(
         // line in flight.  For the in-flight line the directory is exact
         // (stale bits only arise from evictions, and a blocked core evicts
         // nothing), so the sharer bit decides; with one core no remote
-        // store exists at all.  Only the past-`MAX_DIRECTORY_CORES`
-        // broadcast fallback still has to re-probe unconditionally.  Either
-        // way the line ends at the MRU position of this L1, so the filter
-        // latches it.
+        // store exists at all.  Either way the line ends at the MRU
+        // position of this L1, so the filter latches it.
         macro_rules! fill_and_advance {
             ($id:expr, $is_write:expr) => {
                 match &mut directory {
@@ -646,13 +640,6 @@ fn event_loop<R: Record, const HAS_L3: bool>(
                             *word |= bit;
                             words[base] |= 1u64 << (core_id / 64);
                         }
-                    }
-                    Directory::Broadcast => {
-                        my_l1.fill_compiled(
-                            SetLanes::l1_set(set_lane[$id as usize]),
-                            line_tag($id),
-                            $is_write,
-                        );
                     }
                 }
                 mru[core_id] = $id;
@@ -777,20 +764,6 @@ fn event_loop<R: Record, const HAS_L3: bool>(
                                         } else {
                                             0
                                         };
-                                    }
-                                }
-                                Directory::Broadcast => {
-                                    if is_write {
-                                        // Wider than the hierarchical mask:
-                                        // broadcast to every other L1.
-                                        for l1 in l1s_below.iter_mut().chain(l1s_above.iter_mut()) {
-                                            l1.invalidate_compiled(l1_set, tag);
-                                        }
-                                        for (other, slot) in mru.iter_mut().enumerate() {
-                                            if other != core_id && *slot == id {
-                                                *slot = NO_LINE;
-                                            }
-                                        }
                                     }
                                 }
                             }

@@ -87,69 +87,22 @@ proptest! {
 
 /// A deterministic sweep over the same cross-product, so failures reproduce
 /// without proptest shrinking and CI always covers every (scheduler, cores)
-/// cell even if the random sampler doesn't.  The core counts hit three
+/// cell even if the random sampler doesn't.  The core counts hit two
 /// coherence paths of the event engine: `p == 1` (no directory, fills
-/// skipped unconditionally), `1 < p ≤ 64` (flat sharer-mask directory),
-/// and `p > MAX_DIRECTORY_CORES` (the broadcast fallback, exercised one
-/// core past the hierarchical mask's reach).
+/// skipped unconditionally) and `1 < p ≤ 64` (flat sharer-mask directory);
+/// `tests/engine_ab.rs` covers the hierarchical masks past 64 cores.
 #[test]
 fn engines_agree_across_seeds_schedulers_and_cores() {
-    use ccs_sim::MAX_DIRECTORY_CORES;
-
     let params = synth_params();
-    let wide = MAX_DIRECTORY_CORES + 1;
     for seed in 0..12u64 {
         let comp = random_computation(seed, &params);
-        // The wide fallback costs O(p) per store in both engines; a third
-        // of the seeds keeps the deterministic sweep fast while still
-        // covering the cell every run.
-        let wide_cores = if seed % 3 == 0 { Some(wide) } else { None };
-        for cores in [1usize, 2, 4].into_iter().chain(wide_cores) {
+        for cores in [1usize, 2, 4] {
             let cfg = tiny_config(cores);
             for kind in ["pdf", "ws"] {
                 let fast = simulate_engine(&comp, &cfg, kind, SimEngine::EventDriven);
                 let slow = simulate_engine(&comp, &cfg, kind, SimEngine::Reference);
                 assert_eq!(fast, slow, "seed {seed} / {kind} / {cores} cores");
             }
-        }
-    }
-}
-
-/// The `p > MAX_DIRECTORY_CORES` broadcast fallback on a computation built
-/// to *need* it: more strands than the sharer mask has bits, all hammering
-/// one shared line with interleaved stores, so remote invalidations (and
-/// the unconditional fill re-probes of the fallback) actually fire on a
-/// machine wider than the directory supports.
-#[test]
-fn broadcast_fallback_matches_reference_past_directory_width() {
-    use ccs_dag::{AddressSpace, ComputationBuilder, GroupMeta};
-    use ccs_sim::MAX_DIRECTORY_CORES;
-
-    let mut b = ComputationBuilder::new(128);
-    let mut space = AddressSpace::new();
-    let shared = space.alloc(1024);
-    let leaves: Vec<_> = (0..MAX_DIRECTORY_CORES + 8)
-        .map(|i| {
-            let private = space.alloc(512);
-            b.strand_with(|t| {
-                t.compute(3).read(shared.base, 8);
-                t.read_range(private.base, private.bytes, 1);
-                if i % 2 == 0 {
-                    t.write(shared.base, 8);
-                }
-                t.read(shared.base, 8);
-            })
-        })
-        .collect();
-    let par = b.par(leaves, GroupMeta::labeled("wide"));
-    let comp = b.finish(par);
-
-    for cores in [1usize, 4, MAX_DIRECTORY_CORES + 1, MAX_DIRECTORY_CORES + 8] {
-        let cfg = tiny_config(cores);
-        for kind in ["pdf", "ws"] {
-            let fast = simulate_engine(&comp, &cfg, kind, SimEngine::EventDriven);
-            let slow = simulate_engine(&comp, &cfg, kind, SimEngine::Reference);
-            assert_eq!(fast, slow, "{kind} / {cores} cores");
         }
     }
 }

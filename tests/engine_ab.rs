@@ -1,8 +1,7 @@
 //! The PR-level A/B acceptance property: for **every registered workload**,
-//! both schedulers, and core counts covering all four coherence paths of
-//! the event engine (`p == 1` no-directory, the single-word directory,
-//! the hierarchical sharer masks past 64 cores, and the
-//! `> MAX_DIRECTORY_CORES` broadcast fallback), the id-native event-driven
+//! both schedulers, and core counts covering all three coherence paths of
+//! the event engine (`p == 1` no-directory, the single-word directory and
+//! the hierarchical sharer masks past 64 cores), the id-native event-driven
 //! engine and the retained reference cycle-stepper must report
 //! **byte-identical** `SimResult`s.  A 256-core clustered-L2 + shared-L3
 //! topology (DESIGN.md §12) rides the same cross-product.
@@ -21,15 +20,14 @@
 
 use ccs_dag::{Computation, Dag};
 use ccs_sched::SchedulerSpec;
-use ccs_sim::{simulate_batch, simulate_engine, CmpConfig, SimEngine, MAX_DIRECTORY_CORES};
+use ccs_sim::{simulate_batch, simulate_engine, CmpConfig, SimEngine};
 use ccs_workloads::{BuildCtx, WorkloadRegistry};
 
 /// The registered workloads, each with its own tests below.
 const BUILT_IN: [&str; 6] = ["hashjoin", "heat", "lu", "matmul", "mergesort", "quicksort"];
 
 /// A small CMP whose caches stay fixed while the core count sweeps the
-/// coherence paths; 256 cores exercises the hierarchical sharer masks and
-/// `MAX_DIRECTORY_CORES + 1` steps into the broadcast fallback.
+/// coherence paths; 256 cores exercises the hierarchical sharer masks.
 fn config(cores: usize) -> CmpConfig {
     let mut cfg = CmpConfig::default_with_cores(16).expect("default config exists");
     cfg.num_cores = cores;
@@ -142,12 +140,6 @@ macro_rules! workload_cells {
             #[test]
             fn hierarchical_256_cores() {
                 super::core_cells(stringify!($workload), &[256]);
-            }
-
-            /// The `> MAX_DIRECTORY_CORES` broadcast fallback.
-            #[test]
-            fn broadcast_past_directory_limit() {
-                super::core_cells(stringify!($workload), &[super::MAX_DIRECTORY_CORES + 1]);
             }
 
             #[test]
