@@ -6,6 +6,8 @@
 //! trajectory.  Figures 2–6 and the Section 5.x sweeps compare PDF with
 //! WS; Figure 8 ([`fig8`]) compares three task granularities under PDF.
 
+use std::collections::BTreeMap;
+
 use ccs_dag::TaskGroupTree;
 use ccs_experiment::{Experiment, Options, Report, WorkloadSpec};
 use ccs_profile::{apply_coarsening, coarsen, CoarsenTarget, WorkingSetProfile};
@@ -253,22 +255,31 @@ pub fn fig8_coarsened(opts: &Options) -> (Report, Vec<Coarsened>) {
     let build =
         |ws: u64| mergesort::build(&MergesortParams::new(n_items).with_task_working_set(ws));
     let core_counts: &[usize] = if opts.quick { &[8] } else { &[32, 16, 8] };
+    // The finest-grained version, its group tree and its working-set
+    // profile, per finest task working set: when the 8 KB floor binds,
+    // every core count shares one.
+    let mut finest_by_ws = BTreeMap::new();
     for &cores in core_counts {
         let cfg = CmpConfig::default_with_cores(cores).expect("default config");
         let scaled_l2 = (cfg.l2.capacity / scale).max(16 * 1024);
         // The manual selection used in Section 5.
         let previous = build((scaled_l2 / 8).max(16 * 1024));
         // The finest-grained version is the input to the automatic scheme.
-        let finest = build((scaled_l2 / 256).max(8 * 1024));
-        let tree = TaskGroupTree::from_computation(&finest);
-        let sizes: Vec<u64> = (12..=27).map(|p| 1u64 << p).collect();
-        let profile = WorkingSetProfile::collect(&finest, &sizes);
+        let (finest, tree, profile) = finest_by_ws
+            .entry((scaled_l2 / 256).max(8 * 1024))
+            .or_insert_with_key(|&ws| {
+                let finest = build(ws);
+                let tree = TaskGroupTree::from_computation(&finest);
+                let sizes: Vec<u64> = (12..=27).map(|p| 1u64 << p).collect();
+                let profile = WorkingSetProfile::collect(&finest, &sizes);
+                (finest, tree, profile)
+            });
         let target = CoarsenTarget {
             cache_bytes: scaled_l2,
             num_cores: cores,
         };
-        let selection = coarsen(&profile, &tree, target);
-        let dag = apply_coarsening(&finest, &tree, &selection);
+        let selection = coarsen(profile, tree, target);
+        let dag = apply_coarsening(finest, tree, &selection);
         // The budget is the stop criterion's per-child working set.
         let actual = build(target.budget_bytes().max(8 * 1024));
         analyses.push(Coarsened {

@@ -245,17 +245,21 @@ impl SetLanes {
             );
         }
         let shift = stream.line_size().trailing_zeros();
-        let packed = stream
-            .line_addr()
-            .iter()
-            .map(|&line| {
-                let line_no = line >> shift;
-                let l3_set = l3.map_or(0, |g| line_no % g.num_sets);
-                (line_no % l1.num_sets)
-                    | ((line_no % l2.num_sets) << Self::L1_BITS)
-                    | (l3_set << (Self::L1_BITS + Self::L2_BITS))
-            })
-            .collect();
+        // No L3 is one L3 set: every line's L3 field is 0.
+        let sets = [l1.num_sets, l2.num_sets, l3.map_or(1, |g| g.num_sets)];
+        let line_nos = stream.line_addr().iter().map(|&line| line >> shift);
+        let pack = |l1_set: u64, l2_set: u64, l3_set: u64| {
+            l1_set | (l2_set << Self::L1_BITS) | (l3_set << (Self::L1_BITS + Self::L2_BITS))
+        };
+        let packed = if sets.iter().all(|n| n.is_power_of_two()) {
+            // Every cache of the paper's machines: a mask per level, no
+            // division per line.
+            let [m1, m2, m3] = sets.map(|n| n - 1);
+            line_nos.map(|no| pack(no & m1, no & m2, no & m3)).collect()
+        } else {
+            let [n1, n2, n3] = sets;
+            line_nos.map(|no| pack(no % n1, no % n2, no % n3)).collect()
+        };
         SetLanes { l1, l2, l3, packed }
     }
 
@@ -627,9 +631,9 @@ mod tests {
         }
     }
 
-    /// The address math holds for power-of-two and non-power-of-two set
-    /// counts, machines with and without an L3, and each field at its
-    /// widest.
+    /// The address math holds for power-of-two set counts (compiled with
+    /// masks), non-power-of-two ones (compiled with `%`), machines with and
+    /// without an L3, and each field at its widest.
     #[test]
     fn geometry_lanes_match_address_math() {
         let mut b = ComputationBuilder::new(128);

@@ -11,6 +11,9 @@
 //! * [`simulate`] / [`simulate_with`] — the event-driven, trace-based CMP
 //!   simulator (in-order cores, private L1s, shared L2, bounded off-chip
 //!   bandwidth) driven by any [`ccs_sched::Scheduler`];
+//! * [`simulate_counted`] / [`EngineCounts`] — the event engine with its
+//!   host-work counters (core switches by site, dispatches, L1 misses),
+//!   off on every other entry point;
 //! * [`SimEngine`] / [`simulate_engine`] — engine selection: the fast
 //!   event-driven core (default), the retained reference cycle-stepper, or
 //!   the batched multi-config engine — all metrics-identical by
@@ -88,6 +91,7 @@ pub use area::Technology;
 pub use batch::{simulate_batch, BatchRun};
 pub use config::CmpConfig;
 pub use machine::{
-    simulate, simulate_engine, simulate_with, simulate_with_engine, SimEngine, MAX_DIRECTORY_CORES,
+    simulate, simulate_counted, simulate_engine, simulate_with, simulate_with_engine, EngineCounts,
+    SimEngine, MAX_DIRECTORY_CORES,
 };
 pub use metrics::SimResult;

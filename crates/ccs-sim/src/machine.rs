@@ -24,7 +24,7 @@
 //! Two engines implement this model (selected by [`SimEngine`]):
 //!
 //! * the **event-driven** production engine (this module): a min-heap of
-//!   `(ready_time, core)` events orders the cores, and the core at the head
+//!   packed `(ready_time, core)` event keys orders the cores, and the core at the head
 //!   keeps executing micro-steps *inline* — jumping its local clock forward
 //!   over compute runs and L1 hits — for as long as it remains the globally
 //!   earliest event.  The heap is only touched when another core's pending
@@ -153,7 +153,8 @@ impl std::str::FromStr for SimEngine {
 }
 
 /// Observation hooks of the event engine, used by the batched engine
-/// ([`crate::batch`]) to record one pass for replay.
+/// ([`crate::batch`]) to record one pass for replay and by
+/// [`simulate_counted`] to count the engine's host work.
 ///
 /// The engine is generic over the recorder and the no-op implementation
 /// ([`NoRecord`]) inlines to nothing, so the plain [`simulate`] path
@@ -165,6 +166,9 @@ pub(crate) trait Record {
     /// An L1 miss probed the shared L2 at stream step `step`; `l2_hit` says
     /// whether it was served there or went to main memory.
     fn l1_miss(&mut self, step: usize, l2_hit: bool);
+    /// The running core yielded to another core's earlier event at `site`.
+    #[inline(always)]
+    fn core_switch(&mut self, _site: SwitchSite) {}
 }
 
 /// The recorder of the plain (non-batched) engine: records nothing.
@@ -177,10 +181,79 @@ impl Record for NoRecord {
     fn l1_miss(&mut self, _step: usize, _l2_hit: bool) {}
 }
 
+/// Where in a reference the event engine switched cores: the running core
+/// parked because another core's pending event sorts before its own next
+/// one.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum SwitchSite {
+    /// An L1 miss waiting for its L2 probe.
+    L2Probe,
+    /// An L2 miss waiting for its L3 probe (three-level machines).
+    L3Probe,
+    /// A last-level miss waiting for main memory.
+    Memory,
+    /// Between two steps: a completed step (an L1 hit, a fill or a
+    /// resumed probe) left the core behind another core's event.
+    Step,
+}
+
+/// Host-work counts of one event-engine run, from [`simulate_counted`].
+///
+/// They are deterministic functions of the computation, the machine and
+/// the scheduler — the work half of a run's cost, independent of the host.
+/// A *switch* is one yield of the running core to another core's earlier
+/// event: each costs one event-heap sift and one save and reload of the
+/// core's hot record.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct EngineCounts {
+    /// Switches while an L1 miss waited for its L2 probe.
+    pub switches_l2_probe: u64,
+    /// Switches while an L2 miss waited for its L3 probe.
+    pub switches_l3_probe: u64,
+    /// Switches while a last-level miss waited for main memory.
+    pub switches_memory: u64,
+    /// Switches between two steps of a task.
+    pub switches_step: u64,
+    /// Tasks handed to cores.
+    pub dispatches: u64,
+    /// L1 misses (each probes the L2).
+    pub l1_misses: u64,
+}
+
+impl EngineCounts {
+    /// Every switch, summed over the sites.
+    pub fn switches(&self) -> u64 {
+        self.switches_l2_probe + self.switches_l3_probe + self.switches_memory + self.switches_step
+    }
+}
+
+impl Record for EngineCounts {
+    #[inline]
+    fn task_dispatched(&mut self, _task: TaskId) {
+        self.dispatches += 1;
+    }
+
+    #[inline]
+    fn l1_miss(&mut self, _step: usize, _l2_hit: bool) {
+        self.l1_misses += 1;
+    }
+
+    #[inline]
+    fn core_switch(&mut self, site: SwitchSite) {
+        *match site {
+            SwitchSite::L2Probe => &mut self.switches_l2_probe,
+            SwitchSite::L3Probe => &mut self.switches_l3_probe,
+            SwitchSite::Memory => &mut self.switches_memory,
+            SwitchSite::Step => &mut self.switches_step,
+        } += 1;
+    }
+}
+
 /// What a core is currently doing.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 enum Phase {
     /// Ready to start (or continue) the current step of the current task.
+    #[default]
     NextOp,
     /// An L1 miss is probing the (cluster's) L2; resolves at the core's
     /// `time`.
@@ -222,30 +295,53 @@ enum Directory {
     },
 }
 
-#[derive(Clone, Copy, Debug)]
-struct Core {
-    task: Option<TaskId>,
+/// The bits of an event key that hold the core id: `MAX_DIRECTORY_CORES`
+/// cores need 12.
+const CORE_BITS: u32 = MAX_DIRECTORY_CORES.trailing_zeros();
+
+/// The first simulated time an event key cannot hold: `2^52` cycles.
+const MAX_EVENT_TIME: u64 = 1 << (64 - CORE_BITS);
+
+/// The packed event key `time << CORE_BITS | core`: keys order exactly as
+/// `(time, core)` tuples, so one `u64` compare decides a yield.
+///
+/// # Panics
+/// Panics when `time` reaches [`MAX_EVENT_TIME`], whose key would wrap.
+#[inline]
+fn event_key(time: u64, core: usize) -> u64 {
+    assert_keyable(time);
+    time << CORE_BITS | core as u64
+}
+
+/// Panics when `time` reaches [`MAX_EVENT_TIME`].
+#[inline]
+fn assert_keyable(time: u64) {
+    assert!(
+        time < MAX_EVENT_TIME,
+        "simulated time {time} reaches the event-key bound of 2^52 cycles"
+    );
+}
+
+/// The part of a core's state an inline run reads and writes, copied into a
+/// local at each resume and back at each park.
+#[derive(Clone, Copy, Debug, Default)]
+struct HotCore {
     /// Index of the current step in the precompiled line stream.
     step: usize,
+    /// One past the current task's last step, set at dispatch.
+    end: usize,
     phase: Phase,
     /// The next simulation time this core needs attention.
     time: u64,
+}
+
+/// The part of a core's state touched only at dispatch and completion.
+#[derive(Clone, Copy, Debug, Default)]
+struct ColdCore {
+    task: Option<TaskId>,
     /// When the current task was dispatched.
     task_started: u64,
     busy: u64,
-}
-
-impl Core {
-    fn new() -> Self {
-        Core {
-            task: None,
-            step: 0,
-            phase: Phase::NextOp,
-            time: 0,
-            task_started: 0,
-            busy: 0,
-        }
-    }
 }
 
 /// Run `comp` on the CMP described by `config` under the selected scheduler,
@@ -303,15 +399,30 @@ pub fn simulate_with_engine(
     }
 }
 
+/// The event engine with its host-work counters: the same [`SimResult`]
+/// as [`simulate_with`], plus the run's [`EngineCounts`].  Every other
+/// entry point runs uncounted.
+pub fn simulate_counted(
+    comp: &Computation,
+    dag: &Dag,
+    config: &CmpConfig,
+    sched: &mut dyn Scheduler,
+) -> (SimResult, EngineCounts) {
+    let mut counts = EngineCounts::default();
+    let result = event_driven_rec(comp, dag, config, sched, &mut counts);
+    (result, counts)
+}
+
 /// The event-driven production engine.
 ///
 /// Ordering invariant: micro-steps are applied in exactly the ascending
 /// `(time, core)` order of the reference cycle-stepper.  Pending events
-/// live in a `(time, core)` min-heap that is touched once per *park*, not
-/// once per micro-step, and the heap top after each pop is the earliest
-/// *other* pending event — which makes the continuation check a single
-/// comparison: the running core keeps stepping inline while
-/// `(core.time, core_id)` sorts before that frozen top, which cannot
+/// live in a min-heap of `time << 12 | core` keys that is touched once per
+/// *park*, not once per micro-step (a park hands the heap top on as the
+/// next event with one sift), and the heap top after each take is the
+/// earliest *other* pending event — which makes the continuation check a
+/// single comparison: the running core keeps stepping inline while
+/// its key sorts before that frozen top, which cannot
 /// change while the core runs (other cores only mutate state when they
 /// themselves are stepped).  That is precisely the condition under which
 /// the reference would pop this same continuation event next, so shared
@@ -444,7 +555,10 @@ fn event_loop<R: Record, const HAS_L3: bool>(
     const NO_LINE: u32 = u32::MAX;
     let mut mru: Vec<u32> = vec![NO_LINE; p];
 
-    let mut cores: Vec<Core> = (0..p).map(|_| Core::new()).collect();
+    let mut hot: Vec<HotCore> = vec![HotCore::default(); p];
+    let mut cold: Vec<ColdCore> = vec![ColdCore::default(); p];
+    // A core probes the L2 of its cluster.
+    let l2_of: Vec<usize> = (0..p).map(|c| c / cores_per_cluster).collect();
     let mut in_deg: Vec<u32> = (0..n as u32)
         .map(|t| dag.in_degree(TaskId(t)) as u32)
         .collect();
@@ -461,12 +575,13 @@ fn event_loop<R: Record, const HAS_L3: bool>(
         sched.task_enabled(r, None);
     }
 
-    // Pending events, keyed by `(time, core)` for deterministic ordering —
-    // the same min-heap discipline as the reference, but pushed/popped once
-    // per *park* (a blocked miss or a lost yield race), not once per
-    // micro-step, so heap traffic is orders of magnitude lower.  Idle cores
-    // are tracked separately and woken on completions.
-    let mut active: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::with_capacity(p + 1);
+    // Pending events, keyed by `(time, core)` packed into one `u64`
+    // ([`event_key`]) for deterministic ordering — the same min-heap
+    // discipline as the reference, but touched once per *park* (a blocked
+    // miss or a lost yield race), not once per micro-step, so heap traffic
+    // is orders of magnitude lower.  Idle cores are tracked separately and
+    // woken on completions.
+    let mut active: BinaryHeap<Reverse<u64>> = BinaryHeap::with_capacity(p + 1);
     let mut idle: Vec<usize> = Vec::new();
 
     // Dispatch as much ready work as possible at `now`.  `first` is the
@@ -490,21 +605,25 @@ fn event_loop<R: Record, const HAS_L3: bool>(
         first: Option<usize>,
         sched: &mut dyn Scheduler,
         stream: &LineStream,
-        cores: &mut [Core],
+        hot: &mut [HotCore],
+        cold: &mut [ColdCore],
         idle: &mut Vec<usize>,
-        active: &mut BinaryHeap<Reverse<(u64, usize)>>,
+        active: &mut BinaryHeap<Reverse<u64>>,
         rec: &mut R,
     ) {
         debug_assert!(idle.windows(2).all(|w| w[0] < w[1]), "idle list unsorted");
         let mut activate = |core_id: usize, task: TaskId| {
             rec.task_dispatched(task);
-            let core = &mut cores[core_id];
-            core.task = Some(task);
-            core.step = stream.range(task).0;
-            core.phase = Phase::NextOp;
-            core.time = now;
-            core.task_started = now;
-            active.push(Reverse((now, core_id)));
+            let (step, end) = stream.range(task);
+            hot[core_id] = HotCore {
+                step,
+                end,
+                phase: Phase::NextOp,
+                time: now,
+            };
+            cold[core_id].task = Some(task);
+            cold[core_id].task_started = now;
+            active.push(Reverse(event_key(now, core_id)));
         };
         // The completing core gets first refusal; if it parks, it must
         // not be offered work again below, so its insert waits until
@@ -555,7 +674,8 @@ fn event_loop<R: Record, const HAS_L3: bool>(
         None,
         sched,
         stream,
-        &mut cores,
+        &mut hot,
+        &mut cold,
         &mut idle,
         &mut active,
         rec,
@@ -568,38 +688,57 @@ fn event_loop<R: Record, const HAS_L3: bool>(
     // Scratch for newly enabled successors, reused across completions.
     let mut newly: Vec<TaskId> = Vec::new();
 
+    // The event a park handed off: when a core parks, the heap top is by
+    // construction the next event, so the parking core's key overwrites the
+    // top's slot (one sift-down) and the top's key is carried here to run
+    // next without touching the heap again.
+    let mut handed_off: Option<u64> = None;
+
     while completed < n {
-        // Pop the earliest event; the heap top after the pop is the
-        // earliest event any *other* core holds.  The latter is frozen for
-        // the whole inline run: other cores' times only change when they
-        // are stepped, and dispatch only runs at this core's task
-        // completion (which ends the run).  `(yt, yc)` = "yield to core
-        // `yc` at time `yt`"; `u64::MAX`/`usize::MAX` when this core is
-        // alone.
-        let Reverse((now, core_id)) = active
-            .pop()
-            .expect("simulator deadlock: tasks remain but no core is active");
-        let (yt, yc) = match active.peek() {
-            Some(&Reverse((t, c))) => (t, c),
-            None => (u64::MAX, usize::MAX),
+        // Take the earliest event; the heap top after it is the earliest
+        // event any *other* core holds.  The latter is frozen for the whole
+        // inline run: other cores' times only change when they are stepped,
+        // and dispatch only runs at this core's task completion (which ends
+        // the run).  `yield_key` = "yield to that event"; `u64::MAX` when
+        // this core is alone.
+        let key = match handed_off.take() {
+            Some(key) => key,
+            None => {
+                active
+                    .pop()
+                    .expect("simulator deadlock: tasks remain but no core is active")
+                    .0
+            }
         };
-        debug_assert_eq!(cores[core_id].time, now);
-        // Hoisted per run: the core state lives in a local (register-
-        // resident, written back on exit), the task's stream window is
-        // resolved once (the task cannot change mid-run), and this core's
-        // L1 is split out of the slice so probes skip the per-call
-        // indexing.
-        let mut core = cores[core_id];
-        let task_id = core.task.expect("active core without a task");
-        let task_end = stream.range(task_id).1;
+        let yield_key = active.peek().map_or(u64::MAX, |top| top.0);
+        let core_id = (key & ((1 << CORE_BITS) - 1)) as usize;
+        let core_key = core_id as u64;
+        debug_assert_eq!(hot[core_id].time, key >> CORE_BITS);
+        // Hoisted per run: the hot core state lives in a local (register-
+        // resident, written back on a park), and this core's L1 is split
+        // out of the slice so probes skip the per-call indexing.
+        let mut core = hot[core_id];
         let (l1s_below, rest) = l1s.split_at_mut(core_id);
         let (my_l1, l1s_above) = rest.split_first_mut().expect("core id in range");
-        let my_l2 = &mut l2s[core_id / cores_per_cluster];
+        let my_l2 = &mut l2s[l2_of[core_id]];
 
-        // Yield check: does `(yt, yc)` sort before this core at `time`?
+        // Yield check: does the frozen top sort before this core at `time`?
+        // A time past the key bound wraps here, but then the task's finish
+        // is past it too, and the completion check below panics.
         macro_rules! yields {
             ($time:expr) => {
-                yt < $time || (yt == $time && yc < core_id)
+                yield_key < ($time << CORE_BITS | core_key)
+            };
+        }
+        // Park this core at `site` and hand the frozen top on to run next.
+        macro_rules! park {
+            ($site:expr) => {
+                rec.core_switch($site);
+                *active.peek_mut().expect("a yield has an event to yield to") =
+                    Reverse(event_key(core.time, core_id));
+                handed_off = Some(yield_key);
+                hot[core_id] = core;
+                break;
             };
         }
         // A lower-level hit or a returning memory fill: install the line in
@@ -656,7 +795,7 @@ fn event_loop<R: Record, const HAS_L3: bool>(
         loop {
             match core.phase {
                 Phase::NextOp => {
-                    if core.step < task_end {
+                    if core.step < core.end {
                         // One packed lane word holds both the preceding
                         // compute (charged once; zero on the trailing lines
                         // of a straddling reference) and the step, so the
@@ -780,9 +919,7 @@ fn event_loop<R: Record, const HAS_L3: bool>(
                                 core.time += l2_hit_latency;
                                 if yields!(core.time) {
                                     core.phase = Phase::L2Probe { id, is_write };
-                                    active.push(Reverse((core.time, core_id)));
-                                    cores[core_id] = core;
-                                    break;
+                                    park!(SwitchSite::L2Probe);
                                 }
                                 let l2_hit =
                                     my_l2.access_compiled(SetLanes::l2_set(sets), tag, is_write);
@@ -793,9 +930,7 @@ fn event_loop<R: Record, const HAS_L3: bool>(
                                     core.time += l3_hit_latency;
                                     if yields!(core.time) {
                                         core.phase = Phase::L3Probe { id, is_write };
-                                        active.push(Reverse((core.time, core_id)));
-                                        cores[core_id] = core;
-                                        break;
+                                        park!(SwitchSite::L3Probe);
                                     }
                                     let l3_hit = l3.as_mut().expect("HAS_L3").access_compiled(
                                         SetLanes::l3_set(sets),
@@ -808,9 +943,7 @@ fn event_loop<R: Record, const HAS_L3: bool>(
                                         core.time = memory.request(core.time);
                                         if yields!(core.time) {
                                             core.phase = Phase::MemFill { id, is_write };
-                                            active.push(Reverse((core.time, core_id)));
-                                            cores[core_id] = core;
-                                            break;
+                                            park!(SwitchSite::Memory);
                                         }
                                         fill_and_advance!(id, is_write);
                                     }
@@ -818,9 +951,7 @@ fn event_loop<R: Record, const HAS_L3: bool>(
                                     core.time = memory.request(core.time);
                                     if yields!(core.time) {
                                         core.phase = Phase::MemFill { id, is_write };
-                                        active.push(Reverse((core.time, core_id)));
-                                        cores[core_id] = core;
-                                        break;
+                                        park!(SwitchSite::Memory);
                                     }
                                     fill_and_advance!(id, is_write);
                                 }
@@ -829,12 +960,16 @@ fn event_loop<R: Record, const HAS_L3: bool>(
                     } else {
                         // Task body finished: trailing compute, then
                         // completion.
-                        core.time += comp.task(task_id).post_compute;
-                        let finish = core.time;
+                        let task_id = cold[core_id]
+                            .task
+                            .take()
+                            .expect("active core without a task");
+                        let finish = core.time.saturating_add(comp.task(task_id).post_compute);
+                        // Every event time of the task is at most its
+                        // finish, so this one check covers them all.
+                        assert_keyable(finish);
                         makespan = makespan.max(finish);
-                        core.busy += finish - core.task_started;
-                        core.task = None;
-                        cores[core_id] = core;
+                        cold[core_id].busy += finish - cold[core_id].task_started;
                         completed += 1;
                         // Enable newly ready successors in reverse sequential
                         // order (see the root-enabling comment above).
@@ -857,7 +992,8 @@ fn event_loop<R: Record, const HAS_L3: bool>(
                             Some(core_id),
                             sched,
                             stream,
-                            &mut cores,
+                            &mut hot,
+                            &mut cold,
                             &mut idle,
                             &mut active,
                             rec,
@@ -905,9 +1041,7 @@ fn event_loop<R: Record, const HAS_L3: bool>(
             // yield to it; otherwise this core is still the globally
             // earliest event and steps again inline.
             if yields!(core.time) {
-                active.push(Reverse((core.time, core_id)));
-                cores[core_id] = core;
-                break;
+                park!(SwitchSite::Step);
             }
         }
     }
@@ -933,7 +1067,7 @@ fn event_loop<R: Record, const HAS_L3: bool>(
         l3: l3.map(|c| *c.stats()).unwrap_or_default(),
         memory: *memory.stats(),
         bandwidth_utilization: memory.utilization(makespan),
-        core_busy: cores.iter().map(|c| c.busy).collect(),
+        core_busy: cold.iter().map(|c| c.busy).collect(),
         tasks: n,
         l2_line_size: line_size,
     }
@@ -1258,6 +1392,82 @@ mod tests {
         let event = simulate_engine(&comp, &cfg, "pdf", SimEngine::EventDriven);
         let batch = simulate_engine(&comp, &cfg, "pdf", SimEngine::Batch);
         assert_eq!(event, batch);
+    }
+
+    /// The exact host work of a small 2-core run: every switch site of a
+    /// two-level machine fires, and the counted run reports the same
+    /// result as the plain one.
+    #[test]
+    fn switch_counts_of_a_two_core_run_are_pinned() {
+        let comp = shared_writers(4, 2 * 1024);
+        let dag = Dag::from_computation(&comp);
+        let count = |cfg: &CmpConfig| {
+            let mut sched = SchedulerSpec::new("pdf").build();
+            let (result, counts) = simulate_counted(&comp, &dag, cfg, sched.as_mut());
+            assert_eq!(result, simulate(&comp, cfg, "pdf"));
+            assert_eq!(counts.dispatches, result.tasks as u64);
+            assert_eq!(counts.l1_misses, result.l1.misses);
+            counts
+        };
+        let counts = count(&tiny_config(2, 64));
+        assert_eq!(
+            counts,
+            EngineCounts {
+                switches_l2_probe: 41,
+                switches_l3_probe: 0,
+                switches_memory: 70,
+                switches_step: 23,
+                dispatches: 4,
+                l1_misses: 144,
+            }
+        );
+        assert_eq!(counts.switches(), 41 + 70 + 23);
+    }
+
+    /// The widest machine: core ids up to 4095 fill every bit of the
+    /// packed event key's core field, and the event engine must still
+    /// order events exactly as the reference does.
+    #[test]
+    fn engines_agree_at_max_directory_cores() {
+        let mut b = ComputationBuilder::new(128);
+        let mut space = ccs_dag::AddressSpace::new();
+        let shared = space.alloc(4 * 1024);
+        let leaves: Vec<_> = (0..MAX_DIRECTORY_CORES as u64 + 4)
+            .map(|i| {
+                b.strand_with(|t| {
+                    t.compute(i % 5).read(shared.base + (i % 32) * 128, 8);
+                    if i % 64 == 0 {
+                        t.write(shared.base + (i % 32) * 128, 8);
+                    }
+                })
+            })
+            .collect();
+        let par = b.par(leaves, GroupMeta::labeled("wide"));
+        let comp = b.finish(par);
+        let cfg = tiny_config(MAX_DIRECTORY_CORES, 64);
+        let fast = simulate_engine(&comp, &cfg, "pdf", SimEngine::EventDriven);
+        let slow = simulate_engine(&comp, &cfg, "pdf", SimEngine::Reference);
+        assert_eq!(fast, slow);
+        assert!(fast.core_busy[MAX_DIRECTORY_CORES - 1] > 0, "core 4095 ran");
+    }
+
+    /// A finish time at the event-key bound panics with the bound, rather
+    /// than wrapping into the core field.
+    #[test]
+    #[should_panic(expected = "event-key bound of 2^52 cycles")]
+    fn a_time_past_the_key_bound_panics() {
+        let mut b = ComputationBuilder::new(128);
+        let long = b.strand(ccs_dag::TaskTrace::compute_only(1 << 53));
+        let left = b.strand_with(|t| {
+            t.compute(1).read(0, 8);
+        });
+        let right = b.strand_with(|t| {
+            t.compute(1).read(4096, 8);
+        });
+        let after = b.par(vec![left, right], GroupMeta::default());
+        let root = b.seq(vec![long, after], GroupMeta::default());
+        let comp = b.finish(root);
+        simulate(&comp, &tiny_config(2, 64), "pdf");
     }
 
     /// Collects the engine's dispatch sequence.
