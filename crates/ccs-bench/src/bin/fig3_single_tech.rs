@@ -1,10 +1,17 @@
 //! Figure 3: execution time of Hash Join and Mergesort across the 45 nm
 //! single-technology design points (Table 3, 1–26 cores), PDF vs WS.
 //!
-//! The interesting qualitative features to look for (Section 5.2): PDF wins
-//! at every design point; Hash Join bottoms out around ~18 cores (it becomes
+//! The paper's qualitative features (Section 5.2): PDF wins at every design
+//! point; Hash Join bottoms out around ~18 cores (it becomes
 //! memory-bandwidth-bound and the shrinking cache then hurts), while
 //! Mergesort keeps improving to 24–26 cores.
+//!
+//! What this model measures at the default scale (1/32): PDF is ahead at 25
+//! of the 26 multi-core points, but not on Hash Join at 2 cores
+//! (`pdf_over_ws` = 0.996, 0.4% more cycles).  PDF Hash Join bottoms out at
+//! 16 cores (16.6M cycles) and stays within 16.6–17.1M from 14 to 26.  PDF
+//! Mergesort is fastest at 14 cores (17.5M cycles) and 33% slower at 26
+//! (23.3M), so it does not keep improving to 24–26 cores.
 //!
 //! ```text
 //! cargo run --release -p ccs-bench --bin fig3_single_tech -- [--scale N] [--json PATH]

@@ -5,7 +5,8 @@
 //! The headline comparison (Section 5.3): PDF with the *slow* 19-cycle L2
 //! still beats WS with the *fast* 7-cycle L2, because for Hash Join and
 //! Mergesort the number of L2 hits is on par with the number of L2 misses,
-//! so the miss penalty dominates any hit-time difference.
+//! so the miss penalty dominates any hit-time difference.  The binary prints
+//! that check per workload and exits 1 when it fails.
 //!
 //! ```text
 //! cargo run --release -p ccs-bench --bin fig4_l2_hit_time -- [--scale N] [--json PATH]
@@ -23,8 +24,12 @@ fn main() {
         &opts,
     );
 
-    eprintln!("# Section 5.3 check: PDF @ 19-cycle L2 vs WS @ 7-cycle L2");
-    for (workload, pdf_wins) in figs::pdf_slow_beats_ws_fast(&report) {
-        eprintln!("#   {workload}: pdf_wins={pdf_wins}");
+    let mut holds = true;
+    for (workload, ratio, pdf_wins) in figs::pdf_slow_beats_ws_fast(&report) {
+        eprintln!("# §5.3 check: {workload}: pdf@19/ws@7 cycles={ratio:.3} pdf_wins={pdf_wins}");
+        holds &= pdf_wins;
+    }
+    if !holds {
+        std::process::exit(1);
     }
 }

@@ -13,8 +13,7 @@
 //!
 //! Flags: `--threads N` (the top of the curve; default: available
 //! parallelism), `--rounds N` (default 5, best-of), `--fib N` (default 24),
-//! `--spawns N` (default 50000), `--policy ws|pdf` (default ws),
-//! `--pinned`.
+//! `--spawns N` (default 50000), `--pinned`.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -130,7 +129,6 @@ fn main() {
     let mut rounds = 5u32;
     let mut fib_n = 24u64;
     let mut spawns = 50_000u64;
-    let mut policy = Policy::WorkStealing;
     let mut pinned = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -144,13 +142,6 @@ fn main() {
             "--fib" => fib_n = value("--fib").parse().expect("--fib"),
             "--spawns" => spawns = value("--spawns").parse().expect("--spawns"),
             "--pinned" => pinned = true,
-            "--policy" => {
-                policy = match value("--policy").as_str() {
-                    "ws" => Policy::WorkStealing,
-                    "pdf" => Policy::Pdf,
-                    other => panic!("unknown policy {other:?}"),
-                }
-            }
             other => panic!("unknown flag {other:?}"),
         }
     }
@@ -168,7 +159,7 @@ fn main() {
     );
     let mut base: Option<(f64, f64)> = None;
     for t in 1..=threads {
-        let pool = ThreadPool::new(t, policy).pinned(pinned);
+        let pool = ThreadPool::new(t, Policy::WorkStealing).pinned(pinned);
         // Fork-join: recursive binary join, one task per fib node.
         let fib_rate = nodes
             / best_secs(rounds, || {

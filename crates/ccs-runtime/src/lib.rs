@@ -1,22 +1,19 @@
-//! Native fork-join runtime with pluggable Work-Stealing and Parallel-Depth-
-//! First scheduling policies.
+//! Native work-stealing fork-join runtime.
 //!
 //! The trace-driven experiments of the paper run on a simulated CMP
-//! (`ccs-sim`); this crate is the *runnable* counterpart: a small rayon-style
-//! thread pool whose scheduling discipline can be switched between the two
-//! policies the paper compares, so the library is usable as an actual
-//! runtime and the policies can be exercised on real hardware.
+//! (`ccs-sim`), where the `pdf` and `ws` schedulers of `ccs-sched` are
+//! compared; this crate is the *runnable* side of the library: a small
+//! rayon-style work-stealing thread pool that runs the sweeps themselves
+//! (parallel `Experiment` runs and the `ccs-serve` daemon's points).
 //!
 //! * [`ThreadPool::new(n, Policy::WorkStealing)`](ThreadPool::new) — per-worker
-//!   crossbeam deques, local LIFO pops, FIFO steals;
-//! * [`ThreadPool::new(n, Policy::Pdf)`](ThreadPool::new) — a global priority
-//!   pool ordered by online sequential-priority labels ([`PdfLabel`]), so idle
-//!   workers always take the task a sequential execution would reach first.
+//!   crossbeam deques, local LIFO pops, FIFO steals, plus a global injector
+//!   for jobs from outside the pool.
 //!
 //! ```
 //! use ccs_runtime::{join, Policy, ThreadPool};
 //!
-//! let pool = ThreadPool::new(2, Policy::Pdf);
+//! let pool = ThreadPool::new(2, Policy::WorkStealing);
 //! let (a, b) = pool.install(|| join(|| (1..=10).sum::<u32>(), || 6 * 7));
 //! assert_eq!((a, b), (55, 42));
 //! ```
@@ -42,11 +39,9 @@
 pub mod cancel;
 pub mod fault;
 mod job;
-pub mod label;
 pub mod pool;
 pub mod sleep;
 
 pub use cancel::CancelToken;
 pub use fault::{FaultKind, FaultPlan};
-pub use label::PdfLabel;
 pub use pool::{current_thread_index, join, spawn, Policy, ThreadPool};

@@ -1,14 +1,10 @@
 //! The native fork-join thread pool.
 //!
-//! A [`ThreadPool`] owns a set of worker threads and a scheduling *policy*:
-//!
-//! * [`Policy::WorkStealing`] — per-worker `crossbeam_deque` deques plus a
-//!   global injector; workers pop their own deque LIFO and steal FIFO from
-//!   others, exactly the WS discipline of Section 3;
-//! * [`Policy::Pdf`] — a single priority pool ordered by the online
-//!   sequential-priority labels of [`crate::label`]; an idle worker always
-//!   takes the ready task the sequential program would have executed
-//!   earliest, the PDF discipline of Section 3.
+//! A [`ThreadPool`] owns a set of worker threads scheduled by work
+//! stealing: per-worker `crossbeam_deque` deques plus a global injector;
+//! workers pop their own deque LIFO and steal FIFO from others, exactly the
+//! WS discipline of Section 3.  (The paper's PDF-vs-WS comparison runs on
+//! the simulated CMP: the `pdf` and `ws` schedulers of `ccs-sched`.)
 //!
 //! The pool exposes rayon-style structured parallelism: [`ThreadPool::install`]
 //! to enter the pool (from outside it), [`join`] for binary fork-join (usable
@@ -33,10 +29,10 @@
 //!   with its result slot and latch.  Jobs from outside the pool enter
 //!   through the shim's lock-free block-list injector, which allocates one
 //!   block per 63 jobs.
-//! * **one worker record** — a worker's pool, index, deque, victim rng and
-//!   PDF label state live in one `WorkerThread` on its own stack, reached
-//!   through a single thread-local pointer.  Under WS a job runs with no
-//!   label bookkeeping at all: labels order only the PDF pool.
+//! * **one worker record** — a worker's pool, index, deque and victim rng
+//!   live in one `WorkerThread` on its own stack, reached through a single
+//!   thread-local pointer, so a job runs with no bookkeeping beyond its
+//!   panic guard.
 //! * **batch stealing** — an out-of-work worker steals *batches* from the
 //!   injector and from victim deques (`steal_batch_and_pop`), amortising
 //!   the synchronisation cost of a steal over several jobs, and scans
@@ -60,19 +56,20 @@ use std::sync::Arc;
 use std::thread;
 
 use crossbeam_deque::{Injector, Steal, Stealer, Worker as Deque};
-use parking_lot::Mutex;
 
 use crate::job::{Job, LockLatch, SpinLatch, StackJob};
-use crate::label::PdfLabel;
 use crate::sleep::SleepState;
 
 /// Scheduling policy of a [`ThreadPool`].
+///
+/// Work stealing is the pool's only policy, and the pool stores none.  The
+/// enum and [`ThreadPool::new`]'s argument remain only because the
+/// benchmark package (`perfbench/`, its own workspace) names both; they go
+/// together with that call site.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Policy {
     /// Per-worker deques with stealing (Cilk/rayon style).
     WorkStealing,
-    /// Global priority pool ordered by sequential (1DF) priority.
-    Pdf,
 }
 
 /// Rounds of the idle backoff ladder spent busy-spinning (with an
@@ -83,15 +80,10 @@ const SPIN_ROUNDS: u32 = 16;
 const YIELD_ROUNDS: u32 = 8;
 
 struct Registry {
-    policy: Policy,
-    /// Jobs submitted from outside the pool, or overflow from workers (WS).
+    /// Jobs submitted from outside the pool.
     injector: Injector<Job>,
-    /// Steal handles onto every worker's local deque (WS).
+    /// Steal handles onto every worker's local deque.
     stealers: Vec<Stealer<Job>>,
-    /// Global priority pool (PDF): ordered by (label, submission sequence).
-    pdf: Mutex<std::collections::BTreeMap<(PdfLabel, u64), Job>>,
-    /// Monotonic tie-breaker for PDF jobs with equal labels.
-    seq: AtomicUsize,
     shutdown: AtomicBool,
     /// Detached-job panics caught at the pool boundary (see
     /// [`WorkerThread::run_job`]).
@@ -105,24 +97,17 @@ struct Registry {
 }
 
 impl Registry {
-    /// Queue a job.  Worker threads of a WS pool push to their own deque;
-    /// everything else goes through the global injector / priority pool.
-    /// The label orders the PDF pool only; WS ignores it.
-    fn push_job(&self, label: PdfLabel, job: Job) {
-        match self.policy {
-            // Worker threads push onto their own deque — but only onto a
-            // deque owned by *this* pool; a worker of pool A pushing into
-            // pool B must use B's injector or the job would be queued (and
-            // run) on the wrong pool.
-            // SAFETY: the record is used for this push only.
-            Policy::WorkStealing => match unsafe { WorkerThread::current() } {
-                Some(worker) if ptr::eq(&*worker.registry, self) => worker.deque.push(job),
-                _ => self.injector.push(job),
-            },
-            Policy::Pdf => {
-                let seq = self.seq.fetch_add(1, Ordering::Relaxed) as u64;
-                self.pdf.lock().insert((label, seq), job);
-            }
+    /// Queue a job.  Worker threads push to their own deque; everything
+    /// else goes through the global injector.
+    fn push_job(&self, job: Job) {
+        // Worker threads push onto their own deque — but only onto a deque
+        // owned by *this* pool; a worker of pool A pushing into pool B must
+        // use B's injector or the job would be queued (and run) on the
+        // wrong pool.
+        // SAFETY: the record is used for this push only.
+        match unsafe { WorkerThread::current() } {
+            Some(worker) if ptr::eq(&*worker.registry, self) => worker.deque.push(job),
+            _ => self.injector.push(job),
         }
         // The job is visible in its queue; the pre-park recheck
         // (`has_work`) scans every queue, so this fence-and-load is the
@@ -143,12 +128,7 @@ impl Registry {
     /// [`SleepState::end_idle`], whose fences order this scan against every
     /// publisher's (see `crate::sleep`).
     fn has_work(&self) -> bool {
-        match self.policy {
-            Policy::WorkStealing => {
-                !self.injector.is_empty() || self.stealers.iter().any(|s| !s.is_empty())
-            }
-            Policy::Pdf => !self.pdf.lock().is_empty(),
-        }
+        !self.injector.is_empty() || self.stealers.iter().any(|s| !s.is_empty())
     }
 }
 
@@ -167,14 +147,10 @@ struct WorkerThread {
     /// The worker's pool, kept alive for as long as the record exists.
     registry: Arc<Registry>,
     index: usize,
-    /// The worker's own deque (WS pools).
+    /// The worker's own deque.
     deque: Deque<Job>,
     /// Xorshift64 state for the random victim order.
     rng: Cell<u64>,
-    /// Label of the job currently executing on this worker (PDF only).
-    label: Cell<PdfLabel>,
-    /// Number of children the current job has spawned so far (PDF only).
-    children: Cell<u32>,
 }
 
 /// Clears [`WORKER`] when `worker_loop` exits, unwinding included, so the
@@ -200,8 +176,6 @@ impl WorkerThread {
             index,
             deque,
             rng: Cell::new(z | 1),
-            label: Cell::new(PdfLabel::root()),
-            children: Cell::new(0),
         }
     }
 
@@ -217,45 +191,13 @@ impl WorkerThread {
         unsafe { WORKER.with(Cell::get).as_ref() }
     }
 
-    /// Register the fork of a child task: the child's priority label.
-    ///
-    /// Child labels exist to order the PDF priority pool; under the WS
-    /// policy they are never consulted, so the (allocating) label
-    /// derivation and the child count are skipped and the root label
-    /// stands in.
-    fn next_child(&self) -> PdfLabel {
-        match self.registry.policy {
-            Policy::Pdf => {
-                let index = self.children.replace(self.children.get() + 1);
-                let label = self.label.take();
-                let child = label.child(index);
-                self.label.set(label);
-                child
-            }
-            Policy::WorkStealing => PdfLabel::root(),
-        }
-    }
-
     /// Find a job: local LIFO pop, then a batch steal from the injector,
     /// then batch steals from the other workers in seeded-random order.
-    /// Under WS every job runs with the root label.
-    fn pop_job(&self) -> Option<(PdfLabel, Job)> {
-        match self.registry.policy {
-            Policy::WorkStealing => self
-                .deque
-                .pop()
-                .or_else(|| self.steal())
-                .map(|job| (PdfLabel::root(), job)),
-            Policy::Pdf => self
-                .registry
-                .pdf
-                .lock()
-                .pop_first()
-                .map(|((label, _), job)| (label, job)),
-        }
+    fn pop_job(&self) -> Option<Job> {
+        self.deque.pop().or_else(|| self.steal())
     }
 
-    /// The WS steal path: batch-steal from the injector, then from victims
+    /// The steal path: batch-steal from the injector, then from victims
     /// in seeded-random order.  Surplus jobs land in the own deque, and one
     /// is returned; if the batch left more behind, one sleeping peer is
     /// notified so surplus doesn't strand on a single busy worker.
@@ -312,34 +254,18 @@ impl WorkerThread {
 
     /// Execute a job with the pool-boundary panic guard.
     ///
-    /// Under PDF the job's label becomes the current label for nested
-    /// spawns, and the caller's label and child count come back afterwards,
-    /// so a `join` help loop can run foreign jobs without corrupting its
-    /// own task's labelling.  Under WS labels are never read, so there is
-    /// nothing to save.
-    ///
     /// A panicking *detached* job is caught and counted instead of killing
     /// the worker (or unwinding into an innocent `join` caller helping while
     /// it waits).  `install` and `join` closures catch internally and
     /// re-raise at their call site, so their panic semantics are unchanged.
-    fn run_job(&self, label: PdfLabel, job: Job) {
-        let result = match self.registry.policy {
-            Policy::WorkStealing => panic::catch_unwind(AssertUnwindSafe(|| job.run())),
-            Policy::Pdf => {
-                let saved = (self.label.replace(label), self.children.replace(0));
-                let result = panic::catch_unwind(AssertUnwindSafe(|| job.run()));
-                self.label.set(saved.0);
-                self.children.set(saved.1);
-                result
-            }
-        };
-        if result.is_err() {
+    fn run_job(&self, job: Job) {
+        if panic::catch_unwind(AssertUnwindSafe(|| job.run())).is_err() {
             self.registry.panics_caught.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
 
-/// A fork-join thread pool with a pluggable scheduling policy.
+/// A work-stealing fork-join thread pool.
 pub struct ThreadPool {
     registry: Arc<Registry>,
     workers: Vec<thread::JoinHandle<()>>,
@@ -347,18 +273,15 @@ pub struct ThreadPool {
 }
 
 impl ThreadPool {
-    /// Create a pool with `num_threads` worker threads (at least one) and the
-    /// given policy.
-    pub fn new(num_threads: usize, policy: Policy) -> Self {
+    /// Create a pool with `num_threads` worker threads (at least one).
+    /// `Policy::WorkStealing` is the only policy (see [`Policy`]).
+    pub fn new(num_threads: usize, _policy: Policy) -> Self {
         let num_threads = num_threads.max(1);
         let deques: Vec<Deque<Job>> = (0..num_threads).map(|_| Deque::new_lifo()).collect();
         let stealers = deques.iter().map(Deque::stealer).collect();
         let registry = Arc::new(Registry {
-            policy,
             injector: Injector::new(),
             stealers,
-            pdf: Mutex::new(std::collections::BTreeMap::new()),
-            seq: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
             panics_caught: AtomicUsize::new(0),
             sleep: SleepState::new(num_threads),
@@ -415,11 +338,6 @@ impl ThreadPool {
         self.num_threads
     }
 
-    /// The scheduling policy.
-    pub fn policy(&self) -> Policy {
-        self.registry.policy
-    }
-
     /// Number of detached-job panics caught at the pool boundary so far.
     ///
     /// `install`/`join` closures re-raise panics to their caller, so this
@@ -454,17 +372,16 @@ impl ThreadPool {
             // SAFETY: `job` stays on this frame until `wait_and_reset`
             // returns, which is after the job has set the latch, its last
             // touch of the frame; and it is queued once.
-            self.registry
-                .push_job(PdfLabel::root(), unsafe { job.as_job() });
+            self.registry.push_job(unsafe { job.as_job() });
             latch.wait_and_reset();
             job.into_result()
                 .unwrap_or_else(|payload| panic::resume_unwind(payload))
         })
     }
 
-    /// Spawn a detached, `'static` job onto the pool with root priority.
+    /// Spawn a detached, `'static` job onto the pool.
     pub fn spawn_detached(&self, f: impl FnOnce() + Send + 'static) {
-        self.registry.push_job(PdfLabel::root(), Job::new(f));
+        self.registry.push_job(Job::new(f));
     }
 
     /// Spawn a detached job that is skipped if `token` is cancelled by the
@@ -506,8 +423,8 @@ fn worker_loop(registry: Arc<Registry>, index: usize, deque: Deque<Job>) {
 
     'main: loop {
         maybe_pin(registry, index, &mut pinned);
-        if let Some((label, job)) = worker.pop_job() {
-            worker.run_job(label, job);
+        if let Some(job) = worker.pop_job() {
+            worker.run_job(job);
             continue;
         }
         if registry.shutdown.load(Ordering::SeqCst) {
@@ -521,9 +438,9 @@ fn worker_loop(registry: Arc<Registry>, index: usize, deque: Deque<Job>) {
         let mut round = 0u32;
         loop {
             maybe_pin(registry, index, &mut pinned);
-            if let Some((label, job)) = worker.pop_job() {
+            if let Some(job) = worker.pop_job() {
                 registry.end_idle();
-                worker.run_job(label, job);
+                worker.run_job(job);
                 continue 'main;
             }
             if registry.shutdown.load(Ordering::SeqCst) {
@@ -634,11 +551,8 @@ unsafe fn raw_sched_setaffinity(pid: i32, len: usize, mask: *const u8) -> i64 {
 /// spawned there); outside a pool the two closures simply run sequentially on
 /// the calling thread.
 ///
-/// Under the PDF policy `b` is labelled as the next child of the current task,
-/// so the pool-wide priority order of pending jobs always matches the order a
-/// sequential execution would first reach them.  Under the WS policy `b` is
-/// pushed onto the current worker's deque, where other workers can steal it
-/// from the bottom.
+/// `b` is pushed onto the current worker's deque, where other workers can
+/// steal it from the bottom.
 pub fn join<RA, RB, A, B>(a: A, b: B) -> (RA, RB)
 where
     A: FnOnce() -> RA + Send,
@@ -651,7 +565,6 @@ where
         return (a(), b());
     };
     let registry = &worker.registry;
-    let b_label = worker.next_child();
 
     // `b`, its result slot and its completion flag live on *this* stack
     // frame, and the queued job is one pointer to them: a fork allocates
@@ -662,7 +575,7 @@ where
     // this frame.  `join` does not return (nor unwind: `a` is caught) until
     // it sees the flag set, the job's last touch of the frame; and the job
     // is queued once.
-    registry.push_job(b_label, unsafe { b_job.as_job() });
+    registry.push_job(unsafe { b_job.as_job() });
 
     // Run `a` inline.
     let a_result = panic::catch_unwind(AssertUnwindSafe(a));
@@ -672,8 +585,8 @@ where
     // never park on the pool's sleep state: the event that frees us is the
     // *latch*, not new work, so we spin/yield between probes instead.
     while !b_job.latch.probe() {
-        if let Some((label, job)) = worker.pop_job() {
-            worker.run_job(label, job);
+        if let Some(job) = worker.pop_job() {
+            worker.run_job(job);
         } else {
             std::hint::spin_loop();
             thread::yield_now();
@@ -695,12 +608,12 @@ pub fn current_thread_index() -> Option<usize> {
     unsafe { WorkerThread::current() }.map(|worker| worker.index)
 }
 
-/// Spawn a detached `'static` job from inside the pool, labelled as the next
-/// child of the current task.  Outside a pool the job runs inline.
+/// Spawn a detached `'static` job from inside the pool, onto the current
+/// worker's deque.  Outside a pool the job runs inline.
 pub fn spawn(f: impl FnOnce() + Send + 'static) {
     // SAFETY: the record is used for this push only.
     match unsafe { WorkerThread::current() } {
-        Some(worker) => worker.registry.push_job(worker.next_child(), Job::new(f)),
+        Some(worker) => worker.registry.push_job(Job::new(f)),
         None => f(),
     }
 }
@@ -713,9 +626,7 @@ mod tests {
     fn pools() -> Vec<ThreadPool> {
         vec![
             ThreadPool::new(2, Policy::WorkStealing),
-            ThreadPool::new(2, Policy::Pdf),
             ThreadPool::new(1, Policy::WorkStealing),
-            ThreadPool::new(1, Policy::Pdf),
         ]
     }
 
@@ -891,33 +802,20 @@ mod tests {
         }
 
         let (tx, rx) = mpsc::channel();
-        for policy in [Policy::WorkStealing, Policy::Pdf] {
-            let pool = ThreadPool::new(1, policy);
-            let tx = tx.clone();
-            pool.install(move || PROBE.with(|p| p.set(Some(ExitProbe(tx)))));
-            drop(pool);
-            assert_eq!(rx.recv().unwrap(), None, "{policy:?}");
-            assert_eq!(current_thread_index(), None);
-        }
-    }
-
-    /// The PDF label of the job running on this worker.
-    fn current_label() -> Vec<u32> {
-        // SAFETY: read within the calling job.
-        let worker = unsafe { WorkerThread::current() }.expect("on a worker");
-        let label = worker.label.take();
-        let path = label.path().to_vec();
-        worker.label.set(label);
-        path
+        let pool = ThreadPool::new(1, Policy::WorkStealing);
+        pool.install(move || PROBE.with(|p| p.set(Some(ExitProbe(tx)))));
+        drop(pool);
+        assert_eq!(rx.recv().unwrap(), None);
+        assert_eq!(current_thread_index(), None);
     }
 
     #[test]
-    fn pdf_runs_spawned_children_in_sequential_order() {
+    fn a_worker_pops_its_own_deque_lifo() {
         use std::sync::mpsc;
 
-        // One worker, held by a blocker while the parent is queued, so the
-        // run order is the priority order alone.
-        let pool = ThreadPool::new(1, Policy::Pdf);
+        // One worker, so nothing steals from its deque, held by a blocker
+        // while the parent is queued: the run order is the pop order alone.
+        let pool = ThreadPool::new(1, Policy::WorkStealing);
         let gate = Arc::new(AtomicBool::new(false));
         {
             let gate = Arc::clone(&gate);
@@ -930,34 +828,21 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         let log = move |name: &'static str| {
             let tx = tx.clone();
-            move || tx.send((name, current_label())).unwrap()
+            move || tx.send(name).unwrap()
         };
         pool.spawn_detached(move || {
-            let (a1, a2) = (log("A1"), log("A2"));
-            let a = log("A");
-            spawn(move || {
-                a();
-                spawn(a1);
-                spawn(a2);
-            });
-            // The help loop runs A, A1 and A2 (all before `b` in 1DF
-            // order) inside this job; the parent's label and child count
-            // must come back afterwards, so B and C are children 2 and 3.
-            join(|| (), || ());
+            spawn(log("A"));
+            // The help loop pops the top of the own deque: `join`'s `b`
+            // (pushed after A) runs at once and A stays queued.
+            join(|| (), log("J"));
             spawn(log("B"));
-            spawn(log("C"));
         });
         gate.store(true, Ordering::Release);
-        let ran: Vec<_> = rx.iter().take(5).collect();
+        let ran: Vec<_> = rx.iter().take(3).collect();
         assert_eq!(
             ran,
-            [
-                ("A", vec![0]),
-                ("A1", vec![0, 0]),
-                ("A2", vec![0, 1]),
-                ("B", vec![2]),
-                ("C", vec![3]),
-            ]
+            ["J", "B", "A"],
+            "B was pushed after A, so it pops first"
         );
     }
 
@@ -1031,9 +916,8 @@ mod tests {
 
     #[test]
     fn pool_metadata() {
-        let pool = ThreadPool::new(3, Policy::Pdf);
+        let pool = ThreadPool::new(3, Policy::WorkStealing);
         assert_eq!(pool.num_threads(), 3);
-        assert_eq!(pool.policy(), Policy::Pdf);
         let zero = ThreadPool::new(0, Policy::WorkStealing);
         assert_eq!(zero.num_threads(), 1, "clamped to one thread");
     }
@@ -1043,7 +927,7 @@ mod tests {
         let pool = ThreadPool::new(2, Policy::WorkStealing).pinned(true);
         assert!(pool.is_pinned());
         assert_eq!(pool.install(|| join(|| 2, || 3)), (2, 3));
-        let unpinned = ThreadPool::new(1, Policy::Pdf);
+        let unpinned = ThreadPool::new(1, Policy::WorkStealing);
         assert!(!unpinned.is_pinned());
     }
 

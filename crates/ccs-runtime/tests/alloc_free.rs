@@ -138,40 +138,38 @@ struct Aligned(u64);
 #[test]
 fn large_and_over_aligned_closures_run_through_every_spawn() {
     let _serial = serial();
-    for policy in [Policy::WorkStealing, Policy::Pdf] {
-        let pool = ThreadPool::new(2, policy);
-        let token = CancelToken::new();
-        let (tx, rx) = mpsc::channel::<u64>();
-        // Each closure reports what it captured; the large ones must come
-        // back whole and the aligned one at its alignment.
-        let big = |tx: mpsc::Sender<u64>| {
-            let words: [u64; 8] = std::array::from_fn(|i| i as u64 + 1);
-            move || tx.send(words.iter().sum()).unwrap()
-        };
-        let aligned = |tx: mpsc::Sender<u64>| {
-            let value = Aligned(7);
-            move || {
-                let value = &value;
-                assert_eq!(value as *const Aligned as usize % 64, 0, "misaligned");
-                tx.send(value.0).unwrap();
-            }
-        };
-        pool.spawn_detached(big(tx.clone()));
-        pool.spawn_detached(aligned(tx.clone()));
-        pool.spawn_cancellable(&token, big(tx.clone()));
-        pool.spawn_cancellable(&token, aligned(tx.clone()));
-        {
-            let (big_job, aligned_job) = (big(tx.clone()), aligned(tx.clone()));
-            pool.install(move || {
-                spawn(big_job);
-                spawn(aligned_job);
-            });
+    let pool = ThreadPool::new(2, Policy::WorkStealing);
+    let token = CancelToken::new();
+    let (tx, rx) = mpsc::channel::<u64>();
+    // Each closure reports what it captured; the large ones must come
+    // back whole and the aligned one at its alignment.
+    let big = |tx: mpsc::Sender<u64>| {
+        let words: [u64; 8] = std::array::from_fn(|i| i as u64 + 1);
+        move || tx.send(words.iter().sum()).unwrap()
+    };
+    let aligned = |tx: mpsc::Sender<u64>| {
+        let value = Aligned(7);
+        move || {
+            let value = &value;
+            assert_eq!(value as *const Aligned as usize % 64, 0, "misaligned");
+            tx.send(value.0).unwrap();
         }
-        drop(tx);
-        let mut got: Vec<u64> = rx.iter().collect();
-        got.sort_unstable();
-        assert_eq!(got, [7, 7, 7, 36, 36, 36], "{policy:?}");
+    };
+    pool.spawn_detached(big(tx.clone()));
+    pool.spawn_detached(aligned(tx.clone()));
+    pool.spawn_cancellable(&token, big(tx.clone()));
+    pool.spawn_cancellable(&token, aligned(tx.clone()));
+    {
+        let (big_job, aligned_job) = (big(tx.clone()), aligned(tx.clone()));
+        pool.install(move || {
+            spawn(big_job);
+            spawn(aligned_job);
+        });
     }
+    drop(tx);
+    let mut got: Vec<u64> = rx.iter().collect();
+    got.sort_unstable();
+    assert_eq!(got, [7, 7, 7, 36, 36, 36]);
 }
 
 /// A job that skips its body once `token` is cancelled and releases
@@ -196,55 +194,53 @@ fn queued_job<Pad: Send + 'static>(
 fn queued_captures_are_released_when_the_pool_drops() {
     const QUEUED: usize = 100;
     let _serial = serial();
-    for policy in [Policy::WorkStealing, Policy::Pdf] {
-        let pool = ThreadPool::new(1, policy);
-        let token = CancelToken::new();
-        let capture = Arc::new(());
-        let ran = Arc::new(AtomicU64::new(0));
-        let gate = Arc::new(AtomicU64::new(0));
-        {
-            let (token, capture, ran, gate) = (
-                token.clone(),
-                Arc::clone(&capture),
-                Arc::clone(&ran),
-                Arc::clone(&gate),
-            );
-            // The only worker queues children on its own deque (or the
-            // PDF pool), then blocks until the pool is being dropped.
-            pool.spawn_detached(move || {
-                for _ in 0..QUEUED {
-                    spawn(queued_job(&token, &capture, &ran, ()));
-                    spawn(queued_job(&token, &capture, &ran, [0u64; 8]));
-                }
-                drop(capture);
-                while gate.load(Ordering::Acquire) == 0 {
-                    thread::yield_now();
-                }
-            });
-        }
-        // Through the injector (or the PDF pool): inline and over-aligned.
-        for _ in 0..QUEUED {
-            pool.spawn_detached(queued_job(&token, &capture, &ran, ()));
-            pool.spawn_detached(queued_job(&token, &capture, &ran, Aligned(0)));
-        }
-        wait_until("the children to be queued", || {
-            Arc::strong_count(&capture) == 1 + 4 * QUEUED
-        });
-        token.cancel();
-        let opener = {
-            let gate = Arc::clone(&gate);
-            thread::spawn(move || {
-                thread::sleep(Duration::from_millis(20));
-                gate.store(1, Ordering::Release);
-            })
-        };
-        drop(pool);
-        opener.join().unwrap();
-        assert_eq!(
-            Arc::strong_count(&capture),
-            1,
-            "{policy:?} leaked a capture"
+    let pool = ThreadPool::new(1, Policy::WorkStealing);
+    let token = CancelToken::new();
+    let capture = Arc::new(());
+    let ran = Arc::new(AtomicU64::new(0));
+    let gate = Arc::new(AtomicU64::new(0));
+    {
+        let (token, capture, ran, gate) = (
+            token.clone(),
+            Arc::clone(&capture),
+            Arc::clone(&ran),
+            Arc::clone(&gate),
         );
-        assert_eq!(ran.load(Ordering::Relaxed), 0, "a cancelled job ran");
+        // The only worker queues children on its own deque, then blocks
+        // until the pool is being dropped.
+        pool.spawn_detached(move || {
+            for _ in 0..QUEUED {
+                spawn(queued_job(&token, &capture, &ran, ()));
+                spawn(queued_job(&token, &capture, &ran, [0u64; 8]));
+            }
+            drop(capture);
+            while gate.load(Ordering::Acquire) == 0 {
+                thread::yield_now();
+            }
+        });
     }
+    // Through the injector: inline and over-aligned.
+    for _ in 0..QUEUED {
+        pool.spawn_detached(queued_job(&token, &capture, &ran, ()));
+        pool.spawn_detached(queued_job(&token, &capture, &ran, Aligned(0)));
+    }
+    wait_until("the children to be queued", || {
+        Arc::strong_count(&capture) == 1 + 4 * QUEUED
+    });
+    token.cancel();
+    let opener = {
+        let gate = Arc::clone(&gate);
+        thread::spawn(move || {
+            thread::sleep(Duration::from_millis(20));
+            gate.store(1, Ordering::Release);
+        })
+    };
+    drop(pool);
+    opener.join().unwrap();
+    assert_eq!(
+        Arc::strong_count(&capture),
+        1,
+        "a queued job leaked its capture"
+    );
+    assert_eq!(ran.load(Ordering::Relaxed), 0, "a cancelled job ran");
 }

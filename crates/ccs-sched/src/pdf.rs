@@ -12,8 +12,7 @@
 //! before execution, the sequential priority of every task is known exactly:
 //! it is the task's rank in the 1DF order ([`Dag::seq_order`]).  (The online
 //! variants of [6, 7, 28] maintain these priorities without executing the
-//! sequential program; the native runtime in `ccs-runtime` uses such an
-//! online hierarchical labelling.)
+//! sequential program.)
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

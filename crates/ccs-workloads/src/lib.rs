@@ -1,16 +1,12 @@
 //! Benchmark workloads for the CCS (constructive cache sharing) reproduction
 //! of Chen et al., SPAA 2007.
 //!
-//! Each workload is provided in two forms:
-//!
-//! 1. a **trace generator** that builds the workload's computation DAG with
-//!    cache-line-level memory traces ([`mergesort::build`],
-//!    [`hashjoin::build`], [`lu::build`], and the secondary benchmarks in
-//!    [`extras`]) — these drive the CMP simulator to reproduce the paper's
-//!    figures.  Each is registered by name with [`WorkloadRegistry::global`],
-//!    and [`PAPER_WORKLOADS`] names the paper's three;
-//! 2. a **native kernel** running on the `ccs-runtime` fork-join pool
-//!    ([`native`]), so the library is also usable as a real parallel runtime.
+//! Each workload is a **trace generator** that builds the workload's
+//! computation DAG with cache-line-level memory traces ([`mergesort::build`],
+//! [`hashjoin::build`], [`lu::build`], and the secondary benchmarks in
+//! [`extras`]) — these drive the CMP simulator to reproduce the paper's
+//! figures.  Each is registered by name with [`WorkloadRegistry::global`],
+//! and [`PAPER_WORKLOADS`] names the paper's three.
 //!
 //! Granularity knobs mirror the paper's Section 5.4 / Section 6: every
 //! workload exposes the parameter the "Parallelize" decision of Fig. 7(a)
@@ -24,7 +20,6 @@ pub mod extras;
 pub mod hashjoin;
 pub mod lu;
 pub mod mergesort;
-pub mod native;
 pub mod registry;
 
 pub use hashjoin::HashJoinParams;

@@ -5,7 +5,7 @@
 //! (PDF) and Work Stealing (WS) schedulers, the trace-driven CMP simulator
 //! used for the paper's evaluation, the benchmark workloads, the one-pass
 //! working-set profiler, the automatic task-coarsening algorithm, and a
-//! native fork-join runtime with pluggable WS/PDF policies.
+//! native work-stealing fork-join runtime that runs the sweeps.
 //!
 //! This meta-crate re-exports the individual crates:
 //!
@@ -15,10 +15,10 @@
 //! * [`sim`] (ccs-sim) — CMP configurations (Tables 1–3), area model, and the
 //!   cycle-level trace-driven simulator;
 //! * [`workloads`] (ccs-workloads) — LU, Hash Join, Mergesort and the
-//!   secondary benchmarks, as trace generators and native kernels;
+//!   secondary benchmarks, as trace generators;
 //! * [`profile`] (ccs-profile) — the LruTree working-set profiler and
 //!   automatic task coarsening;
-//! * [`runtime`] (ccs-runtime) — the native fork-join thread pool;
+//! * [`runtime`] (ccs-runtime) — the native work-stealing thread pool;
 //! * [`experiment`] (ccs-experiment) — the unified experiment layer:
 //!   builder-style run sessions, the open scheduler registry's
 //!   [`SchedulerSpec`](ccs_sched::SchedulerSpec) selectors, and serialisable
