@@ -1,38 +1,53 @@
-//! Process-global cache of built workload computations.
+//! Process-global cache of built workload computations and of the
+//! sequential baselines simulated on them.
 //!
-//! Registry workloads are **deterministic** functions of `(spec label,
-//! scale, scaled L2 capacity, cores)` — PR 4 exploited that *within* one
-//! sweep by building each distinct computation once per
-//! [`Experiment::run`](crate::Experiment::run).  But a session rarely runs
-//! one sweep: the figure binaries share workloads across sweeps (fig 2 and
-//! fig 4 both build the default-point mergesort), and the bench harness
-//! re-runs whole sweep passes back-to-back for noise-resistant minima —
-//! each pass paying the full trace-generation, DAG-flattening and
-//! stream/geometry-compilation cost again for byte-identical results.
+//! Registry workloads are **deterministic** functions of what their
+//! factory reads from the design point, and each factory names that in its
+//! [`WorkloadFactory::key`](ccs_workloads::WorkloadFactory::key): the
+//! built-ins key by their resolved `Params`, so hashjoin's 2-core and
+//! 8-core points on one L2 share a build, and quicksort, matmul and heat
+//! share one across L2 sizes too.  A session rarely runs one sweep: the
+//! figure binaries share workloads across sweeps (fig 2 and fig 4 both
+//! build the default-point mergesort), the bench harness re-runs whole
+//! sweep passes back-to-back for noise-resistant minima, and the daemon
+//! serves many requests for one workload.  Each would otherwise pay the
+//! full trace-generation, DAG-flattening and stream/geometry-compilation
+//! cost again for byte-identical results.
 //!
 //! This module hoists the reuse to the process level: one bounded,
-//! least-recently-used map from build key to the shared
-//! `(computation, DAG)` pair.  Because the line streams and geometry lanes
-//! are memoised *on* the computation, a cache hit also reuses every
-//! compiled stream and set-index table — the whole "compile once per sweep
-//! configuration" artifact chain survives across sweeps and trials.
+//! least-recently-used map from build key to a shared `Built` — the
+//! computation, its DAG and a memo of the sequential baselines simulated on
+//! it.  Because the line streams and geometry lanes are memoised *on* the
+//! computation, a cache hit also reuses every compiled stream and set-index
+//! table — the whole "compile once per sweep configuration" artifact chain
+//! survives across sweeps and trials.
+//!
+//! A baseline is a 1-core `pdf` run, so it depends on the computation and
+//! on the simulated 1-core machine, not on the core count of the point that
+//! asks for it: points with different core counts over one L2 ask for the
+//! same machine.  The memo is keyed by the engine and the machine
+//! ([`ccs_sim::batch::same_machine`]: the name and technology tag are left
+//! out) and lives in the build's entry, so eviction and [`clear`] drop it
+//! with its build.
 //!
 //! Correctness is untouched: builders are pure, so a cached computation is
-//! byte-identical to a rebuilt one (the `bench_gate` determinism columns
-//! and the parallel-vs-sequential CI `cmp` would catch any drift), and
-//! only *registry* specs are cached — `Fixed` specs stay keyed by `Arc`
-//! identity inside each run.  The cache is bounded by the estimated heap
-//! footprint of its entries ([`BUDGET_BYTES`]); full-scale sweeps evict
-//! oldest-used entries instead of accumulating gigabytes.
+//! byte-identical to a rebuilt one, and a memoised baseline to a re-run one
+//! up to its config name, which a hit patches (the `bench_gate`
+//! determinism columns and the parallel-vs-sequential CI `cmp` would catch
+//! any drift).  Only *registry* specs are cached — `Fixed` specs stay keyed
+//! by `Arc` identity inside each run.  The cache is bounded by the
+//! estimated heap footprint of its entries ([`BUDGET_BYTES`]); full-scale
+//! sweeps evict oldest-used entries instead of accumulating gigabytes.
 //!
-//! Lookups are single-flight: when concurrent sweep groups or daemon
-//! requests ask for the same key, one of them builds it and the others
-//! wait for that build rather than building duplicates.
+//! Builds and baselines are single-flight: when concurrent sweep groups or
+//! daemon requests ask for the same key, one of them builds or simulates it
+//! and the others wait for that result rather than duplicating it.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 
 use ccs_dag::{Computation, Dag};
+use ccs_sim::{CmpConfig, SimEngine, SimResult};
 
 /// Eviction budget: the summed footprint estimate of cached builds is kept
 /// at or below this.  Quick-mode builds are a few MB each, so the whole
@@ -41,19 +56,111 @@ use ccs_dag::{Computation, Dag};
 /// insertion — exactly the old build-per-sweep behaviour.
 pub const BUDGET_BYTES: u64 = 256 * 1024 * 1024;
 
-/// One cached build: the shared pair every sweep point of a matching key
-/// clones, plus bookkeeping for the LRU budget.
+/// One baseline memo slot: the engine and 1-core machine it was simulated
+/// on, and its result once known.
+type BaselineSlot = (SimEngine, CmpConfig, Arc<OnceLock<SimResult>>);
+
+/// One build: the computation, its DAG, and the sequential baselines
+/// simulated on it so far.
+pub(crate) struct Built {
+    pub(crate) comp: Arc<Computation>,
+    pub(crate) dag: Arc<Dag>,
+    /// A handful of machines per build at most, so a list.
+    baselines: Mutex<Vec<BaselineSlot>>,
+}
+
+impl Built {
+    pub(crate) fn new(comp: Arc<Computation>, dag: Arc<Dag>) -> Built {
+        Built {
+            comp,
+            dag,
+            baselines: Mutex::default(),
+        }
+    }
+
+    /// The sequential baselines of `configs` (1-core machines) under
+    /// `engine`, in order, each with its config's name.  A machine
+    /// simulated before — by this group or any other on this build — is
+    /// not simulated again.  `run` gets the indices of the configs still
+    /// unknown and returns their results in that order; concurrent callers
+    /// that need a machine being simulated wait for it.
+    pub(crate) fn baselines(
+        &self,
+        engine: SimEngine,
+        configs: &[CmpConfig],
+        run: impl Fn(&[usize]) -> Vec<SimResult>,
+    ) -> Vec<SimResult> {
+        let cells: Vec<Arc<OnceLock<SimResult>>> = {
+            let mut memo = self.baselines.lock().unwrap_or_else(|e| e.into_inner());
+            configs
+                .iter()
+                .map(|config| {
+                    let slot = memo.iter().find(|(e, machine, _)| {
+                        *e == engine && ccs_sim::batch::same_machine(machine, config)
+                    });
+                    match slot {
+                        Some((_, _, cell)) => Arc::clone(cell),
+                        None => {
+                            let cell = Arc::default();
+                            memo.push((engine, config.clone(), Arc::clone(&cell)));
+                            cell
+                        }
+                    }
+                })
+                .collect()
+        };
+        for (i, cell) in cells.iter().enumerate() {
+            // This cell's initialiser simulates every config still unknown
+            // from here on, in one `run` (one batch under the batch engine),
+            // and fills the others only after it returns: a thread never
+            // waits on a cell while it holds another's initialiser.
+            let mut others = Vec::new();
+            cell.get_or_init(|| {
+                let todo: Vec<usize> = (i..cells.len())
+                    .filter(|&k| k == i || cells[k].get().is_none())
+                    .collect();
+                let mut results = run(&todo).into_iter();
+                let mine = results.next().expect("a result per config");
+                others.extend(todo[1..].iter().copied().zip(results));
+                mine
+            });
+            for (k, result) in others {
+                let _ = cells[k].set(result);
+            }
+        }
+        cells
+            .iter()
+            .zip(configs)
+            .map(|(cell, config)| {
+                let mut result = cell.get().expect("every baseline is known").clone();
+                result.config_name.clone_from(&config.name);
+                result
+            })
+            .collect()
+    }
+
+    /// Number of baselines memoised on this build.
+    fn known_baselines(&self) -> usize {
+        let memo = self.baselines.lock().unwrap_or_else(|e| e.into_inner());
+        memo.iter()
+            .filter(|(_, _, cell)| cell.get().is_some())
+            .count()
+    }
+}
+
+/// One cached build: the shared [`Built`] every sweep point of a matching
+/// key clones, plus bookkeeping for the LRU budget.
 struct Entry {
-    built: Arc<(Arc<Computation>, Arc<Dag>)>,
+    built: Arc<Built>,
     /// Footprint estimate: trace arena + CSR DAG (compiled streams/lanes
     /// grow this lazily, but they are proportional to the arena).
     bytes: u64,
     last_used: u64,
 }
 
-/// Key: `(spec label, scale, scaled L2 bytes, cores)` — the same
-/// determinism contract the per-run map of PR 4 relied on.
-type Key = (String, u64, u64, usize);
+/// Key: the factory's [`WorkloadFactory::key`](ccs_workloads::WorkloadFactory::key)
+/// for the design point — for a built-in, its name and resolved `Params`.
+type Key = String;
 
 #[derive(Default)]
 struct BuildCache {
@@ -97,10 +204,7 @@ impl Drop for Claim<'_> {
 /// one of them builds again.  A builder must therefore not itself wait on
 /// sweep work that may be blocked in this function (registry builders are
 /// plain sequential functions).
-pub(crate) fn get_or_build(
-    key: Key,
-    build: impl FnOnce() -> (Arc<Computation>, Arc<Dag>),
-) -> Arc<(Arc<Computation>, Arc<Dag>)> {
+pub(crate) fn get_or_build(key: Key, build: impl FnOnce() -> Built) -> Arc<Built> {
     let mut cache = lock();
     loop {
         cache.tick += 1;
@@ -116,9 +220,8 @@ pub(crate) fn get_or_build(
     }
     drop(cache);
     let _claim = Claim(&key);
-    let (comp, dag) = build();
-    let bytes = comp.trace_arena_bytes() + dag.heap_bytes();
-    let built = Arc::new((comp, dag));
+    let built = Arc::new(build());
+    let bytes = built.comp.trace_arena_bytes() + built.dag.heap_bytes();
     let mut cache = lock();
     cache.tick += 1;
     let tick = cache.tick;
@@ -158,7 +261,24 @@ pub fn cached_builds() -> usize {
     lock().entries.len()
 }
 
-/// Drop every cached build (tests, or to release memory mid-process).
+/// Number of sequential baselines memoised on the cached builds
+/// (diagnostics/tests).
+pub fn cached_baselines() -> usize {
+    lock()
+        .entries
+        .values()
+        .map(|e| e.built.known_baselines())
+        .sum()
+}
+
+/// The baselines memoised on the cached build of `key`, if it is cached.
+#[cfg(test)]
+pub(crate) fn cached_baselines_of(key: &str) -> Option<usize> {
+    lock().entries.get(key).map(|e| e.built.known_baselines())
+}
+
+/// Drop every cached build and the baselines memoised on it (tests, or to
+/// release memory mid-process).
 pub fn clear() {
     lock().entries.clear();
 }
@@ -168,14 +288,14 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    fn tiny(comp_work: u64) -> (Arc<Computation>, Arc<Dag>) {
+    fn tiny(comp_work: u64) -> Built {
         let mut b = ccs_dag::ComputationBuilder::new(128);
         let leaf = b.strand_with(|t| {
             t.compute(comp_work).read(0x1000, 64);
         });
         let comp = Arc::new(b.finish(leaf));
         let dag = Arc::new(Dag::from_computation(&comp));
-        (comp, dag)
+        Built::new(comp, dag)
     }
 
     // The cache is process-global and other lib tests fill it concurrently,
@@ -185,7 +305,7 @@ mod tests {
     #[test]
     fn second_lookup_shares_the_first_build() {
         let calls = AtomicUsize::new(0);
-        let key = ("bc-test-a".to_string(), 1, 1024, 2);
+        let key = "bc-test-a".to_string();
         let a = get_or_build(key.clone(), || {
             calls.fetch_add(1, Ordering::SeqCst);
             tiny(5)
@@ -202,7 +322,7 @@ mod tests {
     fn racing_callers_share_one_build() {
         let calls = AtomicUsize::new(0);
         let start = std::sync::Barrier::new(8);
-        let key = ("bc-test-race".to_string(), 1, 1024, 2);
+        let key = "bc-test-race".to_string();
         let built: Vec<_> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..8)
                 .map(|_| {
@@ -227,7 +347,7 @@ mod tests {
     fn a_panicking_build_wakes_its_waiters_and_one_retries() {
         use std::sync::mpsc;
         use std::time::Duration;
-        let key = ("bc-test-panic".to_string(), 1, 1024, 2);
+        let key = "bc-test-panic".to_string();
         let retries = Arc::new(AtomicUsize::new(0));
         let (claimed_tx, claimed_rx) = mpsc::channel();
         let doomed = {
@@ -274,11 +394,91 @@ mod tests {
 
     #[test]
     fn distinct_keys_build_separately() {
-        let a = get_or_build(("bc-test-b".into(), 1, 1024, 2), || tiny(5));
-        let b = get_or_build(("bc-test-b".into(), 1, 2048, 2), || tiny(5));
-        assert!(
-            !Arc::ptr_eq(&a, &b),
-            "different L2 capacity, different build"
+        let a = get_or_build("bc-test-b:l2=1024".into(), || tiny(5));
+        let b = get_or_build("bc-test-b:l2=2048".into(), || tiny(5));
+        assert!(!Arc::ptr_eq(&a, &b), "different key, different build");
+    }
+
+    /// A 1-core machine named `name`, with memory latency `latency`.
+    fn machine(name: &str, latency: u64) -> CmpConfig {
+        let mut cfg = CmpConfig::default_with_cores(1).unwrap();
+        cfg.name = name.into();
+        cfg.memory.latency = latency;
+        cfg
+    }
+
+    /// A `run` for [`Built::baselines`] that simulates on the event engine
+    /// and counts the configs it was asked for.
+    fn counting_run<'a>(
+        built: &'a Built,
+        configs: &'a [CmpConfig],
+        calls: &'a AtomicUsize,
+    ) -> impl Fn(&[usize]) -> Vec<SimResult> + 'a {
+        move |todo: &[usize]| {
+            calls.fetch_add(todo.len(), Ordering::SeqCst);
+            todo.iter()
+                .map(|&j| ccs_sim::simulate(&built.comp, &configs[j], "pdf"))
+                .collect()
+        }
+    }
+
+    #[test]
+    fn a_baseline_is_simulated_once_per_machine() {
+        let built = tiny(5);
+        let calls = AtomicUsize::new(0);
+        let first = [machine("a-seq", 100), machine("b-seq", 300)];
+        let got = built.baselines(
+            SimEngine::EventDriven,
+            &first,
+            counting_run(&built, &first, &calls),
         );
+        assert_eq!(calls.load(Ordering::SeqCst), 2);
+        assert_eq!(got[0], ccs_sim::simulate(&built.comp, &first[0], "pdf"));
+        // Same machines under other names and a technology tag, plus one
+        // new latency: only the new one runs, and names follow the caller.
+        let mut renamed = machine("c-seq", 300);
+        renamed.technology = ccs_sim::Technology::Nm32;
+        let second = [renamed, machine("d-seq", 100), machine("e-seq", 500)];
+        let got = built.baselines(
+            SimEngine::EventDriven,
+            &second,
+            counting_run(&built, &second, &calls),
+        );
+        assert_eq!(calls.load(Ordering::SeqCst), 3, "one new machine ran");
+        for (config, result) in second.iter().zip(&got) {
+            assert_eq!(result, &ccs_sim::simulate(&built.comp, config, "pdf"));
+        }
+        assert_eq!(built.known_baselines(), 3);
+        // Another engine is another memo slot.
+        built.baselines(
+            SimEngine::Reference,
+            &first[..1],
+            counting_run(&built, &first, &calls),
+        );
+        assert_eq!(calls.load(Ordering::SeqCst), 4);
+    }
+
+    #[test]
+    fn racing_callers_share_one_baseline() {
+        let built = tiny(5);
+        let calls = AtomicUsize::new(0);
+        let start = std::sync::Barrier::new(8);
+        let configs = [machine("race-seq", 100)];
+        let got: Vec<_> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        built.baselines(SimEngine::EventDriven, &configs, |todo| {
+                            std::thread::sleep(std::time::Duration::from_millis(20));
+                            counting_run(&built, &configs, &calls)(todo)
+                        })
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(calls.load(Ordering::SeqCst), 1, "one simulation");
+        assert!(got.iter().all(|g| g == &got[0]));
     }
 }

@@ -22,6 +22,7 @@ use ccs_sched::SchedulerSpec;
 use ccs_sim::{simulate_batch, simulate_with_engine, CmpConfig, SimEngine};
 use ccs_workloads::{BuildCtx, UnknownWorkload, WorkloadRegistry};
 
+use crate::build_cache::Built;
 use crate::report::{Report, RunRecord};
 
 /// The quick-mode scale clamp: smoke tests always run at a divisor of at
@@ -222,14 +223,42 @@ impl WorkloadSpec {
         cores: usize,
     ) -> Result<Arc<Computation>, UnknownWorkload> {
         match self {
-            WorkloadSpec::Registry { name, params } => {
-                let mut ctx = BuildCtx::new(scale, l2_bytes, cores);
-                ctx.params = params.clone();
-                WorkloadRegistry::global().build(name, &ctx).map(Arc::new)
-            }
+            WorkloadSpec::Registry { name, params } => WorkloadRegistry::global()
+                .build(name, &build_ctx(params, scale, l2_bytes, cores))
+                .map(Arc::new),
             WorkloadSpec::Fixed { comp, .. } => Ok(Arc::clone(comp)),
         }
     }
+
+    /// The build-cache key of one design point: the factory's
+    /// [`WorkloadFactory::key`](ccs_workloads::WorkloadFactory::key) for a
+    /// registry spec, `None` for a fixed one (never cached).
+    ///
+    /// # Panics
+    /// Panics when a registry name is not registered, as
+    /// [`WorkloadSpec::build`] does.
+    pub fn build_key(&self, scale: u64, l2_bytes: u64, cores: usize) -> Option<String> {
+        match self {
+            WorkloadSpec::Registry { name, params } => Some(
+                WorkloadRegistry::global()
+                    .key(name, &build_ctx(params, scale, l2_bytes, cores))
+                    .unwrap_or_else(|e| panic!("{e}")),
+            ),
+            WorkloadSpec::Fixed { .. } => None,
+        }
+    }
+}
+
+/// The factory context of a registry spec at one design point.
+fn build_ctx(
+    params: &BTreeMap<String, String>,
+    scale: u64,
+    l2_bytes: u64,
+    cores: usize,
+) -> BuildCtx {
+    let mut ctx = BuildCtx::new(scale, l2_bytes, cores);
+    ctx.params = params.clone();
+    ctx
 }
 
 impl PartialEq for WorkloadSpec {
@@ -595,25 +624,31 @@ impl Experiment {
     ///
     /// The build, the geometry prebuild and the footprint metrics are shared
     /// by the whole group.  Registry builders are deterministic functions of
-    /// (spec, scale, scaled L2 capacity, cores), so each distinct
-    /// computation (and its DAG) is fetched through the **process-global
-    /// build cache** ([`crate::build_cache`]) and shared by every point,
-    /// sweep, repeat trial and daemon request of the process.  Caller-built
-    /// `Fixed` computations share their `Arc`'d trace arena but re-derive
-    /// the DAG.
+    /// what their factory reads from the design point
+    /// ([`WorkloadSpec::build_key`]), so each distinct computation (and its
+    /// DAG) is fetched through the **process-global build cache**
+    /// ([`crate::build_cache`]) and shared by every point, sweep, repeat
+    /// trial and daemon request of the process that resolves to it — the
+    /// 2-core and 8-core points of a hashjoin sweep over one L2 share one
+    /// build.  Caller-built `Fixed` computations share their `Arc`'d trace
+    /// arena but re-derive the DAG.
     ///
-    /// Each scheduler, and the sequential baseline (a 1-core `pdf` run),
-    /// is one simulation of the group: under [`SimEngine::Batch`] one
-    /// [`simulate_batch`] pass over the group, with every record annotated
-    /// with the group width ([`RunRecord::batch_width`]); under the other
-    /// engines [`simulate_with_engine`] per design point.  On a one-core
-    /// group, simulations whose exact dispatch order
-    /// ([`ccs_sched::one_core_order`]) coincides run once and
-    /// hand their results to every member — `pdf`, `ws` and the baseline
-    /// usually form one class (DESIGN.md §11).  Records are unchanged: a
-    /// record takes its scheduler name from the spec, and only `cycles`
-    /// from the baseline.  `compile_ms` is charged to the group's first
-    /// record only.
+    /// Each scheduler is one simulation of the group: under
+    /// [`SimEngine::Batch`] one [`simulate_batch`] pass over the group,
+    /// with every record annotated with the group width
+    /// ([`RunRecord::batch_width`]); under the other engines
+    /// [`simulate_with_engine`] per design point.  The sequential baseline
+    /// (a 1-core `pdf` run) depends only on the build, the engine and the
+    /// 1-core machine, so it is memoised on the cached build and simulated
+    /// once per machine (the same way, over the group's unknown machines)
+    /// however many points, groups, sweeps or requests ask for it.  On a
+    /// one-core group, simulations whose exact dispatch order
+    /// ([`ccs_sched::one_core_order`]) coincides run once and hand their
+    /// results to every member — `pdf`, `ws` and the baseline usually form
+    /// one class (DESIGN.md §11).  Records are unchanged: a record takes
+    /// its scheduler name from the spec, and only `cycles` from the
+    /// baseline.  `compile_ms` is charged to the group's first record
+    /// only.
     ///
     /// # Panics
     /// Panics when `points` is empty or its points disagree on workload or
@@ -640,18 +675,14 @@ impl Experiment {
             ccs_runtime::fault::inject_panic(ccs_runtime::fault::FaultKind::WorkloadBuild);
             let comp = head.workload.build(scale, l2_bytes, cores);
             let dag = Arc::new(Dag::from_computation(&comp));
-            (comp, dag)
+            Built::new(comp, dag)
         };
-        let built = match &head.workload {
-            WorkloadSpec::Registry { .. } => crate::build_cache::get_or_build(
-                (head.workload.label(), scale, l2_bytes, cores),
-                build,
-            ),
-            WorkloadSpec::Fixed { .. } => Arc::new(build()),
+        let built = match head.workload.build_key(scale, l2_bytes, cores) {
+            Some(key) => crate::build_cache::get_or_build(key, build),
+            None => Arc::new(build()),
         };
-        let (comp, dag) = &*built;
-        let comp: &Computation = comp.as_ref();
-        let dag: &Dag = dag.as_ref();
+        let comp: &Computation = built.comp.as_ref();
+        let dag: &Dag = built.dag.as_ref();
         // Geometry prebuild: resolve the line stream and the packed set
         // lanes before the simulations, so the engine finds everything
         // compiled.  Same machine shape means the same stream and lanes for
@@ -678,10 +709,9 @@ impl Experiment {
                 })
                 .collect(),
         };
-        // Every simulation the group needs: one per scheduler, then the
-        // sequential baseline.  The baselines differ only in latencies too,
-        // so under the batch engine they form their own (1-core, hence
-        // replayable) batch.
+        // The sequential baseline of each point: its machine on one core.
+        // The baselines differ only in latencies too, so under the batch
+        // engine they form their own (1-core, hence replayable) batch.
         let seq_spec = SchedulerSpec::new("pdf");
         let seq_configs: Option<Vec<CmpConfig>> = self.baseline.then(|| {
             configs
@@ -696,37 +726,44 @@ impl Experiment {
                 })
                 .collect()
         });
-        let mut runs: Vec<(&SchedulerSpec, &[CmpConfig])> = schedulers
-            .iter()
-            .map(|spec| (spec, configs.as_slice()))
-            .collect();
-        if let Some(seq_configs) = &seq_configs {
-            runs.push((&seq_spec, seq_configs));
-        }
         // On one core, runs with the same dispatch order are one
         // simulation: only each class's first run executes.  The baseline
-        // may join a class because a one-core point's configs are its
-        // baseline configs up to the name (one core means one cluster),
-        // and a record reads only `cycles` from its baseline.
-        let class_of = if cores == 1 && runs.len() > 1 {
-            let specs: Vec<&SchedulerSpec> = runs.iter().map(|&(spec, _)| spec).collect();
+        // (last) may join a class because a one-core point's configs are
+        // its baseline configs up to the name (one core means one
+        // cluster), and a record reads only `cycles` from its baseline.
+        let mut specs: Vec<&SchedulerSpec> = schedulers.iter().collect();
+        if self.baseline {
+            specs.push(&seq_spec);
+        }
+        let class_of = if cores == 1 && specs.len() > 1 {
             one_core_classes(dag, &specs)
         } else {
-            (0..runs.len()).collect()
+            (0..specs.len()).collect()
         };
-        let results: Vec<Option<Vec<ccs_sim::SimResult>>> = runs
+        let results: Vec<Option<Vec<ccs_sim::SimResult>>> = schedulers
             .iter()
             .enumerate()
-            .map(|(i, &(spec, run_configs))| {
-                (class_of[i] == i).then(|| simulate(run_configs, spec))
-            })
+            .map(|(i, spec)| (class_of[i] == i).then(|| simulate(&configs, spec)))
             .collect();
         let results_of = |run: usize| {
             results[class_of[run]]
                 .as_deref()
                 .expect("every class representative simulates")
         };
-        let sequentials = self.baseline.then(|| results_of(schedulers.len()));
+        let sequentials = seq_configs.map(|seq_configs| {
+            let shared = class_of[schedulers.len()];
+            built.baselines(self.engine, &seq_configs, |todo| {
+                if shared < schedulers.len() {
+                    todo.iter()
+                        .map(|&j| results_of(shared)[j].clone())
+                        .collect()
+                } else {
+                    let todo: Vec<CmpConfig> =
+                        todo.iter().map(|&j| seq_configs[j].clone()).collect();
+                    simulate(&todo, &seq_spec)
+                }
+            })
+        });
         let width = match self.engine {
             SimEngine::Batch => points.len() as u64,
             _ => 0,
@@ -739,7 +776,7 @@ impl Experiment {
                     .iter()
                     .enumerate()
                     .map(|(i, spec)| {
-                        let sequential = sequentials.map(|seqs| &seqs[j]);
+                        let sequential = sequentials.as_ref().map(|seqs| &seqs[j]);
                         // The compile was paid once for the whole group;
                         // charge it to the group's first record only, so
                         // summing `compile_ms` over a report yields the true
@@ -1123,6 +1160,67 @@ mod tests {
             builds < runs,
             "expected cached builds, factory ran {builds}/{runs} times"
         );
+    }
+
+    /// Hashjoin under another name, counting its builds.
+    struct CountedHashjoin(std::sync::atomic::AtomicUsize);
+
+    impl ccs_workloads::WorkloadFactory for CountedHashjoin {
+        fn name(&self) -> &str {
+            "counted-hashjoin"
+        }
+
+        fn describe(&self) -> &str {
+            "hashjoin, counting its builds (build-cache test)"
+        }
+
+        fn key(&self, ctx: &BuildCtx) -> String {
+            let key = WorkloadRegistry::global().key("hashjoin", ctx).unwrap();
+            format!("counted-{key}")
+        }
+
+        fn build(&self, ctx: &BuildCtx) -> Computation {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            WorkloadRegistry::global().build("hashjoin", ctx).unwrap()
+        }
+    }
+
+    #[test]
+    fn points_that_resolve_alike_share_a_build_and_a_baseline() {
+        let factory = Arc::new(CountedHashjoin(Default::default()));
+        WorkloadRegistry::global().register(factory.clone());
+        let scale = 1024;
+        let sweep = |cores: usize| {
+            Experiment::new("counted-hashjoin")
+                .cores([cores])
+                .scale(scale)
+                .run()
+        };
+        // At 1/1024 both points have a 16 KB L2: hashjoin ignores the core
+        // count, and their 1-core machines differ only in name.
+        let served = [sweep(2), sweep(8)];
+        assert_eq!(factory.0.load(std::sync::atomic::Ordering::SeqCst), 1);
+        let l2 = CmpConfig::default_with_cores(2)
+            .unwrap()
+            .scaled(scale)
+            .l2
+            .capacity;
+        let key = WorkloadSpec::registry("counted-hashjoin")
+            .build_key(scale, l2, 2)
+            .unwrap();
+        assert_eq!(crate::build_cache::cached_baselines_of(&key), Some(1));
+        // The same sweeps on fixed computations, which bypass the cache.
+        for (cores, served) in [2, 8].into_iter().zip(served) {
+            let config = CmpConfig::default_with_cores(cores).unwrap().scaled(scale);
+            let ctx = BuildCtx::new(scale, config.l2.capacity, cores);
+            let comp = WorkloadRegistry::global().build("hashjoin", &ctx).unwrap();
+            let fixed = Experiment::new(WorkloadSpec::fixed("counted-hashjoin", comp))
+                .cores([cores])
+                .scale(scale)
+                .run();
+            assert_eq!(served, fixed, "{cores} cores");
+            assert!(served.records.iter().all(|r| r.speedup_over_seq.is_some()));
+        }
     }
 
     #[test]

@@ -116,6 +116,30 @@ pub fn same_machine_shape(a: &CmpConfig, b: &CmpConfig) -> bool {
         && l3_shape(a) == l3_shape(b)
 }
 
+/// Whether `a` and `b` are the same simulated machine: equal in every field
+/// the engines read — cores, clusters, L1, L2, L3 and memory.  Only the
+/// name and the technology tag may differ, so on one computation and
+/// scheduler the two give equal [`SimResult`]s up to `config_name`.
+pub fn same_machine(a: &CmpConfig, b: &CmpConfig) -> bool {
+    // Exhaustive, so a new field has to be sorted into read or ignored.
+    let CmpConfig {
+        name: _,
+        technology: _,
+        num_cores,
+        clusters,
+        l1,
+        l2,
+        l3,
+        memory,
+    } = a;
+    *num_cores == b.num_cores
+        && *clusters == b.clusters
+        && *l1 == b.l1
+        && *l2 == b.l2
+        && *l3 == b.l3
+        && *memory == b.memory
+}
+
 /// Whether a group of same-shape configurations qualifies for the
 /// record/replay fast path: a single core (the latency-independence
 /// argument in the module docs), a flat two-level hierarchy (the closed
@@ -386,6 +410,23 @@ mod tests {
         let mut clustered = config(4, 13, 300);
         clustered.clusters = 2;
         assert!(!same_machine_shape(&wide, &clustered));
+    }
+
+    #[test]
+    fn same_machine_ignores_only_the_name_and_technology() {
+        let a = config(1, 13, 300);
+        let mut renamed = a.clone();
+        renamed.name = "other".into();
+        renamed.technology = crate::Technology::Nm32;
+        assert!(same_machine(&a, &renamed));
+        let comp = sample_comp();
+        let run = |cfg: &CmpConfig| simulate_engine(&comp, cfg, "pdf", SimEngine::EventDriven);
+        let (x, mut y) = (run(&a), run(&renamed));
+        y.config_name.clone_from(&x.config_name);
+        assert_eq!(x, y, "an equal machine simulates alike up to the name");
+        assert!(!same_machine(&a, &config(1, 7, 300)), "latency is read");
+        assert!(!same_machine(&a, &config(1, 13, 900)));
+        assert!(!same_machine(&a, &config(2, 13, 300)));
     }
 
     #[test]

@@ -192,8 +192,9 @@ pub(crate) enum SwitchSite {
     L3Probe,
     /// A last-level miss waiting for main memory.
     Memory,
-    /// Between two steps: a completed step (an L1 hit, a fill or a
-    /// resumed probe) left the core behind another core's event.
+    /// Between two steps: a completed step (an L1 hit or a fill) left the
+    /// core behind another core's event.  A resumed probe that misses
+    /// parks at the site it then waits on, as the fused path does.
     Step,
 }
 
@@ -1012,9 +1013,15 @@ fn event_loop<R: Record, const HAS_L3: bool>(
                     } else if HAS_L3 {
                         core.time += l3_hit_latency;
                         core.phase = Phase::L3Probe { id, is_write };
+                        if yields!(core.time) {
+                            park!(SwitchSite::L3Probe);
+                        }
                     } else {
                         core.time = memory.request(core.time);
                         core.phase = Phase::MemFill { id, is_write };
+                        if yields!(core.time) {
+                            park!(SwitchSite::Memory);
+                        }
                     }
                 }
                 Phase::L3Probe { id, is_write } => {
@@ -1029,6 +1036,9 @@ fn event_loop<R: Record, const HAS_L3: bool>(
                     } else {
                         core.time = memory.request(core.time);
                         core.phase = Phase::MemFill { id, is_write };
+                        if yields!(core.time) {
+                            park!(SwitchSite::Memory);
+                        }
                     }
                 }
                 Phase::MemFill { id, is_write } => {
@@ -1415,13 +1425,13 @@ mod tests {
             EngineCounts {
                 switches_l2_probe: 41,
                 switches_l3_probe: 0,
-                switches_memory: 70,
-                switches_step: 23,
+                switches_memory: 80,
+                switches_step: 13,
                 dispatches: 4,
                 l1_misses: 144,
             }
         );
-        assert_eq!(counts.switches(), 41 + 70 + 23);
+        assert_eq!(counts.switches(), 134);
     }
 
     /// The widest machine: core ids up to 4095 fill every bit of the

@@ -4,7 +4,7 @@
 //! parameters), mirroring the scheduler registry in `ccs-sched::registry`:
 //!
 //! * [`WorkloadFactory`] — how a named workload is built for one design
-//!   point;
+//!   point, and which design points share one build;
 //! * [`WorkloadRegistry`] — a name → factory table.
 //!   [`WorkloadRegistry::global`] is the process-wide instance,
 //!   pre-populated with all six built-in kernels (`"lu"`, `"hashjoin"`,
@@ -136,8 +136,48 @@ pub trait WorkloadFactory: Send + Sync {
     /// One-line human-readable description, shown by CLI listings.
     fn describe(&self) -> &str;
 
+    /// The identity of the computation [`WorkloadFactory::build`] makes
+    /// for `ctx`: contexts with equal keys must build identical
+    /// computations, and the experiment layer's build cache shares one
+    /// build between them.  The default covers every field of `ctx`, so a
+    /// factory that does not override it is never wrongly shared.  A
+    /// factory that reads only part of its context (a kernel whose task
+    /// grain ignores the core count) returns a coarser key, and design
+    /// points it cannot tell apart then share one build.
+    fn key(&self, ctx: &BuildCtx) -> String {
+        format!("{}:{ctx:?}", self.name())
+    }
+
     /// Build the computation for one design point.
     fn build(&self, ctx: &BuildCtx) -> Computation;
+}
+
+/// A built-in kernel: `resolve` turns a design point into the kernel's
+/// `Params`, and `build` reads only those.  The key is the resolved
+/// `Params`, so design points that resolve alike share one build.
+struct Builtin<P> {
+    name: &'static str,
+    describe: &'static str,
+    resolve: fn(&BuildCtx) -> P,
+    build: fn(&P) -> Computation,
+}
+
+impl<P: std::fmt::Debug> WorkloadFactory for Builtin<P> {
+    fn name(&self) -> &str {
+        self.name
+    }
+
+    fn describe(&self) -> &str {
+        self.describe
+    }
+
+    fn key(&self, ctx: &BuildCtx) -> String {
+        format!("{}:{:?}", self.name, (self.resolve)(ctx))
+    }
+
+    fn build(&self, ctx: &BuildCtx) -> Computation {
+        (self.build)(&(self.resolve)(ctx))
+    }
 }
 
 /// A [`WorkloadFactory`] wrapping a closure (see
@@ -214,12 +254,18 @@ impl WorkloadRegistry {
     /// | `quicksort` | `n` (items), `split` (left %, 50 = balanced), `base` (items) |
     /// | `matmul`    | `n` (matrix dim, power of two), `block` |
     /// | `heat`      | `rows`, `cols`, `steps` (iterations), `band` (rows/task) |
+    ///
+    /// Each built-in resolves its context to the kernel's `Params` and keys
+    /// its build by them ([`WorkloadFactory::key`]): `hashjoin` and `lu`
+    /// ignore the core count, `quicksort`, `matmul` and `heat` also ignore
+    /// the L2 capacity, and `mergesort` reads both only through its task
+    /// working set, which has a 16 KB floor.
     pub fn with_builtins() -> Self {
         let registry = Self::empty();
-        registry.register_fn(
+        registry.builtin(
             "mergesort",
             "parallel mergesort, 32M 4-byte items at scale 1 (paper §4.2)",
-            |ctx: &BuildCtx| {
+            |ctx| {
                 let mut p = match ctx.u64_param("n") {
                     Some(n) => {
                         let ws = MergesortParams::scaled(ctx.scale, ctx.l2_bytes, ctx.cores)
@@ -234,13 +280,14 @@ impl WorkloadRegistry {
                 if ctx.bool_param("coarse").unwrap_or(false) {
                     p = p.coarse_grained();
                 }
-                mergesort::build(&p)
+                p
             },
+            mergesort::build,
         );
-        registry.register_fn(
+        registry.builtin(
             "hashjoin",
             "database hash join, ~341MB build partition at scale 1 (paper §4.2)",
-            |ctx: &BuildCtx| {
+            |ctx| {
                 let mut p = match ctx.u64_param("build") {
                     Some(build) => HashJoinParams::new(build.max(1)).with_l2_bytes(ctx.l2_bytes),
                     None => HashJoinParams::scaled(ctx.scale, ctx.l2_bytes),
@@ -251,13 +298,14 @@ impl WorkloadRegistry {
                 if ctx.bool_param("coarse").unwrap_or(false) {
                     p = p.coarse_grained();
                 }
-                hashjoin::build(&p)
+                p
             },
+            hashjoin::build,
         );
-        registry.register_fn(
+        registry.builtin(
             "lu",
             "recursive dense LU factorization, 2Kx2K doubles at scale 1 (paper §4.2)",
-            |ctx: &BuildCtx| {
+            |ctx| {
                 let p = match ctx.u64_param("n") {
                     Some(n) => {
                         let n = require_pow2("lu", "n", n);
@@ -265,19 +313,19 @@ impl WorkloadRegistry {
                     }
                     None => LuParams::scaled(ctx.scale, ctx.l2_bytes),
                 };
-                let p = match ctx.u64_param("block") {
+                match ctx.u64_param("block") {
                     Some(block) => {
                         LuParams::new(p.n).with_block(require_pow2("lu", "block", block))
                     }
                     None => p,
-                };
-                lu::build(&p)
+                }
             },
+            lu::build,
         );
-        registry.register_fn(
+        registry.builtin(
             "quicksort",
             "recursive quicksort with unbalanced pivots (paper §5.5)",
-            |ctx: &BuildCtx| {
+            |ctx| {
                 let mut p = match ctx.u64_param("n") {
                     Some(n) => QuicksortParams::new(n.max(2)),
                     None => QuicksortParams::scaled(ctx.scale),
@@ -288,13 +336,14 @@ impl WorkloadRegistry {
                 if let Some(base) = ctx.u64_param("base") {
                     p.base_task_items = base.max(1);
                 }
-                extras::quicksort(&p)
+                p
             },
+            extras::quicksort,
         );
-        registry.register_fn(
+        registry.builtin(
             "matmul",
             "recursive blocked matrix multiply, 2Kx2K doubles at scale 1 (paper §5.5)",
-            |ctx: &BuildCtx| {
+            |ctx| {
                 let mut p = match ctx.u64_param("n") {
                     Some(n) => MatmulParams::new(require_pow2("matmul", "n", n)),
                     None => MatmulParams::scaled(ctx.scale),
@@ -302,13 +351,14 @@ impl WorkloadRegistry {
                 if let Some(block) = ctx.u64_param("block") {
                     p.block = require_pow2("matmul", "block", block).min(p.n);
                 }
-                extras::matmul(&p)
+                p
             },
+            extras::matmul,
         );
-        registry.register_fn(
+        registry.builtin(
             "heat",
             "iterative 2-D Jacobi stencil, 4Kx4K doubles at scale 1 (paper §5.5)",
-            |ctx: &BuildCtx| {
+            |ctx| {
                 let mut p = HeatParams::scaled(ctx.scale);
                 if let Some(rows) = ctx.u64_param("rows") {
                     p.rows = rows.max(1);
@@ -322,10 +372,27 @@ impl WorkloadRegistry {
                 if let Some(band) = ctx.u64_param("band") {
                     p.rows_per_task = band.max(1);
                 }
-                extras::heat(&p)
+                p
             },
+            extras::heat,
         );
         registry
+    }
+
+    /// Register a built-in kernel (see [`Builtin`]).
+    fn builtin<P: std::fmt::Debug + 'static>(
+        &self,
+        name: &'static str,
+        describe: &'static str,
+        resolve: fn(&BuildCtx) -> P,
+        build: fn(&P) -> Computation,
+    ) {
+        self.register(Arc::new(Builtin {
+            name,
+            describe,
+            resolve,
+            build,
+        }));
     }
 
     /// The process-wide registry used by the experiment layer and every
@@ -387,21 +454,29 @@ impl WorkloadRegistry {
             .map(|f| f.describe().to_string())
     }
 
-    /// Build the workload registered under `name` for one design point.
-    pub fn build(&self, name: &str, ctx: &BuildCtx) -> Result<Computation, UnknownWorkload> {
+    /// The factory registered under `name`.
+    fn factory(&self, name: &str) -> Result<Arc<dyn WorkloadFactory>, UnknownWorkload> {
         let factory = self
             .factories
             .read()
             .unwrap_or_else(|e| e.into_inner())
             .get(name)
             .cloned();
-        match factory {
-            Some(f) => Ok(f.build(ctx)),
-            None => Err(UnknownWorkload {
-                name: name.to_string(),
-                known: self.names(),
-            }),
-        }
+        factory.ok_or_else(|| UnknownWorkload {
+            name: name.to_string(),
+            known: self.names(),
+        })
+    }
+
+    /// The [`WorkloadFactory::key`] of the workload registered under
+    /// `name` for one design point.
+    pub fn key(&self, name: &str, ctx: &BuildCtx) -> Result<String, UnknownWorkload> {
+        self.factory(name).map(|f| f.key(ctx))
+    }
+
+    /// Build the workload registered under `name` for one design point.
+    pub fn build(&self, name: &str, ctx: &BuildCtx) -> Result<Computation, UnknownWorkload> {
+        self.factory(name).map(|f| f.build(ctx))
     }
 }
 
@@ -544,6 +619,110 @@ mod tests {
             let comp = WorkloadRegistry::global().build("lu", &ctx).unwrap();
             assert!(comp.num_tasks() >= 1, "lu n={n}");
         }
+    }
+
+    fn key_at(name: &str, l2_bytes: u64, cores: usize) -> String {
+        WorkloadRegistry::global()
+            .key(name, &BuildCtx::new(1024, l2_bytes, cores))
+            .unwrap()
+    }
+
+    #[test]
+    fn builtin_keys_cover_only_what_the_kernel_reads() {
+        for name in ["hashjoin", "lu"] {
+            assert_eq!(
+                key_at(name, 64 << 10, 2),
+                key_at(name, 64 << 10, 8),
+                "{name}"
+            );
+            assert_ne!(
+                key_at(name, 64 << 10, 2),
+                key_at(name, 1 << 20, 2),
+                "{name}"
+            );
+        }
+        for name in ["quicksort", "matmul", "heat"] {
+            assert_eq!(
+                key_at(name, 64 << 10, 2),
+                key_at(name, 1 << 20, 8),
+                "{name}"
+            );
+        }
+        // The task working set is L2 / (2 × cores) with a 16 KB floor: at a
+        // 128 KB L2 the floor binds from 4 cores up.
+        assert_eq!(
+            key_at("mergesort", 128 << 10, 4),
+            key_at("mergesort", 128 << 10, 8)
+        );
+        assert_ne!(
+            key_at("mergesort", 128 << 10, 1),
+            key_at("mergesort", 128 << 10, 2)
+        );
+        assert_ne!(
+            key_at("mergesort", 128 << 10, 2),
+            key_at("mergesort", 128 << 10, 4)
+        );
+        // Parameters reach the key; distinct kernels never share one.
+        let registry = WorkloadRegistry::global();
+        let ctx = BuildCtx::new(1024, 64 << 10, 2);
+        assert_ne!(
+            registry.key("matmul", &ctx).unwrap(),
+            registry
+                .key("matmul", &ctx.clone().with_param("n", "64"))
+                .unwrap()
+        );
+        let keys: std::collections::BTreeSet<String> = ALL
+            .iter()
+            .map(|name| registry.key(name, &ctx).unwrap())
+            .collect();
+        assert_eq!(keys.len(), ALL.len());
+    }
+
+    #[test]
+    fn equal_keys_build_identical_computations() {
+        let registry = WorkloadRegistry::global();
+        for (name, a, b) in [
+            ("hashjoin", (64 << 10, 2), (64 << 10, 8)),
+            ("heat", (64 << 10, 2), (1 << 20, 8)),
+            ("mergesort", (128 << 10, 4), (128 << 10, 8)),
+        ] {
+            let ctx = |(l2, cores)| BuildCtx::new(1024, l2, cores);
+            assert_eq!(
+                registry.key(name, &ctx(a)).unwrap(),
+                registry.key(name, &ctx(b)).unwrap()
+            );
+            let (a, b) = (
+                registry.build(name, &ctx(a)).unwrap(),
+                registry.build(name, &ctx(b)).unwrap(),
+            );
+            assert_eq!(a.num_tasks(), b.num_tasks(), "{name}");
+            assert!(a.sequential_refs().eq(b.sequential_refs()), "{name}");
+        }
+    }
+
+    #[test]
+    fn closure_factories_key_by_the_whole_context() {
+        let registry = WorkloadRegistry::empty();
+        registry.register_fn("noop", "one empty strand", |_ctx: &BuildCtx| {
+            let mut b = ccs_dag::ComputationBuilder::new(128);
+            let s = b.strand_with(|t| {
+                t.compute(1);
+            });
+            b.finish(s)
+        });
+        let key = |ctx: &BuildCtx| registry.key("noop", ctx).unwrap();
+        let ctx = BuildCtx::new(1024, 64 << 10, 2);
+        let keys = [
+            key(&ctx),
+            key(&BuildCtx::new(512, 64 << 10, 2)),
+            key(&BuildCtx::new(1024, 128 << 10, 2)),
+            key(&BuildCtx::new(1024, 64 << 10, 8)),
+            key(&ctx.clone().with_param("n", "3")),
+        ];
+        let distinct: std::collections::BTreeSet<&String> = keys.iter().collect();
+        assert_eq!(distinct.len(), keys.len(), "{keys:?}");
+        assert_eq!(key(&ctx), key(&ctx.clone()));
+        assert!(registry.key("nope", &ctx).is_err());
     }
 
     #[test]
