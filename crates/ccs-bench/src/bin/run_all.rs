@@ -1,18 +1,29 @@
-//! Run the full experiment suite in one process and emit one merged
+//! Run the paper's figures and tables in one process and emit one merged
 //! machine-readable report.
 //!
-//! The figure sweeps (Figs. 2–6, the Section 5.4 comparison, the latency
-//! and scaling profiles, then Figure 8) run through the `Experiment` API
-//! and are merged into a single JSON trajectory.  The full (non-quick)
-//! suite then prints the two text sections that are not sweeps (the
-//! configuration tables and the Section 6.1 profiler timing, see
-//! [`ccs_bench::sections`]).
+//! `run_all` walks the named parts of [`ccs_bench::parts`] in order: the
+//! figure sweeps (Figs. 2–6, the Section 5.4 comparison, the latency and
+//! scaling profiles), Figure 8, the Section 5.5 extras, then the two text
+//! sections that are not sweeps (the configuration tables and the Section
+//! 6.1 profiler timing, see [`ccs_bench::sections`]).  Each sweep prints
+//! its TSV table and is merged into one JSON trajectory.  A plain run
+//! walks every sweep; the full (non-quick) suite adds the text sections
+//! and, with no `--app` filter, the Section 5.5 extras.
 //!
 //! ```text
 //! cargo run --release -p ccs-bench --bin run_all -- \
-//!     [--scale N] [--quick] [--json PATH] [--parallel N] [--app NAME]
-//!     [--workloads spec,...] [--cores N,...] [--bench] [--engine event|reference|batch]
+//!     [--fig NAME[,NAME...]] [--scale N] [--quick] [--json PATH] [--parallel N]
+//!     [--app NAME] [--workloads spec,...] [--cores N,...] [--bench]
+//!     [--engine event|reference|batch]
 //! ```
+//!
+//! `--fig NAME[,NAME...]` walks only the named parts (`--fig
+//! fig4_l2_hit_time`), always in list order; an unknown name is an error
+//! that lists the parts.  Every [`ccs_bench::claims`] entry whose part ran
+//! prints one `# claim` line per outcome on stderr, and after writing its
+//! JSON `run_all` exits 1 if any claim failed.  Unknown flags, `--fig` with
+//! `--workloads` (use `--app`) and `--bench` with either exit 2 with a
+//! one-line `error:`.
 //!
 //! `--bench` substitutes the timed [`ccs_bench::harness`] for the plain
 //! sweeps: the figure sweeps run under the wall clock (plus an
@@ -20,15 +31,14 @@
 //! microbenches) and the perf trajectory is written to `BENCH_sim.json` —
 //! the file CI uploads and gates against `bench/baseline.json` (see the
 //! `bench_gate` binary).  The merged sweep report is still emitted through
-//! `--json` as usual.
+//! `--json` as usual; no claim is evaluated.
 //!
 //! With `--quick` the merged report is always written (default path
 //! `BENCH_run_all.json` when `--json` is not given), so smoke tests get a
-//! machine-readable trajectory.  The full (non-quick) suite also runs the
-//! Section 5.5 secondary benchmarks through the open workload registry.
+//! machine-readable trajectory.
 //!
 //! `--app NAME` restricts the figure sweeps to one paper workload.
-//! `--workloads <spec,...>` replaces the figure sweeps with exactly the
+//! `--workloads <spec,...>` replaces every part with exactly the
 //! requested registry workloads (`--workloads quicksort,matmul:n=512`) on
 //! the `--cores` default configurations (8 cores when none are given).
 //! Every sweep fans across one `ccs-runtime` pool thread per host core by
@@ -38,49 +48,53 @@
 
 use std::io::Write;
 use std::path::PathBuf;
+use std::process::exit;
 
-use ccs_bench::figs::Sweep;
-use ccs_bench::sections::SECTIONS;
-use ccs_bench::{figs, harness, text_out};
+use ccs_bench::claims::{self, CLAIMS};
+use ccs_bench::parts::{self, Run};
+use ccs_bench::{harness, text_out};
 use ccs_experiment::{Options, Report};
 
 fn main() {
     let mut opts = Options::from_env();
+    let parts = parts::select(&opts).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        exit(2);
+    });
     if opts.bench {
         run_bench(opts);
         return;
     }
-    let sweeps: Vec<Sweep> = if !opts.workloads.is_empty() {
-        // An explicit `--workloads` selection replaces the figure sweeps:
-        // run exactly the requested registry specs.
-        vec![("workloads", figs::workload_sweep)]
-    } else {
-        // Figure 8 stays out of `figure_sweeps()`, which the bench harness
-        // also times.
-        let mut sweeps = figs::figure_sweeps();
-        sweeps.push(("fig8_auto_coarsening", figs::fig8));
-        // The full suite also covers the Section 5.5 secondary benchmarks
-        // (skipped by `--quick` and by an `--app` paper-benchmark filter).
-        if !opts.quick && opts.app.is_none() {
-            sweeps.push(("sec55_extras", figs::extras));
-        }
-        sweeps
-    };
 
     // With `--json -` the tables move to stderr so stdout carries nothing
     // but the merged JSON document.
     let mut out = text_out(&opts);
     let mut merged = Report::new("run_all", opts.effective_scale());
-    for (name, run) in sweeps {
-        let report = run(&opts);
-        write!(out, "\n===== {name} =====\n{}", report.to_tsv()).expect("write the sweep table");
-        merged.merge(report);
-    }
-
-    if !opts.quick && opts.workloads.is_empty() {
-        for (name, section) in SECTIONS {
-            writeln!(out, "\n===== {name} =====").expect("write the section header");
-            section(&opts, &mut out).unwrap_or_else(|e| panic!("write {name}: {e}"));
+    let mut outcomes = Vec::new();
+    for part in parts {
+        writeln!(out, "\n===== {} =====", part.name).expect("write the part header");
+        match part.run {
+            Run::Sweep(run) => {
+                let report = run(&opts);
+                write!(out, "{}", report.to_tsv()).expect("write the sweep table");
+                for claim in CLAIMS.iter().filter(|c| c.part == part.name) {
+                    for outcome in (claim.check)(&report) {
+                        eprintln!(
+                            "# claim {} {}: {} = {:.3} holds={}",
+                            claim.section,
+                            claim.name,
+                            outcome.subject,
+                            outcome.value,
+                            outcome.holds
+                        );
+                        outcomes.push(outcome);
+                    }
+                }
+                merged.merge(report);
+            }
+            Run::Text(section) => {
+                section(&opts, &mut out).unwrap_or_else(|e| panic!("write {}: {e}", part.name))
+            }
         }
     }
     out.flush().expect("flush the tables");
@@ -92,22 +106,13 @@ fn main() {
     if let Err(e) = opts.emit_json(&merged) {
         eprintln!("failed to write JSON report: {e}");
     }
+    exit(claims::exit_code(&outcomes));
 }
 
 /// `--bench`: run the timed harness, print its table, and leave both the
 /// `BENCH_sim.json` perf trajectory and the usual merged sweep report
 /// behind.
 fn run_bench(mut opts: Options) {
-    if !opts.workloads.is_empty() {
-        // In sweep mode `--workloads` replaces the figure sweeps, but the
-        // bench trajectory must stay comparable across runs, so the harness
-        // always times the canonical sweeps — reject rather than silently
-        // ignoring the selection.
-        eprintln!(
-            "--bench times the canonical figure sweeps and cannot be combined with --workloads"
-        );
-        std::process::exit(2);
-    }
     let (bench, merged) = harness::run(&opts);
     if opts.json_to_stdout() {
         eprint!("{}", bench.to_tsv());
@@ -118,7 +123,7 @@ fn run_bench(mut opts: Options) {
         Ok(()) => eprintln!("# wrote {}", harness::BENCH_SIM_PATH),
         Err(e) => {
             eprintln!("failed to write {}: {e}", harness::BENCH_SIM_PATH);
-            std::process::exit(1);
+            exit(1);
         }
     }
     // Quick runs always leave the sweep trajectory behind too.

@@ -41,12 +41,13 @@
 //!
 //! Failure model (timeouts, retries, health): DESIGN.md §13.
 
+use std::io::Write;
 use std::path::PathBuf;
 use std::process::exit;
 use std::time::Duration;
 
-use ccs_bench::print_report;
-use ccs_experiment::Options;
+use ccs_bench::text_out;
+use ccs_experiment::{Options, Report};
 use ccs_serve::protocol::SubmitRequest;
 use ccs_serve::{run_with_retry, Client, CollectedRun, RequestState, RetryPolicy};
 
@@ -54,6 +55,15 @@ use ccs_serve::{run_with_retry, Client, CollectedRun, RequestState, RetryPolicy}
 fn fail(message: impl std::fmt::Display) -> ! {
     eprintln!("serve_client: {message}");
     exit(2);
+}
+
+/// Print `report` as a TSV table (on stderr under `--json -`) and emit it
+/// as `--json` asks.
+fn emit(report: &Report, opts: &Options) {
+    write!(text_out(opts), "{}", report.to_tsv()).expect("write the report table");
+    if let Err(e) = opts.emit_json(report) {
+        eprintln!("# failed to write JSON report: {e}");
+    }
 }
 
 struct ClientFlags {
@@ -168,7 +178,7 @@ fn main() {
     if flags.batch {
         let exp = request.experiment().unwrap_or_else(|e| fail(e));
         let report = exp.parallelism(opts.parallel).run();
-        print_report("serve_client --batch", &report, &opts);
+        emit(&report, &opts);
         return;
     }
 
@@ -231,7 +241,7 @@ fn main() {
     }
     if run.state == RequestState::Done {
         let report = run.into_report();
-        print_report("serve_client (daemon-served)", &report, &opts);
+        emit(&report, &opts);
     }
 
     // Health and shutdown ride a fresh connection: the collecting one may

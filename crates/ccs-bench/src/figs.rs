@@ -1,9 +1,8 @@
 //! The paper's figure sweeps, described with the [`Experiment`] builder.
 //!
-//! Each function returns a serialisable [`Report`]; the binaries in
-//! `src/bin/` print it as TSV and optionally emit JSON.  `run_all` runs
-//! all of them in one process and merges them into one machine-readable
-//! trajectory.  Figures 2–6 and the Section 5.x sweeps compare PDF with
+//! Each function returns a serialisable [`Report`]; `run_all` runs them as
+//! its named parts ([`crate::parts`]), prints each as TSV and merges them
+//! into one machine-readable trajectory.  Figures 2–6 and the Section 5.x sweeps compare PDF with
 //! WS; Figure 8 ([`fig8`]) compares three task granularities under PDF.
 
 use std::collections::BTreeMap;
@@ -46,10 +45,10 @@ fn without_lu(opts: &Options) -> Vec<&'static str> {
 /// A named figure sweep.
 pub type Sweep = (&'static str, fn(&Options) -> Report);
 
-/// The canonical figure-sweep list: what `run_all` executes and what the
-/// bench harness times (`macro/<name>` records).  Extend figures here so
-/// both stay in lockstep; the §5.5 extras sweep is appended separately by
-/// `run_all` in full mode.
+/// The canonical figure-sweep list: the first of `run_all`'s parts and what
+/// the bench harness times (`macro/<name>` records).  Extend figures here
+/// so both stay in lockstep; Figure 8 and the §5.5 extras follow them in
+/// [`crate::parts::parts`].
 pub fn figure_sweeps() -> Vec<Sweep> {
     vec![
         ("fig2_default_configs", fig2),
@@ -109,32 +108,13 @@ pub fn fig3(opts: &Options) -> Report {
 /// default monolithic shared L2).
 ///
 /// The headline comparison (Section 5.3): PDF with the *slow* 19-cycle L2
-/// still beats WS with the *fast* 7-cycle L2 — use
-/// [`pdf_slow_beats_ws_fast`] on the returned report to check it.
+/// still beats WS with the *fast* 7-cycle L2 — the
+/// [`pdf_slow_beats_ws_fast`](crate::claims::pdf_slow_beats_ws_fast) claim
+/// checks it on the returned report.
 pub fn fig4(opts: &Options) -> Report {
     let base = CmpConfig::default_with_cores(16).expect("16-core default config");
     let configs = [7u64, 19].map(|hit| base.clone().with_l2_hit_latency(hit));
     run_over(sweep("fig4", opts).configs(configs), without_lu(opts))
-}
-
-/// The Section 5.3 check on a [`fig4`] report: for each workload, the
-/// cycles of PDF on the slow (19-cycle) L2 over those of WS on the fast
-/// (7-cycle) L2, and whether PDF still wins (a ratio of at most 1).
-pub fn pdf_slow_beats_ws_fast(report: &Report) -> Vec<(String, f64, bool)> {
-    report
-        .workloads()
-        .into_iter()
-        .filter_map(|workload| {
-            let pdf_slow = report
-                .for_workload(&workload)
-                .find(|r| r.scheduler == "pdf" && r.config.contains("l2hit19"))?;
-            let ws_fast = report
-                .for_workload(&workload)
-                .find(|r| r.scheduler == "ws" && r.config.contains("l2hit7"))?;
-            let ratio = pdf_slow.cycles as f64 / ws_fast.cycles.max(1) as f64;
-            Some((workload.clone(), ratio, pdf_slow.cycles <= ws_fast.cycles))
-        })
-        .collect()
 }
 
 /// Figure 5: sensitivity to the main-memory latency (100–1100 cycles) on the
@@ -244,16 +224,11 @@ impl Coarsened {
 /// * `mergesort/actual` — the workload regenerated at the budget
 ///   granularity.
 ///
-/// The paper finds `actual` within 5% of the best of the three — check it
-/// with [`coarsening_within_best`].  Empty when the selection has no
-/// Mergesort.
-pub fn fig8(opts: &Options) -> Report {
-    fig8_coarsened(opts).0
-}
-
-/// [`fig8`] together with what the coarsening analysis chose at each core
-/// count.
-pub fn fig8_coarsened(opts: &Options) -> (Report, Vec<Coarsened>) {
+/// The paper finds `actual` within 5% of the best of the three — the
+/// [`coarsening_within_best`](crate::claims::coarsening_within_best) claim
+/// checks it.  Returned with what the coarsening analysis chose at each
+/// core count; both are empty when the selection has no Mergesort.
+pub fn fig8(opts: &Options) -> (Report, Vec<Coarsened>) {
     let scale = opts.effective_scale();
     let mut report = Report::new("fig8", scale);
     let mut analyses = Vec::new();
@@ -307,28 +282,6 @@ pub fn fig8_coarsened(opts: &Options) -> (Report, Vec<Coarsened>) {
         report.merge(exp.run());
     }
     (report, analyses)
-}
-
-/// The Section 6 check on a [`fig8`] report: for each core count (in
-/// report order), the `mergesort/actual` cycles over the best of the three
-/// schemes, and whether that ratio is within the paper's 5%.
-pub fn coarsening_within_best(report: &Report) -> Vec<(usize, f64, bool)> {
-    let mut cores: Vec<usize> = Vec::new();
-    for r in &report.records {
-        if !cores.contains(&r.cores) {
-            cores.push(r.cores);
-        }
-    }
-    cores
-        .into_iter()
-        .filter_map(|c| {
-            let at = || report.records.iter().filter(move |r| r.cores == c);
-            let actual = at().find(|r| r.workload == "mergesort/actual")?;
-            let best = at().map(|r| r.cycles).min()?.max(1);
-            let ratio = actual.cycles as f64 / best as f64;
-            Some((c, ratio, ratio <= 1.05))
-        })
-        .collect()
 }
 
 /// A dense single-core memory-latency profile (100–1100 cycles on the
@@ -407,7 +360,7 @@ pub fn workload_sweep(opts: &Options) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccs_experiment::RunRecord;
+    use crate::claims::{coarsening_within_best, pdf_slow_beats_ws_fast};
 
     fn quick_opts(app: &'static str) -> Options {
         Options {
@@ -546,118 +499,13 @@ mod tests {
         assert!(report.records.iter().all(|r| r.speedup_over_seq.is_none()));
     }
 
-    /// A hand-built record with every metric but `cycles` zeroed.
-    fn record(
-        workload: String,
-        config: String,
-        cores: usize,
-        scheduler: &str,
-        cycles: u64,
-    ) -> RunRecord {
-        RunRecord {
-            workload,
-            config,
-            cores,
-            clusters: 1,
-            scheduler: scheduler.into(),
-            seed: None,
-            cycles,
-            instructions: 1,
-            tasks: 1,
-            l1_accesses: 0,
-            l1_misses: 0,
-            l2_accesses: 0,
-            l2_misses: 0,
-            l2_mpki: 0.0,
-            l3_accesses: 0,
-            l3_misses: 0,
-            bandwidth_utilization: 0.0,
-            off_chip_bytes: 0,
-            trace_bytes: 0,
-            peak_alloc_estimate: 0,
-            compile_ms: 0.0,
-            batch_width: 0,
-            speedup_over_seq: None,
-        }
-    }
-
-    /// A hand-built Figure 8 report: one `mergesort/<scheme>` record per
-    /// `(cores, scheme, cycles)`.
-    fn fig8_report(points: &[(usize, &str, u64)]) -> Report {
-        let mut report = Report::new("fig8", 32);
-        for &(cores, scheme, cycles) in points {
-            report.records.push(record(
-                format!("mergesort/{scheme}"),
-                format!("default-{cores}/32"),
-                cores,
-                "pdf",
-                cycles,
-            ));
-        }
-        report
-    }
-
-    #[test]
-    fn section_53_check_fails_when_pdf_on_the_slow_l2_is_slower() {
-        let fig4_report = |pdf_slow: u64, ws_fast: u64| {
-            let mut report = Report::new("fig4", 32);
-            for (scheduler, hit, cycles) in [
-                ("pdf", 7, 1),
-                ("ws", 19, 1),
-                ("pdf", 19, pdf_slow),
-                ("ws", 7, ws_fast),
-            ] {
-                let config = format!("default-16/32-l2hit{hit}");
-                report
-                    .records
-                    .push(record("hashjoin".into(), config, 16, scheduler, cycles));
-            }
-            report
-        };
-        assert_eq!(
-            pdf_slow_beats_ws_fast(&fig4_report(90, 100)),
-            vec![("hashjoin".to_string(), 0.9, true)]
-        );
-        assert_eq!(
-            pdf_slow_beats_ws_fast(&fig4_report(125, 100)),
-            vec![("hashjoin".to_string(), 1.25, false)]
-        );
-    }
-
-    #[test]
-    fn coarsening_check_holds_within_five_percent_of_the_best() {
-        let report = fig8_report(&[
-            (32, "previous", 110),
-            (32, "dag", 120),
-            (32, "actual", 100),
-            (16, "previous", 100),
-            (16, "dag", 130),
-            (16, "actual", 105),
-        ]);
-        assert_eq!(
-            coarsening_within_best(&report),
-            vec![(32, 1.0, true), (16, 1.05, true)]
-        );
-
-        let report = fig8_report(&[(8, "previous", 100), (8, "dag", 90), (8, "actual", 106)]);
-        let checks = coarsening_within_best(&report);
-        assert_eq!(checks.len(), 1);
-        let (cores, ratio, within) = checks[0];
-        assert_eq!(cores, 8);
-        assert!((ratio - 106.0 / 90.0).abs() < 1e-12 && !within);
-
-        assert!(coarsening_within_best(&fig8_report(&[])).is_empty());
-        let report = fig8_report(&[(8, "previous", 100), (8, "actual", 106)]);
-        assert!(!coarsening_within_best(&report)[0].2, "1.06 × best fails");
-    }
-
     #[test]
     fn quick_fig8_runs_three_granularities_under_pdf_in_any_parallelism() {
         let opts = Options {
             quick: true,
             ..Options::default()
         };
-        let (report, analyses) = fig8_coarsened(&opts);
+        let (report, analyses) = fig8(&opts);
         assert_eq!(
             report.workloads(),
             vec!["mergesort/actual", "mergesort/dag", "mergesort/previous"]
@@ -670,7 +518,7 @@ mod tests {
         assert_eq!(analyses.len(), 1);
         assert_eq!(coarsening_within_best(&report).len(), 1);
 
-        let sequential = fig8(&Options {
+        let (sequential, _) = fig8(&Options {
             parallel: 1,
             ..opts.clone()
         });
@@ -679,8 +527,8 @@ mod tests {
 
     #[test]
     fn fig8_is_empty_without_mergesort() {
-        let report = fig8(&quick_opts("hashjoin"));
-        assert!(report.is_empty());
+        let (report, analyses) = fig8(&quick_opts("hashjoin"));
+        assert!(report.is_empty() && analyses.is_empty());
         assert_eq!(report.name, "fig8");
     }
 

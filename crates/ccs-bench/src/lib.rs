@@ -1,30 +1,35 @@
-//! Shared harness code for the experiment binaries that regenerate every
-//! table and figure of Chen et al., SPAA 2007.
+//! The entry points that regenerate every table and figure of Chen et al.,
+//! SPAA 2007, and the code they share.
 //!
-//! Each binary in `src/bin/` reproduces one figure/table (see DESIGN.md's
-//! experiment index).  The sweeps themselves are described with the
+//! `run_all` runs the paper's figures and tables as named [`parts`] (see
+//! DESIGN.md's experiment index; `run_all --fig <part>` runs one).  The
+//! sweeps themselves are described with the
 //! [`Experiment`](ccs_experiment::Experiment) builder from `ccs-experiment`
-//! — the per-figure functions in [`figs`] return a serialisable [`Report`],
-//! and the binaries are thin wrappers that print it as TSV and optionally
-//! emit JSON (`--json PATH`).  The two outputs that are not sweeps (the
-//! configuration tables and the Section 6.1 profiler timing) are text
-//! writers in [`sections`].
+//! — the per-figure functions in [`figs`] return a serialisable
+//! [`Report`](ccs_experiment::Report) that `run_all` prints as TSV and
+//! merges into one JSON trajectory (`--json PATH`).  The two outputs that
+//! are not sweeps (the configuration tables and the Section 6.1 profiler
+//! timing) are text writers in [`sections`].  The paper's claims that
+//! `run_all` checks on those reports are data in [`claims`].
 //!
-//! All binaries accept the shared [`Options`] flags (`--scale`, `--quick`,
-//! `--app`, `--json`, `--engine`) plus binary-specific extras.  `run_all`
-//! runs every figure and section in one process; `run_all --bench`
-//! additionally runs the timed [`harness`] and emits the `BENCH_sim.json`
-//! perf trajectory that CI gates on (see the `bench_gate` binary).
+//! `run_all`, `serve` and `serve_client` accept the shared [`Options`]
+//! flags (`--scale`, `--quick`, `--app`, `--json`, `--engine`) plus
+//! binary-specific extras; `run_all --bench` runs the timed [`harness`] instead and emits the
+//! `BENCH_sim.json` perf trajectory that CI gates on (see the `bench_gate`
+//! binary).  The `serve` and `serve_client` binaries drive the sweep
+//! daemon.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 use std::io::{self, Write};
 
-use ccs_experiment::{Options, Report};
+use ccs_experiment::Options;
 
+pub mod claims;
 pub mod figs;
 pub mod harness;
+pub mod parts;
 pub mod sections;
 
 /// Where human-readable text goes: stdout, or stderr when `--json -`
@@ -34,28 +39,6 @@ pub fn text_out(opts: &Options) -> Box<dyn Write> {
         Box::new(io::stderr())
     } else {
         Box::new(io::stdout())
-    }
-}
-
-/// Print a report as the standard tab-separated table, preceded by a
-/// commented title line on stderr.  With `--json -` the table moves to
-/// stderr so stdout carries nothing but the JSON document.  Empty sweeps
-/// (the workload selection has no panel in this figure) get an explanatory
-/// note instead of silent blankness.
-pub fn print_report(title: &str, report: &Report, opts: &Options) {
-    eprintln!("# {title}, scale 1/{}", report.scale);
-    if report.is_empty() {
-        eprintln!(
-            "# (empty sweep: the selected workloads have no panel in this figure; \
-             parameterised or non-paper specs only run through `run_all --workloads`)"
-        );
-    }
-    let mut out = text_out(opts);
-    out.write_all(report.to_tsv().as_bytes())
-        .and_then(|()| out.flush())
-        .expect("write the report table");
-    if let Err(e) = opts.emit_json(report) {
-        eprintln!("# failed to write JSON report: {e}");
     }
 }
 

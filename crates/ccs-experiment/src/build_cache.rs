@@ -7,7 +7,7 @@
 //! built-ins key by their resolved `Params`, so hashjoin's 2-core and
 //! 8-core points on one L2 share a build, and quicksort, matmul and heat
 //! share one across L2 sizes too.  A session rarely runs one sweep: the
-//! figure binaries share workloads across sweeps (fig 2 and fig 4 both
+//! figure sweeps of one `run_all` share workloads (fig 2 and fig 4 both
 //! build the default-point mergesort), the bench harness re-runs whole
 //! sweep passes back-to-back for noise-resistant minima, and the daemon
 //! serves many requests for one workload.  Each would otherwise pay the

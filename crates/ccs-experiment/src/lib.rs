@@ -28,7 +28,7 @@
 //! * [`ResultStore`] — the durable on-disk record memo keyed by those
 //!   hashes, extending the build cache across processes and restarts (the
 //!   `ccs-serve` daemon's persistent layer);
-//! * [`Options`] — the command-line harness the experiment binaries share;
+//! * [`Options`] — the command-line harness the `ccs-bench` binaries share;
 //! * [`json`] — the small self-contained JSON layer backing report
 //!   serialisation (the offline stand-in for `serde_json`; see
 //!   `shims/README.md`).

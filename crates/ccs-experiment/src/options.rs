@@ -1,4 +1,4 @@
-//! Command-line options shared by every experiment binary.
+//! Command-line options shared by every `ccs-bench` binary.
 //!
 //! They live next to the [`Experiment`] layer so the flags and the sweeps
 //! they configure stay in one place.
@@ -11,7 +11,8 @@ use ccs_workloads::PAPER_WORKLOADS;
 
 use crate::{Experiment, WorkloadSpec};
 
-/// Options every experiment binary accepts:
+/// Options every `ccs-bench` binary (`run_all`, `serve`, `serve_client`)
+/// accepts:
 ///
 /// * `--scale N` — divide the paper's input sizes *and* all cache capacities
 ///   by `N` (default 32) so the full sweep runs on a laptop while preserving
@@ -36,7 +37,7 @@ use crate::{Experiment, WorkloadSpec};
 /// * `--json PATH` — additionally write the run's [`Report`](crate::Report)
 ///   as JSON to `PATH` (`-` for stdout);
 /// * `--store PATH` — root directory of the persistent result store (the
-///   `serve` daemon's memo layer; batch binaries ignore it);
+///   `serve` daemon's memo layer; `run_all` ignores it);
 /// * `--engine event|reference|batch` — select the simulator engine
 ///   (default: the event-driven production engine; `reference` runs the
 ///   retained cycle-stepper, metrics-identical but much slower; `batch`
@@ -44,12 +45,14 @@ use crate::{Experiment, WorkloadSpec};
 ///   metrics-identical and much faster on latency sweeps);
 /// * `--bench` — benchmark mode: `run_all` substitutes the timed
 ///   `ccs-bench` harness for its normal sweeps and emits `BENCH_sim.json`
-///   (other binaries ignore the flag);
+///   (`serve` and `serve_client` ignore the flag);
 /// * `--trials N` — in benchmark mode, repeat every timed pass `N` times
 ///   and keep the fastest wall time (the default is harness-chosen: 3 for
 ///   quick sweeps, 1 for full sweeps, 5 for the raw-simulator
 ///   microbenches);
-/// * binary-specific flags are collected in [`Options::rest`].
+/// * binary-specific flags (`run_all --fig`, the daemon's and the
+///   client's) are collected in [`Options::rest`]; each binary rejects
+///   the ones it does not read.
 #[derive(Clone, Debug)]
 pub struct Options {
     /// Input/cache scale divisor (1 = the paper's sizes).
@@ -74,7 +77,7 @@ pub struct Options {
     pub json: Option<PathBuf>,
     /// Directory of the persistent [`ResultStore`](crate::ResultStore)
     /// (`--store PATH`); used by the `serve` daemon and client binaries,
-    /// ignored by the batch binaries.
+    /// ignored by `run_all`.
     pub store: Option<PathBuf>,
     /// Simulator engine selection (`--engine event|reference|batch`).
     pub engine: SimEngine,
@@ -142,6 +145,7 @@ impl Options {
          \x20 --json PATH        write the JSON report to PATH ('-' = stdout)\n\
          \x20 --store PATH       persistent result-store directory\n\
          \x20 --engine E         event|reference|batch (default event)\n\
+         \x20 --fig NAME,...     run_all: only the named parts (figures, tables)\n\
          \x20 --bench            benchmark mode (run_all emits BENCH_sim.json)\n\
          \x20 --trials N         benchmark trial count (>= 1)\n\
          \x20 --help             this text"
@@ -260,9 +264,9 @@ impl Options {
     ///
     /// Only *bare* specs match: a parameterised spec like `mergesort:ws=8192`
     /// is not the paper's benchmark, and treating it as one would silently
-    /// drop its parameters, so it selects no figure panel (figure binaries
-    /// then print an empty report with a note, the same as `--app lu` on a
-    /// figure without an LU panel).
+    /// drop its parameters, so it selects no figure panel (the figure's
+    /// report is then empty, the same as `--app lu` on a figure without an
+    /// LU panel).
     ///
     /// The result keeps [`PAPER_WORKLOADS`] order whatever order the flags
     /// named them in.

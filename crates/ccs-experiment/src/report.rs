@@ -447,7 +447,7 @@ impl Report {
         out
     }
 
-    /// The standard tab-separated table the experiment binaries print — the
+    /// The standard tab-separated table `run_all` prints per sweep — the
     /// same columns the seed harness used, one row per record.
     pub fn to_tsv(&self) -> String {
         let mut out =

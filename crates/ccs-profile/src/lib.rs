@@ -12,7 +12,7 @@
 //!   and hit counts of *any* group of consecutive tasks at *any* candidate
 //!   cache size can be computed (Section 6.1);
 //! * [`setassoc_profiler`] — the multi-pass `SetAssoc` baseline it replaces
-//!   (an order of magnitude slower; see the `sec61_profiler_speed` binary);
+//!   (an order of magnitude slower; see `run_all --fig sec61_profiler_speed`);
 //! * [`mod@coarsen`] — the automatic task-coarsening algorithm with the
 //!   `W ≤ K·(cache/(2·cores))` stop criterion, the Fig. 7(b)
 //!   [`ParallelizationTable`], and [`apply_coarsening`] to re-group the DAG

@@ -7,7 +7,8 @@
 //! the paper measured 22 re-visits per record on average for Mergesort,
 //! making this approach ~18× slower than the one-pass `LruTree` profiler.
 //! It is retained as the correctness baseline and for the Section 6.1
-//! performance comparison (`sec61_profiler_speed` in `ccs-bench`).
+//! performance comparison (`run_all --fig sec61_profiler_speed` in
+//! `ccs-bench`).
 
 use ccs_cache::{IdealCache, StackDistanceModel};
 use ccs_dag::{Computation, GroupId, TaskGroupTree};

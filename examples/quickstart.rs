@@ -37,7 +37,7 @@ fn main() {
          (the paper reports 13.2%–38.5% across benchmarks)."
     );
 
-    // The report is serialisable — this is what the experiment binaries
-    // write with --json.
+    // The report is serialisable — this is what `run_all` writes with
+    // --json.
     println!("\nJSON report:\n{}", report.to_json());
 }
