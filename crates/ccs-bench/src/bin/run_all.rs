@@ -46,7 +46,7 @@
 //! sequentially — the merged JSON is byte-identical either way.  The
 //! `--bench` harness times its sweep records sequentially.
 
-use std::io::Write;
+use std::io::{self, Write};
 use std::path::PathBuf;
 use std::process::exit;
 
@@ -72,11 +72,14 @@ fn main() {
     let mut merged = Report::new("run_all", opts.effective_scale());
     let mut outcomes = Vec::new();
     for part in parts {
-        writeln!(out, "\n===== {} =====", part.name).expect("write the part header");
+        written(
+            writeln!(out, "\n===== {} =====", part.name),
+            "the part header",
+        );
         match part.run {
             Run::Sweep(run) => {
                 let report = run(&opts);
-                write!(out, "{}", report.to_tsv()).expect("write the sweep table");
+                written(write!(out, "{}", report.to_tsv()), "the sweep table");
                 for claim in CLAIMS.iter().filter(|c| c.part == part.name) {
                     for outcome in (claim.check)(&report) {
                         eprintln!(
@@ -92,20 +95,16 @@ fn main() {
                 }
                 merged.merge(report);
             }
-            Run::Text(section) => {
-                section(&opts, &mut out).unwrap_or_else(|e| panic!("write {}: {e}", part.name))
-            }
+            Run::Text(section) => written(section(&opts, &mut out), part.name),
         }
     }
-    out.flush().expect("flush the tables");
+    written(out.flush(), "the tables");
 
     // Quick runs always leave a machine-readable trajectory behind.
     if opts.quick && opts.json.is_none() {
         opts.json = Some(PathBuf::from("BENCH_run_all.json"));
     }
-    if let Err(e) = opts.emit_json(&merged) {
-        eprintln!("failed to write JSON report: {e}");
-    }
+    written(opts.emit_json(&merged).map(drop), "the JSON report");
     exit(claims::exit_code(&outcomes));
 }
 
@@ -114,11 +113,10 @@ fn main() {
 /// behind.
 fn run_bench(mut opts: Options) {
     let (bench, merged) = harness::run(&opts);
-    if opts.json_to_stdout() {
-        eprint!("{}", bench.to_tsv());
-    } else {
-        print!("{}", bench.to_tsv());
-    }
+    written(
+        write!(text_out(&opts), "{}", bench.to_tsv()),
+        "the bench table",
+    );
     match bench.write_json(harness::BENCH_SIM_PATH) {
         Ok(()) => eprintln!("# wrote {}", harness::BENCH_SIM_PATH),
         Err(e) => {
@@ -130,7 +128,19 @@ fn run_bench(mut opts: Options) {
     if opts.quick && opts.json.is_none() {
         opts.json = Some(PathBuf::from("BENCH_run_all.json"));
     }
-    if let Err(e) = opts.emit_json(&merged) {
-        eprintln!("failed to write JSON report: {e}");
+    written(opts.emit_json(&merged).map(drop), "the JSON report");
+}
+
+/// Check one write of the tables or the report.  A reader that went away
+/// (`run_all | head`) ends the run quietly with status 0: nobody is left to
+/// read the rest.  Any other write error is fatal.
+fn written(result: io::Result<()>, what: &str) {
+    match result {
+        Ok(()) => {}
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => exit(0),
+        Err(e) => {
+            eprintln!("error: write {what}: {e}");
+            exit(1);
+        }
     }
 }

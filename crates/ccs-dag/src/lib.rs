@@ -9,8 +9,8 @@
 //!
 //! * [`Task`], [`MemRef`], [`TaskTrace`], [`TraceBuilder`] — the per-task
 //!   model (module [`task`]);
-//! * [`TracePool`] / [`TraceView`] — the flat structure-of-arrays trace
-//!   arena every computation stores its ops in (module [`pool`]);
+//! * [`TracePool`] / [`TraceView`] — the flat one-lane trace arena every
+//!   computation stores its ops in (module [`pool`]);
 //! * [`LineStream`] — precompiled line-granular access streams, one per
 //!   `(computation, line size)`, consumed by the simulator's event engine,
 //!   plus the [`CacheGeometry`]-keyed [`SetLanes`] mapping line ids

@@ -1,26 +1,30 @@
 //! The flat trace arena: every [`TraceOp`] of a computation in one
-//! structure-of-arrays pool.
+//! contiguous lane of 16-byte records.
 //!
 //! The seed stored each task's trace as its own boxed `Vec<TraceOp>`, so a
 //! simulated access chased a per-task heap pointer and the host's cache
 //! behaviour — not the simulated algorithm — bounded throughput.  The
 //! [`TracePool`] applies the paper's own locality discipline to the
-//! simulator's data structures: all trace ops of a computation live in three
-//! contiguous lanes (`pre_compute`, `addr`, packed `kind`/`size`), and each
-//! [`Task`](crate::Task) holds only a [`TraceRange`] — a `(start, end)` pair
-//! of indices into the pool.  Builders append straight into the pool, so
-//! building a computation performs O(1) allocations per *lane*, not per
-//! task.
+//! simulator's data structures: all trace ops of a computation live in one
+//! lane of `{addr, pre_compute, meta}` records (`meta` packs the access kind
+//! and size), and each [`Task`](crate::Task) holds only a [`TraceRange`] —
+//! a `(start, end)` pair of indices into the pool.  Builders append straight
+//! into the pool, so building a computation performs O(1) allocations, not
+//! one per task.  Readers take an op's fields together, so one lane costs
+//! one capacity check per push and one streaming read per op.
+//!
+//! As ops are pushed the pool tracks the lowest and highest byte any of
+//! them touches ([`TracePool::span`]), which is all the line-stream
+//! compiler needs to size its interner — no pre-scan of the pool.
 //!
 //! [`TraceView`] is the read side: a borrowed window over one task's range
-//! that reassembles [`TraceOp`]s on the fly (the lanes are `#[inline]`
-//! indexed, so a sequential scan compiles to three streaming loads).
+//! that reassembles [`TraceOp`]s on the fly.
 
 use crate::task::{AccessKind, MemRef, TaskTrace, TraceOp};
 
-/// Write flag in the packed `meta` lane (bit 31; bits 0..31 hold the size).
+/// Write flag in a record's packed `meta` (bit 31; bits 0..31 hold the size).
 const WRITE_BIT: u32 = 1 << 31;
-/// Mask of the size bits in the packed `meta` lane.
+/// Mask of the size bits in a record's packed `meta`.
 const SIZE_MASK: u32 = WRITE_BIT - 1;
 
 /// A contiguous range of ops inside a [`TracePool`] — all a task keeps of
@@ -47,16 +51,89 @@ impl TraceRange {
     }
 }
 
-/// Structure-of-arrays arena holding every trace op of a computation.
-///
-/// Lanes are index-aligned: op `i` is `(pre_compute[i], addr[i], meta[i])`
-/// with the access kind in bit 31 of `meta` and the byte size in the low 31
-/// bits.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// The last byte a reference of `size` bytes at `addr` touches (a size-0
+/// reference touches its first byte), saturating at the top of the
+/// address space.
+#[inline]
+fn last_byte(addr: u64, size: u32) -> u64 {
+    addr.saturating_add(size.max(1) as u64 - 1)
+}
+
+/// One op as the pool stores it: 16 bytes, the access kind in bit 31 of
+/// `meta` and the byte size in its low 31 bits.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Record {
+    pub(crate) addr: u64,
+    pub(crate) pre_compute: u32,
+    meta: u32,
+}
+
+impl Record {
+    #[inline]
+    fn new(pre_compute: u32, addr: u64, size: u32, kind: AccessKind) -> Record {
+        assert!(
+            size <= SIZE_MASK,
+            "reference size {size} exceeds the packed meta field"
+        );
+        let write = if kind.is_write() { WRITE_BIT } else { 0 };
+        Record {
+            addr,
+            pre_compute,
+            meta: size | write,
+        }
+    }
+
+    /// Bytes touched.
+    #[inline]
+    pub(crate) fn size(&self) -> u32 {
+        self.meta & SIZE_MASK
+    }
+
+    #[inline]
+    pub(crate) fn is_write(&self) -> bool {
+        self.meta & WRITE_BIT != 0
+    }
+
+    #[inline]
+    fn op(&self) -> TraceOp {
+        TraceOp {
+            pre_compute: self.pre_compute,
+            mem: self.mem(),
+        }
+    }
+
+    #[inline]
+    fn mem(&self) -> MemRef {
+        MemRef {
+            addr: self.addr,
+            size: self.size(),
+            kind: if self.is_write() {
+                AccessKind::Write
+            } else {
+                AccessKind::Read
+            },
+        }
+    }
+}
+
+/// The arena holding every trace op of a computation, in one lane.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TracePool {
-    pre_compute: Vec<u32>,
-    addr: Vec<u64>,
-    meta: Vec<u32>,
+    ops: Vec<Record>,
+    /// Lowest byte any op touches (`u64::MAX` while the pool is empty).
+    lo: u64,
+    /// Highest byte any op touches (a reference of size 0 touches one).
+    hi: u64,
+}
+
+impl Default for TracePool {
+    fn default() -> Self {
+        TracePool {
+            ops: Vec::new(),
+            lo: u64::MAX,
+            hi: 0,
+        }
+    }
 }
 
 impl TracePool {
@@ -68,66 +145,87 @@ impl TracePool {
     /// Number of ops in the pool.
     #[inline]
     pub fn len(&self) -> usize {
-        self.addr.len()
+        self.ops.len()
     }
 
     /// Whether the pool holds no ops.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.addr.is_empty()
+        self.ops.is_empty()
     }
 
     /// Append one op.  Panics if the reference size does not fit the packed
-    /// lane.  (`u32` indexing overflow is caught at range-creation time by
-    /// the builders — `end_index` — so the hot path carries one branch,
-    /// not two.)
+    /// `meta` field.  (`u32` indexing overflow is caught at range-creation
+    /// time by the builders — `end_index` — so the hot path carries one
+    /// branch, not two.)
     #[inline]
     pub fn push(&mut self, pre_compute: u32, mem: MemRef) {
-        assert!(
-            mem.size <= SIZE_MASK,
-            "reference size {} exceeds the packed meta lane",
-            mem.size
-        );
-        self.pre_compute.push(pre_compute);
-        self.addr.push(mem.addr);
-        self.meta
-            .push(mem.size | if mem.kind.is_write() { WRITE_BIT } else { 0 });
+        self.ops
+            .push(Record::new(pre_compute, mem.addr, mem.size, mem.kind));
+        self.cover(mem.addr, last_byte(mem.addr, mem.size));
+    }
+
+    /// Append `count` line-sized ops of one kind, the first at `first`
+    /// (line-aligned) and each next one `line_size` bytes on, every one
+    /// preceded by `pre_compute` instructions — the ops `count` calls of
+    /// [`TracePool::push`] would append, in one reservation.
+    pub(crate) fn push_lines(
+        &mut self,
+        first: u64,
+        count: u64,
+        line_size: u64,
+        pre_compute: u32,
+        kind: AccessKind,
+    ) {
+        if count == 0 {
+            return;
+        }
+        let record = Record::new(pre_compute, first, line_size as u32, kind);
+        self.ops.extend((0..count).map(|i| Record {
+            addr: first + i * line_size,
+            ..record
+        }));
+        let last = first + (count - 1) * line_size;
+        self.cover(first, last_byte(last, record.size()));
+    }
+
+    /// Widen the span to cover bytes `lo..=hi`.
+    #[inline]
+    fn cover(&mut self, lo: u64, hi: u64) {
+        self.lo = self.lo.min(lo);
+        self.hi = self.hi.max(hi);
+    }
+
+    /// The lowest and highest byte any op touches (inclusive; a reference
+    /// of size 0 counts as touching its first byte), or `None` for an
+    /// empty pool.
+    #[inline]
+    pub fn span(&self) -> Option<(u64, u64)> {
+        (!self.ops.is_empty()).then_some((self.lo, self.hi))
     }
 
     /// Reassemble op `i` (pool-wide index).
     #[inline]
     pub fn op(&self, i: usize) -> TraceOp {
-        TraceOp {
-            pre_compute: self.pre_compute[i],
-            mem: self.mem(i),
-        }
+        self.ops[i].op()
     }
 
     /// Reassemble the memory reference of op `i` (pool-wide index).
     #[inline]
     pub fn mem(&self, i: usize) -> MemRef {
-        let meta = self.meta[i];
-        MemRef {
-            addr: self.addr[i],
-            size: meta & SIZE_MASK,
-            kind: if meta & WRITE_BIT != 0 {
-                AccessKind::Write
-            } else {
-                AccessKind::Read
-            },
-        }
+        self.ops[i].mem()
     }
 
     /// Compute instructions preceding op `i` (pool-wide index).
     #[inline]
     pub fn pre_compute(&self, i: usize) -> u64 {
-        self.pre_compute[i] as u64
+        self.ops[i].pre_compute as u64
     }
 
     /// The pool length as a range endpoint, checked against `u32`
     /// indexing.  Called once per strand by the builders.
     pub(crate) fn end_index(&self) -> u32 {
-        u32::try_from(self.addr.len()).expect("trace pool exceeds u32 indexing")
+        u32::try_from(self.ops.len()).expect("trace pool exceeds u32 indexing")
     }
 
     /// Borrow a view over `range` with the given trailing compute.
@@ -140,19 +238,15 @@ impl TracePool {
         }
     }
 
-    /// Heap bytes held by the three lanes (capacity, i.e. the arena
-    /// footprint reported as `trace_bytes` in bench records).
+    /// Heap bytes held by the lane (capacity, i.e. the arena footprint
+    /// reported as `trace_bytes` in bench records).
     pub fn heap_bytes(&self) -> u64 {
-        (self.pre_compute.capacity() * std::mem::size_of::<u32>()
-            + self.addr.capacity() * std::mem::size_of::<u64>()
-            + self.meta.capacity() * std::mem::size_of::<u32>()) as u64
+        (self.ops.capacity() * std::mem::size_of::<Record>()) as u64
     }
 
     /// Drop unused lane capacity (called once when a builder finishes).
     pub(crate) fn shrink_to_fit(&mut self) {
-        self.pre_compute.shrink_to_fit();
-        self.addr.shrink_to_fit();
-        self.meta.shrink_to_fit();
+        self.ops.shrink_to_fit();
     }
 }
 
@@ -197,16 +291,20 @@ impl<'a> TraceView<'a> {
         self.range
     }
 
+    /// The view's records, in program order.
+    #[inline]
+    pub(crate) fn records(&self) -> &'a [Record] {
+        &self.pool.ops[self.range.start as usize..self.range.end as usize]
+    }
+
     /// Iterate the ops in program order.
     pub fn ops(&self) -> impl Iterator<Item = TraceOp> + 'a {
-        let pool = self.pool;
-        (self.range.start as usize..self.range.end as usize).map(move |i| pool.op(i))
+        self.records().iter().map(Record::op)
     }
 
     /// Iterate the memory references in program order.
     pub fn refs(&self) -> impl Iterator<Item = MemRef> + 'a {
-        let pool = self.pool;
-        (self.range.start as usize..self.range.end as usize).map(move |i| pool.mem(i))
+        self.records().iter().map(Record::mem)
     }
 
     /// Total instruction count (compute + one per reference).
@@ -262,10 +360,65 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "packed meta lane")]
+    #[should_panic(expected = "packed meta field")]
     fn oversized_reference_is_rejected() {
         let mut pool = TracePool::new();
         pool.push(0, MemRef::read(0, u32::MAX));
+    }
+
+    #[test]
+    fn empty_pool_has_no_span() {
+        assert_eq!(TracePool::new().span(), None);
+        assert_eq!(TracePool::default().span(), None);
+    }
+
+    #[test]
+    fn span_covers_straddling_and_zero_size_refs() {
+        let mut pool = TracePool::new();
+        pool.push(0, MemRef::read(0x1000, 4));
+        assert_eq!(pool.span(), Some((0x1000, 0x1003)));
+        // Straddles 0x1080 and 0x1100.
+        pool.push(0, MemRef::write(0x10F8, 16));
+        assert_eq!(pool.span(), Some((0x1000, 0x1107)));
+        // A zero-size reference touches one byte, below and above the span.
+        pool.push(0, MemRef::read(0x80, 0));
+        assert_eq!(pool.span(), Some((0x80, 0x1107)));
+        pool.push(0, MemRef::read(0x2000, 0));
+        assert_eq!(pool.span(), Some((0x80, 0x2000)));
+        // A reference inside the span leaves it alone.
+        pool.push(0, MemRef::read(0x1800, 64));
+        assert_eq!(pool.span(), Some((0x80, 0x2000)));
+    }
+
+    #[test]
+    fn push_lines_equals_per_op_pushes() {
+        for (count, line_size, kind) in [
+            (0, 128, AccessKind::Read),
+            (1, 128, AccessKind::Write),
+            (5, 64, AccessKind::Read),
+            (7, 256, AccessKind::Write),
+        ] {
+            let (mut bulk, mut per_op) = (TracePool::new(), TracePool::new());
+            // An op below the range, so the range sets the span's top.
+            for pool in [&mut bulk, &mut per_op] {
+                pool.push(3, MemRef::read(0x40, 8));
+            }
+            bulk.push_lines(0x4000, count, line_size, 11, kind);
+            for i in 0..count {
+                let mem = MemRef {
+                    addr: 0x4000 + i * line_size,
+                    size: line_size as u32,
+                    kind,
+                };
+                per_op.push(11, mem);
+            }
+            let at = format!("{count} lines of {line_size} bytes");
+            assert_eq!(bulk.len(), per_op.len(), "{at}");
+            let ops = |pool: &TracePool| (0..pool.len()).map(|i| pool.op(i)).collect::<Vec<_>>();
+            assert_eq!(ops(&bulk), ops(&per_op), "{at}");
+            assert_eq!(bulk.span(), per_op.span(), "{at}");
+            assert_eq!(bulk, per_op, "{at}");
+        }
     }
 
     #[test]

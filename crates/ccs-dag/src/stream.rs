@@ -9,14 +9,19 @@
 //! invariant across the points.
 //!
 //! A [`LineStream`] performs the resolution **once per `(computation, line
-//! size)` pair**: the pooled ops are expanded into a dense `u32` stream of
-//! line-granular steps (line id in the low bits, the write flag in bit 31)
-//! plus a parallel `u32` lane of pre-access compute, with one contiguous
-//! range per task.  Line ids index a `line_addr` table holding the aligned
-//! addresses the cache models need, so the hot loop does three streaming
-//! loads and zero divisions.  [`Computation::line_stream`] memoises the
-//! compiled stream behind an `Arc`, so every simulation of the same
-//! computation at the same line size shares one copy.
+//! size)` pair**: the pooled ops are expanded into one `u64` word per
+//! line-granular step — the pre-access compute in the high 32 bits over the
+//! line id and write flag in the low 32 — with one contiguous range per
+//! task.  Line ids index a `line_addr` table holding the aligned addresses
+//! the cache models need, so the hot loop does one streaming load per step
+//! and zero divisions.  [`Computation::line_stream`] memoises the compiled
+//! stream behind an `Arc`, so every simulation of the same computation at
+//! the same line size shares one copy.
+//!
+//! The compile reads each pool record once.  The pool's tracked byte span
+//! picks the line-id interner (a direct-mapped table, or a hash map for
+//! scattered addresses) without a pre-scan, and the expansion loop is
+//! monomorphised per interner, so no step matches on which one it has.
 //!
 //! On top of the stream sits the **geometry-compiled layer**: for the
 //! machine shape a sweep simulates against — its `(L1, L2)` cache
@@ -70,86 +75,101 @@ pub const STEP_WRITE_BIT: u32 = 1 << 31;
 /// Mask of the line-id bits of a packed step.
 pub const STEP_ID_MASK: u32 = STEP_WRITE_BIT - 1;
 
-/// Line-address → line-id interner used during stream compilation.
+/// Line-address → line-id interner used during stream compilation: the
+/// id of `line`, assigning the next id (and recording the address in
+/// `line_addr`) on first touch.
 ///
 /// Workload address spaces come from a bump allocator, so the touched lines
-/// are dense within `[min, max]`; when that span is compact the interner is
-/// a direct-mapped table indexed by `(line - base) >> log2(line_size)` —
-/// first-touch assignment with one indexed load per step, no hashing at
-/// all.  Pathologically sparse traces (hand-built addresses) fall back to a
-/// hash map with a cheap multiplicative [`LineHasher`].
-enum Interner {
-    Dense {
-        base: u64,
-        shift: u32,
-        /// Line index → id (`u32::MAX` = not yet interned).
-        table: Vec<u32>,
-    },
-    Sparse(HashMap<u64, u32, BuildHasherDefault<LineHasher>>),
+/// are dense within the pool's byte span; when that span is compact the
+/// interner is [`DenseIds`], a direct-mapped table — first-touch assignment
+/// with one indexed load per step, no hashing at all.  Pathologically
+/// sparse traces (hand-built addresses) fall back to [`SparseIds`], a hash
+/// map with a cheap multiplicative [`LineHasher`].  The expansion loop is
+/// generic over this trait, so each interner gets its own monomorphised
+/// loop and no step matches on the kind of interner.
+trait Intern {
+    fn intern(&mut self, line: u64, line_addr: &mut Vec<u64>) -> u32;
+}
+
+/// The next id for a newly touched `line`, recorded in `line_addr`.
+#[inline]
+fn assign(line: u64, line_addr: &mut Vec<u64>) -> u32 {
+    let id = line_addr.len() as u32;
+    assert!(id < STEP_ID_MASK, "line-id space exhausted");
+    line_addr.push(line);
+    id
+}
+
+/// Direct-mapped interner over a compact span of lines.
+struct DenseIds {
+    base: u64,
+    shift: u32,
+    /// Line index → id (`u32::MAX` = not yet interned).
+    table: Vec<u32>,
 }
 
 /// Unassigned-slot sentinel of the dense interner.
 const UNASSIGNED: u32 = u32::MAX;
 
+impl Intern for DenseIds {
+    #[inline]
+    fn intern(&mut self, line: u64, line_addr: &mut Vec<u64>) -> u32 {
+        let slot = &mut self.table[((line - self.base) >> self.shift) as usize];
+        if *slot == UNASSIGNED {
+            *slot = assign(line, line_addr);
+        }
+        *slot
+    }
+}
+
+/// Hash-map interner for traces whose span is too sparse for a table.
+struct SparseIds(HashMap<u64, u32, BuildHasherDefault<LineHasher>>);
+
+impl Intern for SparseIds {
+    #[inline]
+    fn intern(&mut self, line: u64, line_addr: &mut Vec<u64>) -> u32 {
+        *self
+            .0
+            .entry(line)
+            .or_insert_with(|| assign(line, line_addr))
+    }
+}
+
+/// The interner a pool's span calls for.
+enum Interner {
+    Dense(DenseIds),
+    Sparse(SparseIds),
+}
+
 impl Interner {
-    /// Pick dense or sparse interning by scanning the pool's address range.
+    /// Pick dense or sparse interning from the byte span the pool tracked
+    /// as its ops were pushed.
     fn for_pool(pool: &crate::pool::TracePool, line_size: u64) -> Interner {
         let shift = line_size.trailing_zeros();
-        let (mut min, mut max) = (u64::MAX, 0u64);
-        for i in 0..pool.len() {
-            let mem = pool.mem(i);
-            let first = mem.addr & !(line_size - 1);
-            let last = (mem.addr + mem.size.max(1) as u64 - 1) & !(line_size - 1);
-            min = min.min(first);
-            max = max.max(last);
-        }
-        if pool.is_empty() {
-            return Interner::Dense {
+        let Some((lo, hi)) = pool.span() else {
+            return Interner::Dense(DenseIds {
                 base: 0,
                 shift,
                 table: Vec::new(),
-            };
-        }
+            });
+        };
+        let (min, max) = (lo & !(line_size - 1), hi & !(line_size - 1));
         let span_lines = ((max - min) >> shift) + 1;
         // The table costs 4 bytes per line in the span; accept it while it
-        // stays within a small constant of the per-op lanes (bump-allocated
+        // stays within a small constant of the per-op records (bump-allocated
         // address spaces always do — only hand-scattered addresses don't).
         let budget = (pool.len() as u64 * 8).max(1 << 16);
         if span_lines <= budget {
-            Interner::Dense {
+            Interner::Dense(DenseIds {
                 base: min,
                 shift,
                 table: vec![UNASSIGNED; span_lines as usize],
-            }
+            })
         } else {
-            Interner::Sparse(HashMap::with_capacity_and_hasher(
+            Interner::Sparse(SparseIds(HashMap::with_capacity_and_hasher(
                 pool.len() / 2,
                 BuildHasherDefault::default(),
-            ))
-        }
-    }
-
-    /// Id of `line`, assigning the next id (and recording the address in
-    /// `line_addr`) on first touch.
-    #[inline]
-    fn intern(&mut self, line: u64, line_addr: &mut Vec<u64>) -> u32 {
-        match self {
-            Interner::Dense { base, shift, table } => {
-                let slot = &mut table[((line - *base) >> *shift) as usize];
-                if *slot == UNASSIGNED {
-                    let id = line_addr.len() as u32;
-                    assert!(id < STEP_ID_MASK, "line-id space exhausted");
-                    line_addr.push(line);
-                    *slot = id;
-                }
-                *slot
-            }
-            Interner::Sparse(map) => *map.entry(line).or_insert_with(|| {
-                let id = line_addr.len() as u32;
-                assert!(id < STEP_ID_MASK, "line-id space exhausted");
-                line_addr.push(line);
-                id
-            }),
+            )))
         }
     }
 }
@@ -348,23 +368,28 @@ impl LineStream {
             line_size.is_power_of_two(),
             "line size must be a power of two"
         );
-        let pool = comp.trace_pool();
-        let mut packed: Vec<u64> = Vec::with_capacity(pool.len());
+        match Interner::for_pool(comp.trace_pool(), line_size) {
+            Interner::Dense(ids) => Self::expand(comp, line_size, ids),
+            Interner::Sparse(ids) => Self::expand(comp, line_size, ids),
+        }
+    }
+
+    /// The expansion loop, one copy per interner: each task's records are
+    /// read once, in order, and every line an op touches becomes one step.
+    fn expand(comp: &Computation, line_size: u64, mut ids: impl Intern) -> LineStream {
+        let mask = !(line_size - 1);
+        let mut packed: Vec<u64> = Vec::with_capacity(comp.trace_pool().len());
+        // Grown by `push`, not pre-sized: its capacity is part of
+        // `heap_bytes`, which the reports' `peak_alloc_estimate` reads.
         let mut line_addr: Vec<u64> = Vec::new();
-        let mut ids = Interner::for_pool(pool, line_size);
         let mut starts: Vec<u32> = Vec::with_capacity(comp.num_tasks() + 1);
         starts.push(0);
 
         for t in 0..comp.num_tasks() as u32 {
-            let view = comp.trace(TaskId(t));
-            for op in view.ops() {
-                let first = op.mem.addr & !(line_size - 1);
-                let last = (op.mem.addr + op.mem.size.max(1) as u64 - 1) & !(line_size - 1);
-                let write_bit = if op.mem.kind.is_write() {
-                    STEP_WRITE_BIT
-                } else {
-                    0
-                };
+            for op in comp.trace(TaskId(t)).records() {
+                let first = op.addr & mask;
+                let last = (op.addr + op.size().max(1) as u64 - 1) & mask;
+                let write_bit = if op.is_write() { STEP_WRITE_BIT } else { 0 };
                 let mut line = first;
                 let mut op_pre = op.pre_compute;
                 loop {

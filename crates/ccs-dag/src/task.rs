@@ -324,18 +324,27 @@ impl<'p> TraceBuilder<'p> {
         let line = self.line_size;
         let first = addr & !(line - 1);
         let last = (addr + bytes - 1) & !(line - 1);
-        let mut a = first;
-        loop {
-            self.compute(instr_per_line);
-            self.access(MemRef {
-                addr: a,
-                size: line as u32,
-                kind,
-            });
-            if a == last {
-                break;
+        let line_ref = |addr| MemRef {
+            addr,
+            size: line as u32,
+            kind,
+        };
+        // The first line takes any pending compute, split by `access` if it
+        // overflows a `u32`; every later line carries `instr_per_line`.
+        self.compute(instr_per_line);
+        self.access(line_ref(first));
+        let rest = (last - first) / line;
+        match (&mut self.dest, u32::try_from(instr_per_line)) {
+            (Dest::Pool { pool, .. }, Ok(pre)) => {
+                pool.push_lines(first + line, rest, line, pre, kind);
+                self.recorded_instr += rest * (instr_per_line + 1);
             }
-            a += line;
+            _ => {
+                for i in 1..=rest {
+                    self.compute(instr_per_line);
+                    self.access(line_ref(first + i * line));
+                }
+            }
         }
     }
 
@@ -490,6 +499,71 @@ mod tests {
         let pooled_ops: Vec<TraceOp> = view.ops().collect();
         assert_eq!(pooled_ops.as_slice(), standalone.ops());
         assert_eq!(view.instructions(), standalone.instructions());
+    }
+
+    /// The per-line loop `read_range`/`write_range` must stay equal to: one
+    /// `compute(instr_per_line)` and one line-sized `access` per line.
+    fn range_per_line(t: &mut TraceBuilder<'_>, addr: u64, bytes: u64, ipl: u64, kind: AccessKind) {
+        let line = t.line_size();
+        let (first, last) = (addr & !(line - 1), (addr + bytes - 1) & !(line - 1));
+        for a in (first..=last).step_by(line as usize) {
+            t.compute(ipl).access(MemRef {
+                addr: a,
+                size: line as u32,
+                kind,
+            });
+        }
+    }
+
+    #[test]
+    fn ranges_match_the_per_line_loop_standalone_and_pooled() {
+        let big = u32::MAX as u64;
+        // (pending compute before the range, instr_per_line).
+        let cases = [(7, 3), (big + 10, 2), (0, big + 5)];
+        for (pending, ipl) in cases {
+            for kind in [AccessKind::Read, AccessKind::Write] {
+                let at = format!("pending {pending}, ipl {ipl}, {kind:?}");
+                let bulk = |t: &mut TraceBuilder<'_>| {
+                    t.compute(pending);
+                    match kind {
+                        AccessKind::Read => t.read_range(0x1010, 4 * 128, ipl),
+                        AccessKind::Write => t.write_range(0x1010, 4 * 128, ipl),
+                    };
+                    t.compute(9);
+                };
+                let per_line = |t: &mut TraceBuilder<'_>| {
+                    t.compute(pending);
+                    range_per_line(t, 0x1010, 4 * 128, ipl, kind);
+                    t.compute(9);
+                };
+
+                let standalone = |record: &dyn Fn(&mut TraceBuilder<'_>)| {
+                    let mut t = TraceBuilder::new(128);
+                    record(&mut t);
+                    let trace = t.finish();
+                    let work = trace.instructions();
+                    (trace.ops().to_vec(), trace.post_compute(), work)
+                };
+                let pooled = |record: &dyn Fn(&mut TraceBuilder<'_>)| {
+                    let mut pool = TracePool::new();
+                    pool.push(0, MemRef::read(0x40, 4));
+                    let mut t = TraceBuilder::pooled(&mut pool, 128);
+                    record(&mut t);
+                    let (range, post, work) = t.finish_pooled();
+                    let view = pool.view(range, post);
+                    assert_eq!(view.instructions(), work);
+                    (view.ops().collect::<Vec<_>>(), post, work)
+                };
+
+                let expect = standalone(&per_line);
+                // Five lines (0x1000..=0x1200), each split in two when its
+                // compute overflows a u32.
+                assert!(expect.0.len() >= 5, "{at}");
+                assert_eq!(standalone(&bulk), expect, "standalone, {at}");
+                assert_eq!(pooled(&per_line), expect, "pooled per-line, {at}");
+                assert_eq!(pooled(&bulk), expect, "pooled bulk, {at}");
+            }
+        }
     }
 
     #[test]

@@ -331,7 +331,7 @@ impl Options {
         match &self.json {
             None => Ok(false),
             Some(path) if path.as_os_str() == "-" => {
-                print!("{}", report.to_json());
+                std::io::Write::write_all(&mut std::io::stdout(), report.to_json().as_bytes())?;
                 Ok(true)
             }
             Some(path) => {

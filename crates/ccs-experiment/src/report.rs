@@ -58,7 +58,7 @@ pub struct RunRecord {
     /// Off-chip traffic in bytes (fills + write-backs).
     pub off_chip_bytes: u64,
     /// Heap footprint of the simulated computation's trace arena
-    /// (structure-of-arrays op lanes) in bytes.  Deterministic per build.
+    /// (its one lane of 16-byte op records) in bytes.  Deterministic per build.
     pub trace_bytes: u64,
     /// Estimated peak host allocation for this run: trace arena + compiled
     /// line stream + geometry lanes + CSR DAG.  Deterministic per build

@@ -3,9 +3,10 @@
 //! Both front ends speak the same [`crate::session`] loop over the same
 //! [`Service`]; the transport is the only difference.  Stdio serves exactly
 //! one session (the pipe *is* the client) and drains the service when it
-//! ends.  The Unix listener accepts until any session's client sends
-//! `shutdown`, then stops accepting, waits for the remaining sessions to
-//! end, drains the service and removes the socket file.
+//! ends.  The Unix listener blocks in `accept` until any session's client
+//! sends `shutdown` (that session wakes it), then stops accepting, waits
+//! for the remaining sessions to end, drains the service and removes the
+//! socket file.
 
 use std::io::{self, BufReader, Write};
 use std::net::Shutdown;
@@ -14,7 +15,6 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
 
 use ccs_runtime::fault::{self, FaultKind};
 
@@ -68,32 +68,29 @@ impl Server {
         // A stale socket file from a previous daemon would fail the bind.
         let _ = std::fs::remove_file(path);
         let listener = UnixListener::bind(path)?;
-        // Nonblocking accept + poll so the `shutdown` flag can break the
-        // loop promptly (accept(2) has no portable cancellation).
-        listener.set_nonblocking(true)?;
 
+        // `accept` blocks; the session that reads `shutdown` sets the flag
+        // and then wakes the loop with one throwaway connection of its own
+        // (accept(2) has no portable cancellation).
         let shutdown = Arc::new(AtomicBool::new(false));
         let mut sessions: Vec<thread::JoinHandle<()>> = Vec::new();
-        while !shutdown.load(Ordering::Acquire) {
-            match listener.accept() {
-                Ok((stream, _addr)) => {
-                    let service = Arc::clone(&self.service);
-                    let shutdown = Arc::clone(&shutdown);
-                    sessions.push(thread::spawn(move || {
-                        if let Ok(session_shutdown) = serve_unix_stream(&service, stream) {
-                            if session_shutdown {
-                                shutdown.store(true, Ordering::Release);
-                            }
-                        }
-                    }));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    thread::sleep(Duration::from_millis(5));
-                }
-                Err(e) => return Err(e),
+        loop {
+            let (stream, _addr) = listener.accept()?;
+            if shutdown.load(Ordering::Acquire) {
+                break;
             }
+            let service = Arc::clone(&self.service);
+            let shutdown = Arc::clone(&shutdown);
+            let path = path.to_path_buf();
+            sessions.push(thread::spawn(move || {
+                if let Ok(true) = serve_unix_stream(&service, stream) {
+                    shutdown.store(true, Ordering::Release);
+                    let _ = UnixStream::connect(&path);
+                }
+            }));
             sessions.retain(|handle| !handle.is_finished());
         }
+        drop(listener);
         for handle in sessions {
             let _ = handle.join();
         }
@@ -104,8 +101,6 @@ impl Server {
 }
 
 fn serve_unix_stream(service: &Service, stream: UnixStream) -> io::Result<bool> {
-    // The accept loop runs nonblocking; the session must not.
-    stream.set_nonblocking(false)?;
     let writer = FaultableStream(stream.try_clone()?);
     Ok(session::run(service, BufReader::new(stream), writer))
 }

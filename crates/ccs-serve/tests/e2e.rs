@@ -634,3 +634,34 @@ fn retry_helper_reaches_a_slow_to_start_daemon() {
     daemon.join().unwrap();
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn shutdown_stops_the_unix_daemon_promptly_and_removes_its_socket() {
+    let dir = unique_dir("shutdown");
+    std::fs::create_dir_all(&dir).unwrap();
+    let socket = dir.join("ccs.sock");
+
+    // The daemon blocks in `accept`: the session that reads `shutdown` must
+    // wake it, or `serve_unix` never returns.
+    let (returned_tx, returned_rx) = std::sync::mpsc::channel();
+    let daemon = {
+        let socket = socket.clone();
+        thread::spawn(move || {
+            let server = Server::start(ServiceConfig::default()).unwrap();
+            let served = server.serve_unix(&socket);
+            let _ = returned_tx.send(());
+            served
+        })
+    };
+
+    let mut client = Client::connect_unix(&socket, Duration::from_secs(5)).unwrap();
+    client.ping().unwrap();
+    client.shutdown().unwrap();
+    returned_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("serve_unix must return once a session reads shutdown");
+    daemon.join().unwrap().unwrap();
+    assert!(!socket.exists(), "a clean shutdown removes the socket file");
+    drop(client);
+    std::fs::remove_dir_all(&dir).ok();
+}

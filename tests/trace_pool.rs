@@ -1,8 +1,10 @@
-//! Trace-pool equivalence: the flat structure-of-arrays arena must replay
+//! Trace-pool equivalence: the flat one-lane arena must replay
 //! the exact `(pre_compute, addr, size, kind)` sequence of the legacy
 //! per-task `TaskTrace` representation, for every registered workload and
-//! for arbitrary builder call sequences; and the CSR `Dag` adjacency must
-//! equal an independently built nested-list adjacency.
+//! for arbitrary builder call sequences; the compiled line stream must equal
+//! a push-grown reference expansion word for word, heap bytes included; and
+//! the CSR `Dag` adjacency must equal an independently built nested-list
+//! adjacency.
 
 use ccs_dag::synth::{random_computation, SynthParams};
 use ccs_dag::{
@@ -125,10 +127,99 @@ fn pooled_iteration_replays_legacy_traces_for_all_six_workloads() {
         assert_eq!(
             pooled_sequence(&comp),
             legacy_sequence(&comp),
-            "{name}: pooled SoA iteration diverges from legacy TaskTrace"
+            "{name}: pooled iteration diverges from legacy TaskTrace"
         );
         assert_stream_matches(&comp, comp.line_size());
     }
+}
+
+/// A reference expansion of `comp` at `line_size`: every op split through
+/// `MemRef::lines`, ids assigned on first touch, every vector grown by
+/// `push`.  Returns the packed words, the step index where each task starts
+/// (plus the end), the line-address table and the heap bytes a stream with
+/// these vectors holds: the step lane and the task starts sized exactly, the
+/// line table at its push-grown capacity.
+fn reference_stream(comp: &Computation, line_size: u64) -> (Vec<u64>, Vec<usize>, Vec<u64>, u64) {
+    let mut ids: std::collections::HashMap<u64, u32> = std::collections::HashMap::new();
+    let (mut packed, mut starts, mut line_addr) = (Vec::new(), vec![0], Vec::new());
+    for t in 0..comp.num_tasks() as u32 {
+        for op in comp.trace(TaskId(t)).ops() {
+            let write = if op.mem.kind.is_write() {
+                STEP_WRITE_BIT
+            } else {
+                0
+            };
+            let mut pre = op.pre_compute as u64;
+            for line in op.mem.lines(line_size) {
+                let id = *ids.entry(line).or_insert_with(|| {
+                    line_addr.push(line);
+                    line_addr.len() as u32 - 1
+                });
+                packed.push(pre << 32 | (id | write) as u64);
+                pre = 0;
+            }
+        }
+        starts.push(packed.len());
+    }
+    let heap = 8 * packed.len() + 8 * line_addr.capacity() + 4 * starts.len();
+    (packed, starts, line_addr, heap as u64)
+}
+
+/// Compile `comp` at each line size and compare the stream with
+/// [`reference_stream`] word for word, including its heap bytes (which
+/// feed the reports' `peak_alloc_estimate`).
+fn assert_stream_equals_reference(name: &str, comp: &Computation) {
+    for line_size in [64, 128, 256] {
+        let at = format!("{name} at {line_size}-byte lines");
+        let stream = ccs_dag::LineStream::compile(comp, line_size);
+        let (packed, starts, line_addr, heap) = reference_stream(comp, line_size);
+        assert_eq!(stream.packed(), packed.as_slice(), "{at}: packed words");
+        let got_starts: Vec<usize> = (0..comp.num_tasks() as u32)
+            .map(|t| stream.range(TaskId(t)).0)
+            .chain([stream.num_steps()])
+            .collect();
+        assert_eq!(got_starts, starts, "{at}: task starts");
+        assert_eq!(stream.line_addr(), line_addr.as_slice(), "{at}: line_addr");
+        assert_eq!(stream.heap_bytes(), heap, "{at}: heap bytes");
+    }
+}
+
+#[test]
+fn line_streams_equal_a_push_grown_reference_expansion() {
+    let ctx = BuildCtx::new(2048, 64 * 1024, 4);
+    let registry = WorkloadRegistry::global();
+    let mut names = registry.names();
+    names.sort();
+    assert_eq!(
+        names.len(),
+        6,
+        "expected the six built-in kernels: {names:?}"
+    );
+    for name in names {
+        let comp = registry.build(&name, &ctx).expect("registered workload");
+        assert_stream_equals_reference(&name, &comp);
+    }
+
+    // Hand-scattered addresses, 2^32 bytes apart: a span far too sparse
+    // for the dense table, so the stream takes the hash-map interner.
+    let mut b = ComputationBuilder::new(128);
+    let strands: Vec<_> = (0..4u64)
+        .map(|i| {
+            b.strand_with(|t| {
+                t.compute(i + 1).read(i << 32, 4).write((3 - i) << 32, 8);
+                // Straddles a line boundary at every line size compiled.
+                t.read(((i + 1) << 32) - 8, 16).read(0x40, 0);
+            })
+        })
+        .collect();
+    let root = b.seq(strands, GroupMeta::default());
+    let scattered = b.finish(root);
+    let (lo, hi) = scattered.trace_pool().span().expect("non-empty pool");
+    assert!(
+        (hi - lo) / 256 > 1 << 16,
+        "the scattered span must defeat the dense table"
+    );
+    assert_stream_equals_reference("scattered", &scattered);
 }
 
 /// Independent nested-list adjacency, built with the seed's original
@@ -324,7 +415,7 @@ proptest! {
         prop_assert_eq!(a.line_addr(), b.line_addr());
     }
 
-    /// `AccessKind` and size survive the packed `u32` meta lane for the
+    /// `AccessKind` and size survive the packed `u32` meta field for the
     /// full supported size range.
     #[test]
     fn meta_lane_packing_round_trips(
